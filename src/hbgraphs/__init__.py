@@ -37,9 +37,9 @@ from .iso import (
     verify_witness,
 )
 from .stern import (
-    Mat2,
     SternCounters,
     a,
+    b_and_a,
     b_algorithm1,
     b_block_formula,
     b_matrix,

@@ -136,8 +136,8 @@ def _cmd_iso(args, out) -> int:
 def check_range(lo: int, hi: int) -> str | None:
     """First counterexample to algorithm agreement in [lo, hi], or None."""
     for n in range(lo, hi + 1):
-        expected = stern.b_recursive(n)
         results = {name: fn(n) for name, fn in _B_ALGOS.items()}
+        expected = results["rec"]
         results["enumeration"] = len(graphs.enumerate_expansions(n))
         bad = sorted(name for name, got in results.items() if got != expected)
         if bad:
@@ -176,7 +176,8 @@ def _check_span(span: tuple[int, int]) -> str | None:
 def _cmd_table(args, out) -> int:
     print("n,b,a,v", file=out)
     for n in range(args.max + 1):
-        print(f"{n},{stern.b_recursive(n)},{stern.a(n)},{stern.v(n)}", file=out)
+        b, arcs = stern.b_and_a(n)
+        print(f"{n},{b},{arcs},{arcs - b + 1}", file=out)
     return EXIT_OK
 
 

@@ -124,12 +124,14 @@ def labeled_iso(
                     return False
         return True
 
-    def search(i: int) -> bool:
-        nonlocal expansions
-        if i == n1:
-            return True
+    # depth-first over order; untried[i] holds the candidates left for order[i]
+    untried = []
+    i = 0
+    while i < n1:
+        if len(untried) == i:
+            untried.append(iter(candidates[order[i]]))
         v = order[i]
-        for w in candidates[v]:
+        for w in untried[i]:
             if w in used:
                 continue
             expansions += 1
@@ -138,14 +140,14 @@ def labeled_iso(
             if consistent(v, w):
                 mapping[v] = w
                 used.add(w)
-                if search(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    if not search(0):
-        return None
+                i += 1
+                break
+        else:
+            untried.pop()
+            if i == 0:
+                return None
+            i -= 1
+            used.discard(mapping.pop(order[i]))
     witness = IsoWitness(tuple(mapping[v] for v in range(n1)))
     if not verify_witness(g1, g2, witness, ignore_labels):
         raise AssertionError("search produced an invalid witness")

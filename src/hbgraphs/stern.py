@@ -3,9 +3,10 @@
 b(n) = |H(n)| is computed by the classical recursion, two 2x2 matrix
 products over the binary digits (digit-by-digit and run-by-run), an
 iterative single-pass scan, and a fold over the block decomposition of
-the minimal expansion.  Also: the cyclomatic number v(n), the arc count
-a(n), and Stern's diatomic sequence c(n) = b(n - 1) with its own matrix
-pair.  All arithmetic is plain Python ints (arbitrary precision).
+the minimal expansion.  Also: b(n) with the arc count a(n) in one digit
+pass, the cyclomatic number v(n), and Stern's diatomic sequence
+c(n) = b(n - 1) with its own matrix pair.  All arithmetic is plain Python
+ints (arbitrary precision), and no evaluator keeps state between calls.
 """
 
 from __future__ import annotations
@@ -17,46 +18,6 @@ from .iso import even_core
 from .words import minimal_expansion
 
 
-@dataclass(frozen=True)
-class Mat2:
-    m00: int
-    m01: int
-    m10: int
-    m11: int
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
-        )
-
-    def __pow__(self, a: int) -> "Mat2":
-        result = MAT2_IDENTITY
-        base = self
-        while a:
-            if a & 1:
-                result = result @ base
-            base = base @ base
-            a >>= 1
-        return result
-
-    def apply(self, top: int, bottom: int) -> tuple[int, int]:
-        return (self.m00 * top + self.m01 * bottom, self.m10 * top + self.m11 * bottom)
-
-
-MAT2_IDENTITY = Mat2(1, 0, 0, 1)
-
-# pair for b: column (b(n), b(n-1)) doubles via M0, odd-steps via M1
-B_M0 = Mat2(1, 1, 0, 1)
-B_M1 = Mat2(1, 0, 1, 1)
-
-# pair acting directly on Stern's sequence c
-C_M0 = Mat2(1, 0, 1, 1)
-C_M1 = Mat2(0, 1, -1, 2)
-
-
 @dataclass
 class SternCounters:
     """The (h, k) accumulator pair of the block-fold formula; h >= k >= 0."""
@@ -65,35 +26,33 @@ class SternCounters:
     k: int = 1
 
 
-_b_memo: dict[int, int] = {0: 1}
-
-
 def b_recursive(n: int) -> int:
-    """b(0)=1, b(2n+1)=b(n), b(2n+2)=b(n+1)+b(n); memoized, explicit stack."""
+    """b(0)=1, b(2n+1)=b(n), b(2n+2)=b(n+1)+b(n); explicit stack, memo per call."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    memo = {0: 1}
     stack = [n]
     while stack:
         m = stack[-1]
-        if m in _b_memo:
+        if m in memo:
             stack.pop()
             continue
         if m % 2:
             p = (m - 1) // 2
-            if p in _b_memo:
-                _b_memo[m] = _b_memo[p]
+            if p in memo:
+                memo[m] = memo[p]
                 stack.pop()
             else:
                 stack.append(p)
         else:
             p, q = m // 2, m // 2 - 1
-            pending = [x for x in (p, q) if x not in _b_memo]
+            pending = [x for x in (p, q) if x not in memo]
             if pending:
                 stack.extend(pending)
             else:
-                _b_memo[m] = _b_memo[p] + _b_memo[q]
+                memo[m] = memo[p] + memo[q]
                 stack.pop()
-    return _b_memo[n]
+    return memo[n]
 
 
 def b_matrix(n: int) -> int:
@@ -221,68 +180,57 @@ def short_expansion_count(n: int) -> int:
     return _fold_blocks(n).k
 
 
-_v_memo: dict[int, int] = {0: 0}
+def b_and_a(n: int) -> tuple[int, int]:
+    """(b(n), a(n)) in one pass over the binary digits of n, top bit first.
 
-
-def v(n: int) -> int:
-    """Cyclomatic number of A(n); memoized, explicit stack.
-
-    v(0)=0, v(2n+1)=v(n), v(4n+2)=v(2n)+a(n), v(4n+4)=v(2n+2)+a(n).
+    For q = n >> k it keeps b(q), a(q), b(q-1), a(q-1) and T(q-1), where
+    T(x) counts the expansions of x ending in 2: T(2s+2) = b(s), and T is
+    0 at 0 and at odd x.  With a(2r+1) = a(r) and
+    a(2r) = a(r) + a(r-1) + b(r-1) - T(r-1), each digit is a few additions.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    stack = [n]
-    while stack:
-        m = stack[-1]
-        if m in _v_memo:
-            stack.pop()
-            continue
-        if m % 2:
-            p = (m - 1) // 2
-            if p in _v_memo:
-                _v_memo[m] = _v_memo[p]
-                stack.pop()
-            else:
-                stack.append(p)
+    b, arcs, b1, arcs1, t1 = 1, 0, 0, 0, 0  # q = 0: b(-1), a(-1), T(-1) are 0
+    for ch in format(n, "b") if n else "":
+        b_even, arcs_even = b + b1, arcs + arcs1 + b1 - t1  # b(2q), a(2q)
+        if ch == "1":
+            b1, arcs1, t1 = b_even, arcs_even, b1
         else:
-            q = (m - 2) // 4 if m % 4 == 2 else (m - 4) // 4
-            p = m - 2 * q - 2  # 2q for m = 4q+2, 2q+2 for m = 4q+4
-            pending = [x for x in (p, q) if x not in _v_memo]
-            if pending:
-                stack.extend(pending)
-            else:
-                _v_memo[m] = _v_memo[p] + _v_memo[q] + b_recursive(q) - 1
-                stack.pop()
-    return _v_memo[n]
+            b, arcs, t1 = b_even, arcs_even, 0
+    return b, arcs
+
+
+def v(n: int) -> int:
+    """Cyclomatic number of A(n): a(n) - b(n) + 1."""
+    b, arcs = b_and_a(n)
+    return arcs - b + 1
 
 
 def a(n: int) -> int:
-    """Arc count of A(n): v(n) + b(n) - 1 (0 for the one-vertex A(0))."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return v(n) + b_recursive(n) - 1
+    """Arc count of A(n) (0 for the one-vertex A(0))."""
+    return b_and_a(n)[1]
 
 
 def c(n: int) -> int:
     """Stern's diatomic sequence: c(n) = b(n - 1), defined for n >= 1."""
     if n < 1:
         raise ValueError("c is defined for n >= 1")
-    return b_recursive(n - 1)
+    return b_matrix(n - 1)
 
 
 def c_matrix(n: int) -> int:
-    """c(n) as the top-right entry of C_M(d_t) ... C_M(d_0).
+    """c(n) from Stern's own matrix pair C(0) = (1 0; 1 1), C(1) = (0 1; -1 2).
 
-    Convention frozen by exhaustive search over boundary vectors and
-    digit orders, validated against c(n) = b(n-1): multiply the
-    c-matrices most significant digit first and read entry (0, 1).
+    c(n) is the second entry of the row vector (1, 0) C(d_t) ... C(d_0),
+    the digits taken most significant first.  The vector is folded digit
+    by digit, so no matrix is formed.
     """
     if n < 1:
         raise ValueError("c is defined for n >= 1")
-    prod = MAT2_IDENTITY
+    x, y = 1, 0
     for ch in format(n, "b"):
-        prod = prod @ (C_M0 if ch == "0" else C_M1)
-    return prod.m01
+        x, y = (x + y, y) if ch == "0" else (-y, x + 2 * y)
+    return y
 
 
 def v_level_set_even(level: int, max_n: int) -> list[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 
 _ALPHABET = frozenset("012")
+_BIT_TO_DIGIT = str.maketrans("01", "12")
 
 #: Human-readable rendering of the empty word.
 EMPTY_WORD_DISPLAY = "ε"  # ε
@@ -61,17 +62,16 @@ def binary_expansion(n: int) -> str:
 def minimal_expansion(n: int) -> str:
     """The unique expansion of n with no 0 digits (shortlex minimum of H(n)).
 
-    Built least significant digit first: an even n > 0 must end with 2,
-    an odd n with 1.
+    With L = (n + 1).bit_length() - 1 it has L digits, and subtracting
+    1...1 (L ones) leaves n + 1 - 2^L: its L-digit binary form with
+    0 -> 1 and 1 -> 2.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    digits = []
-    while n:
-        d = 2 if n % 2 == 0 else 1
-        digits.append(d)
-        n = (n - d) // 2
-    return "".join(str(d) for d in reversed(digits))
+    length = (n + 1).bit_length() - 1
+    if not length:
+        return ""
+    return format(n + 1 - (1 << length), f"0{length}b").translate(_BIT_TO_DIGIT)
 
 
 def weight(w: str) -> int:

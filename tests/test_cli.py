@@ -61,6 +61,13 @@ def test_iso():
     assert len(lines) == 6 and all(" -> " in line for line in lines[1:])
 
 
+def test_iso_structural_deep_search():
+    # b = 1597 vertices: one search level per vertex, deeper than the recursion limit
+    status, out, _ = invoke("iso", "--m", "43690", "--n", "87381", "--structural")
+    assert status == EXIT_OK
+    assert out.splitlines()[0] == "isomorphic"
+
+
 def test_graph_formats():
     status, out, _ = invoke("graph", "--n", "10", "--format", "dot")
     assert status == EXIT_OK

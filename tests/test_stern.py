@@ -1,14 +1,14 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_expansions
+from conftest import oracle_b_v, oracle_expansions
 from hbgraphs.stern import (
-    B_M0,
-    B_M1,
-    MAT2_IDENTITY,
-    Mat2,
     a,
+    b_and_a,
     b_algorithm1,
     b_block_formula,
     b_matrix,
@@ -122,16 +122,34 @@ def test_v1_all():
     assert v1_all(100) == [10, 12, 21, 25, 43, 51, 87]
 
 
-def test_matrix_power_identities():
-    for exp in range(1, 21):
-        assert B_M0**exp == Mat2(1, exp, 0, 1)
-        assert B_M1**exp == Mat2(1, 0, exp, 1)
-    assert B_M0**0 == MAT2_IDENTITY
+def test_v_and_a_match_stack_recursion():
+    memo = {}
+    for n in range(1 << 16):
+        b, cyclomatic = oracle_b_v(n, memo)
+        assert b_and_a(n) == (b, cyclomatic + b - 1), n
+        assert v(n) == cyclomatic, n
+        assert a(n) == cyclomatic + b - 1, n
 
 
-def test_mat2_associativity():
-    x, y, z = Mat2(1, 2, 3, 4), Mat2(0, 1, -1, 2), Mat2(5, 0, 0, 5)
-    assert (x @ y) @ z == x @ (y @ z)
+def test_v_and_a_match_stack_recursion_4096_bits():
+    rng = random.Random(4096)
+    for _ in range(3):
+        n = rng.getrandbits(4096) | 1 << 4095
+        b, cyclomatic = oracle_b_v(n)
+        assert b_and_a(n) == (b, cyclomatic + b - 1)
+        assert v(n) == cyclomatic
+
+
+def test_evaluators_hold_no_memory_between_calls():
+    n = random.Random("retention").getrandbits(4096) | 1 << 4095
+    for fn in (b_recursive, v, a, c):
+        tracemalloc.start()
+        try:
+            fn(n)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * 2**20, f"{fn.__name__} holds {held} bytes"
 
 
 @given(st.integers(0, 2048))
