@@ -5,11 +5,20 @@ A minimal expansion of an even number factors uniquely into blocks
 odd numbers carry an extra tail of 1s.  A(n) embeds as an induced
 subgraph into the Cartesian product of the path graphs of its blocks,
 which yields the place map, place-preserving maps and checking paths.
+
+Every expansion splits into one factor per block at its cuts, the start
+indices of its second, third, ... factors.  The place of an arc is read
+off the cuts of its tail: every reduction rewrites one ``2``, at index
+j = position + 1 (j = 0 for the leading ``2y -> 10y`` rule), and the
+place is 1 + the number of cuts <= j.  So ``embed`` costs about one
+``build_graph``: two integer parses and a few masked comparisons per
+vertex, and a bisection and a few tuple comparisons per arc.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +26,7 @@ from .graphs import (
     DEFAULT_LIMIT,
     Arc,
     HbGraph,
+    Label,
     build_graph,
 )
 from .words import minimal_expansion, validate_word, value
@@ -115,55 +125,101 @@ class PlacedGraph:
         return tuple(block_path_graph(b) for b in self.decomposition.blocks)
 
 
-def _split_off_first_factor(word: str, first_value: int, rest_value: int) -> tuple[str, str]:
-    """Split an expansion as (first untruncated factor, rest expansion).
+_ONES_BITS = str.maketrans("012", "010")
+_TWOS_BITS = str.maketrans("012", "001")
 
-    The rest has the digit count of binary(rest_value) (long) or one less
-    (short); in the long case the first factor regains its truncated final 0.
-    Exactly one of the two candidate splits is valid.
+
+class _CutFinder:
+    """Factor cuts of the expansions of one block list.
+
+    The cuts of an expansion are the start indices of its second, third,
+    ... factors.  Past a cut the word is an expansion of the value of the
+    remaining blocks' word, so it has no leading 0 and its digit count is
+    the ``bit_length`` k of that value (long: the factor before the cut
+    regains its truncated final 0) or k - 1 (short).  Both tests read the
+    word's digits as two binary numbers, the 1s and the 2s, under masks.
+    Exactly one of the two candidate lengths fits at each cut.
     """
-    found = None
-    bin_len = rest_value.bit_length()
-    for k, pad in ((bin_len, "0"), (bin_len - 1, "")):
-        if not 0 < k < len(word):
-            continue
-        prefix, suffix = word[:-k] + pad, word[-k:]
-        if suffix[0] != "0" and value(suffix) == rest_value and value(prefix) == first_value:
-            if found is not None:
-                raise AssertionError(f"ambiguous factor split of {word!r}")
-            found = (prefix, suffix)
-    if found is None:
-        raise AssertionError(f"no factor split of {word!r}")
-    return found
+
+    def __init__(self, blocks: tuple[Block, ...]):
+        self.blocks = blocks
+        self.total = value("".join(b.word for b in blocks))
+        # per cut: (value past it, long digit count k, k-digit mask, bit of digit k)
+        self.levels = []
+        for i in range(1, len(blocks)):
+            rest = value("".join(b.word for b in blocks[i:]))
+            k = rest.bit_length()  # block words end in 2, so rest >= 2 and k >= 2
+            self.levels.append((rest, k, (1 << k) - 1, 1 << (k - 1)))
+
+    def factors(self, word: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """(cuts, untruncated factors) of one expansion."""
+        if not self.blocks:
+            if word:
+                raise ValueError("nonempty word with empty block list")
+            return (), ()
+        ones = int(word.translate(_ONES_BITS) or "0", 2)
+        twos = int(word.translate(_TWOS_BITS) or "0", 2)
+        length = len(word)
+        # Each candidate length is the digit count of the remaining blocks'
+        # word, plus one in the long case.  So when the whole word and the
+        # part past a cut have the right values, so has the factor before
+        # the cut: one check of the whole value stands in for one per factor.
+        if self.levels and ones + 2 * twos != self.total:
+            raise AssertionError(f"no factor split of {word!r}")
+        nonzero = ones | twos
+        cuts: list[int] = []
+        factors: list[str] = []
+        start = 0
+        for rest, k, mask, lead in self.levels:
+            room = length - start
+            long_fits = (
+                k < room and nonzero & lead and (ones & mask) + 2 * (twos & mask) == rest
+            )
+            mask >>= 1
+            short_fits = (
+                k <= room and nonzero & lead >> 1 and (ones & mask) + 2 * (twos & mask) == rest
+            )
+            if long_fits and short_fits:
+                raise AssertionError(f"ambiguous factor split of {word[start:]!r}")
+            if long_fits:
+                cut = length - k
+                factors.append(word[start:cut] + "0")
+            elif short_fits:
+                cut = length - k + 1
+                factors.append(word[start:cut])
+            else:
+                raise AssertionError(f"no factor split of {word[start:]!r}")
+            cuts.append(cut)
+            start = cut
+        factors.append(word[start:])
+        return tuple(cuts), tuple(factors)
 
 
 def factor_tuple(word: str, blocks: tuple[Block, ...]) -> tuple[str, ...]:
     """Per-block factors of one expansion, per the product embedding."""
-    if not blocks:
-        if word:
-            raise ValueError("nonempty word with empty block list")
-        return ()
-    if len(blocks) == 1:
-        return (word,)
-    rest_word = "".join(b.word for b in blocks[1:])
-    first, rest = _split_off_first_factor(word, blocks[0].value, value(rest_word))
-    return (first,) + factor_tuple(rest, blocks[1:])
+    return _CutFinder(blocks).factors(word)[1]
 
 
 def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
-    """Build A(n) together with its embedding into the product of block paths."""
+    """Build A(n) together with its embedding into the product of block paths.
+
+    The place of an arc is the factor that holds the ``2`` it rewrites:
+    index position + 1, or 0 for the leading ``2y -> 10y`` rule.
+    """
     if n % 2:
         raise ValueError(f"embed requires an even n, got {n}")
     g = build_graph(n, limit)
     dec = decompose(minimal_expansion(n))
-    factors = tuple(factor_tuple(w, dec.blocks) for w in g.vertices)
+    finder = _CutFinder(dec.blocks)
+    cuts, factors = zip(*map(finder.factors, g.vertices))
     place: dict[Arc, int] = {}
     for arc in g.arcs:
+        j = 0 if arc.position == 0 and arc.label == Label.SINGLE else arc.position + 1
+        p = bisect_right(cuts[arc.tail], j)
         fx, fy = factors[arc.tail], factors[arc.head]
-        changed = [i for i in range(len(fx)) if fx[i] != fy[i]]
-        if len(changed) != 1:
-            raise AssertionError(f"arc {arc} changes {len(changed)} factors")
-        place[arc] = changed[0] + 1
+        if fx[p] == fy[p] or fx[:p] != fy[:p] or fx[p + 1 :] != fy[p + 1 :]:
+            raise AssertionError(f"arc {arc} does not change exactly factor {p + 1}")
+        place[arc] = p + 1
     return PlacedGraph(graph=g, decomposition=dec, factors=factors, place=place)
 
 

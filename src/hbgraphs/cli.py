@@ -9,13 +9,14 @@ stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
 
 from . import blocks, graphs, iso, stern
 from .graphs import DEFAULT_LIMIT, SizeLimitError
-from .iso import BudgetExceeded
+from .iso import DEFAULT_BUDGET, BudgetExceeded
 from .words import minimal_expansion, render
 
 EXIT_OK = 0
@@ -73,6 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=nonneg_int, required=True)
     p.add_argument("--structural", action="store_true",
                    help="run the backtracking search and print the witness")
+    p.add_argument("--limit", type=nonneg_int, default=DEFAULT_LIMIT,
+                   help="most vertices per graph built by --structural")
+    p.add_argument("--budget", type=nonneg_int, default=DEFAULT_BUDGET,
+                   help="most search nodes expanded by --structural")
 
     p = sub.add_parser("verify", help="cross-check all algorithms up to a bound")
     p.add_argument("--max", type=nonneg_int, default=2048)
@@ -121,8 +126,9 @@ def _cmd_decompose(args, out) -> int:
 
 def _cmd_iso(args, out) -> int:
     if args.structural:
-        g1, g2 = graphs.build_graph(args.m), graphs.build_graph(args.n)
-        witness = iso.labeled_iso(g1, g2)
+        g1 = graphs.build_graph(args.m, args.limit)
+        g2 = graphs.build_graph(args.n, args.limit)
+        witness = iso.labeled_iso(g1, g2, budget=args.budget)
         print("isomorphic" if witness else "not isomorphic", file=out)
         if witness:
             for v, w in enumerate(witness.mapping):
@@ -151,19 +157,30 @@ def check_range(lo: int, hi: int) -> str | None:
     return None
 
 
+def plan_verify(max_n: int, workers: int, cpus: int) -> tuple[list[tuple[int, int]], int]:
+    """Spans of [0, max_n] for ``workers`` workers, and the pool size to run them.
+
+    The pool never exceeds the CPU count or the number of spans; a pool of
+    one means run the spans in this process.
+    """
+    workers = max(workers, 1)
+    chunk = max(1, (max_n + workers) // workers)
+    spans = [(lo, min(lo + chunk - 1, max_n)) for lo in range(0, max_n + 1, chunk)]
+    return spans, min(workers, cpus, len(spans))
+
+
 def _cmd_verify(args, out) -> int:
-    if args.workers > 1:
+    spans, pool_size = plan_verify(args.max, args.workers, os.cpu_count() or 1)
+    if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, (args.max + args.workers) // args.workers)
-        spans = [(lo, min(lo + chunk - 1, args.max)) for lo in range(0, args.max + 1, chunk)]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            failures = [r for r in pool.map(_check_span, spans) if r is not None]
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            results = list(pool.map(_check_span, spans))
     else:
-        failure = check_range(0, args.max)
-        failures = [failure] if failure else []
-    if failures:
-        print(failures[0], file=out)
+        results = map(_check_span, spans)
+    failure = next((r for r in results if r is not None), None)
+    if failure:
+        print(failure, file=out)
         return EXIT_COUNTEREXAMPLE
     print(f"OK {args.max}", file=out)
     return EXIT_OK

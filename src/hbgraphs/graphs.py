@@ -15,7 +15,6 @@ from .words import (
     binary_expansion,
     minimal_expansion,
     render,
-    shortlex_key,
     validate_expansion,
 )
 
@@ -37,12 +36,32 @@ class Label:
 _DOT_LABEL = {Label.SINGLE: "s", Label.DOUBLE: "d"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     tail: int
     head: int
     label: str
     position: int  # zero-based index of the leftmost digit modified in the tail
+
+
+def _children(w: str):
+    """Yield (child, label, position) for each reduction of ``w``, ascending in position.
+
+    Every reduction rewrites one ``2``; the digit before it picks the rule.
+    The leading ``2y -> 10y`` rule (the only one that lengthens the word)
+    is assigned position 0, where no other rule can apply.
+    """
+    j = w.find("2")
+    if j == 0:
+        yield "10" + w[1:], Label.SINGLE, 0
+        j = w.find("2", 1)
+    while j > 0:
+        before = w[j - 1]
+        if before == "0":
+            yield w[: j - 1] + "10" + w[j + 1 :], Label.SINGLE, j - 1
+        elif before == "1":
+            yield w[: j - 1] + "20" + w[j + 1 :], Label.DOUBLE, j - 1
+        j = w.find("2", j + 1)
 
 
 def single_step_reductions(w: str) -> list[tuple[str, str, int]]:
@@ -51,33 +70,43 @@ def single_step_reductions(w: str) -> list[tuple[str, str, int]]:
     Ordered by ascending position.  The leading ``2y -> 10y`` rule (the only
     one that lengthens the word) is assigned position 0.
     """
-    validate_expansion(w)
-    out: list[tuple[str, str, int]] = []
-    if w.startswith("2"):
-        out.append(("10" + w[1:], Label.SINGLE, 0))
-    for i in range(len(w) - 1):
-        pair = w[i : i + 2]
-        if pair == "02":
-            out.append((w[:i] + "10" + w[i + 2 :], Label.SINGLE, i))
-        elif pair == "12":
-            out.append((w[:i] + "20" + w[i + 2 :], Label.DOUBLE, i))
-    out.sort(key=lambda c: c[2])
+    return list(_children(validate_expansion(w)))
+
+
+def _closure(n: int, limit: int, children: list | None = None) -> dict[str, int]:
+    """H(n) as {word: discovery id}, expanding each word once, breadth first.
+
+    When ``children`` is given, each expanded word appends one list to it,
+    in discovery order: the (child id, label, position) of its children,
+    ascending in position.  Raises SizeLimitError on the first new word
+    beyond ``limit``.
+    """
+    ids = {minimal_expansion(n): 0}
+    words = list(ids)
+    for w in words:
+        out = []
+        for child, label, pos in _children(w):
+            cid = ids.get(child)
+            if cid is None:
+                if len(words) >= limit:
+                    raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
+                cid = ids[child] = len(words)
+                words.append(child)
+            out.append((cid, label, pos))
+        if children is not None:
+            children.append(out)
+    return ids
+
+
+def _shortlex_sorted(words) -> list[str]:
+    out = sorted(words)
+    out.sort(key=len)  # stable: equal lengths keep lexicographic order
     return out
 
 
 def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
     """H(n) in shortlex order, as the reduction closure of the minimal expansion."""
-    seen = {minimal_expansion(n)}
-    frontier = list(seen)
-    while frontier:
-        w = frontier.pop()
-        for child, _, _ in single_step_reductions(w):
-            if child not in seen:
-                if len(seen) >= limit:
-                    raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
-                seen.add(child)
-                frontier.append(child)
-    return sorted(seen, key=shortlex_key)
+    return _shortlex_sorted(_closure(n, limit))
 
 
 @dataclass(frozen=True)
@@ -122,20 +151,29 @@ class HbGraph:
 
 
 def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
-    """Construct A(n) by breadth-first closure from the minimal expansion."""
-    verts = enumerate_expansions(n, limit)
-    index = {w: i for i, w in enumerate(verts)}
+    """Construct A(n) by breadth-first closure from the minimal expansion.
+
+    Each vertex is expanded once; its children are kept as discovery ids
+    and remapped to shortlex ranks.  Children come in ascending position,
+    so the arcs come out in (tail, position) order without a sort.
+    """
+    children: list[list[tuple[int, str, int]]] = []
+    ids = _closure(n, limit, children)
+    verts = _shortlex_sorted(ids)
+    rank = [0] * len(verts)
+    for r, w in enumerate(verts):
+        rank[ids[w]] = r
     arcs = []
-    for w in verts:
-        for child, label, pos in single_step_reductions(w):
-            arcs.append(Arc(index[w], index[child], label, pos))
-    arcs.sort(key=lambda a: (a.tail, a.position))
+    for r, w in enumerate(verts):
+        i = ids[w]
+        arcs += [Arc(r, rank[cid], label, pos) for cid, label, pos in children[i]]
+        children[i] = None  # the arcs reuse the memory of the freed child records
     return HbGraph(
         n=n,
         vertices=tuple(verts),
         arcs=tuple(arcs),
-        source=index[minimal_expansion(n)],
-        sink=index[binary_expansion(n)],
+        source=rank[0],
+        sink=rank[ids[binary_expansion(n)]],
     )
 
 
@@ -158,7 +196,7 @@ def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
             if arc.head not in reach:
                 reach.add(arc.head)
                 frontier.append(arc.head)
-    verts = sorted((g.vertices[v] for v in reach), key=shortlex_key)
+    verts = _shortlex_sorted(g.vertices[v] for v in reach)
     index = {w: i for i, w in enumerate(verts)}
     arcs = tuple(
         Arc(index[g.vertices[a.tail]], index[g.vertices[a.head]], a.label, a.position)

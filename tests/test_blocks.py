@@ -1,8 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_embed, cached_graph, oracle_expansions
+from conftest import (
+    cached_embed,
+    cached_graph,
+    oracle_expansions,
+    oracle_factors,
+    oracle_places,
+)
 from hbgraphs.blocks import (
     Block,
     BlockKind,
@@ -19,6 +25,7 @@ from hbgraphs.blocks import (
 )
 from hbgraphs.graphs import Label, counts
 from hbgraphs.iso import labeled_iso
+from hbgraphs.stern import b_matrix
 from hbgraphs.words import binary_expansion, minimal_expansion, value
 
 
@@ -121,6 +128,37 @@ def test_embed_edge_cases():
 def test_factor_tuple_rejects_garbage():
     with pytest.raises(ValueError):
         factor_tuple("12", ())
+
+
+def assert_embed_matches_oracle(n):
+    pg = embed(n)
+    blocks = pg.decomposition.blocks
+    assert pg.factors == tuple(oracle_factors(w, blocks) for w in pg.graph.vertices), n
+    assert pg.place == oracle_places(pg), n
+
+
+def test_embed_matches_split_oracle():
+    for n in range(0, 1025, 2):
+        assert_embed_matches_oracle(n)
+
+
+@given(st.integers(2, 24).flatmap(lambda bits: st.integers(2 ** (bits - 2), 2 ** (bits - 1) - 1)))
+@settings(max_examples=40, deadline=None)
+def test_embed_matches_split_oracle_random(half):
+    n = 2 * half
+    assume(b_matrix(n) <= 2000)
+    assert_embed_matches_oracle(n)
+
+
+def test_factor_tuple_agrees_with_oracle():
+    blocks = decompose(minimal_expansion(42)).blocks
+    for w in oracle_expansions(42):
+        assert factor_tuple(w, blocks) == oracle_factors(w, blocks)
+    for garbage in ("2", "1000", "222", "10102"):
+        with pytest.raises(AssertionError):
+            factor_tuple(garbage, blocks)
+        with pytest.raises(AssertionError):
+            oracle_factors(garbage, blocks)
 
 
 def test_place_map_examples():

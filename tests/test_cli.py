@@ -3,8 +3,10 @@ import io
 from hbgraphs.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_DOMAIN,
+    EXIT_LIMIT,
     EXIT_OK,
     check_range,
+    plan_verify,
     run,
 )
 
@@ -68,6 +70,16 @@ def test_iso_structural_deep_search():
     assert out.splitlines()[0] == "isomorphic"
 
 
+def test_iso_structural_budget_and_limit():
+    for option, amount in (("--budget", "0"), ("--limit", "3")):
+        status, out, err = invoke("iso", "--m", "10", "--n", "21", "--structural", option, amount)
+        assert status == EXIT_LIMIT
+        assert out == "" and err.startswith("aborted:")
+    status, out, _ = invoke("iso", "--m", "10", "--n", "21", "--structural",
+                            "--limit", "5", "--budget", "5")
+    assert status == EXIT_OK and out.splitlines()[0] == "isomorphic"
+
+
 def test_graph_formats():
     status, out, _ = invoke("graph", "--n", "10", "--format", "dot")
     assert status == EXIT_OK
@@ -109,6 +121,19 @@ def test_verify_counterexample_detection():
         cli._B_ALGOS["mat"] = original
     assert status == EXIT_COUNTEREXAMPLE
     assert "n=37" in out and "mat" in out
+
+
+def test_plan_verify_bounds_the_pool():
+    # the plan alone: no pool is started
+    spans, pool_size = plan_verify(2048, 5000, 2)
+    assert pool_size == 2
+    assert spans[0][0] == 0 and spans[-1][1] == 2048
+    assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+    assert plan_verify(2048, 4, 64)[1] == 4
+    assert plan_verify(2, 8, 64) == ([(0, 0), (1, 1), (2, 2)], 3)
+    assert plan_verify(64, 1, 8) == ([(0, 64)], 1)
+    assert plan_verify(64, 0, 8) == ([(0, 64)], 1)
+    assert plan_verify(64, 4, 1)[1] == 1
 
 
 def test_check_range_clean():

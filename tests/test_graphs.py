@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_graph, oracle_expansions
+from conftest import cached_graph, oracle_arcs, oracle_expansions
 from hbgraphs.graphs import (
     Label,
     SizeLimitError,
@@ -14,6 +14,7 @@ from hbgraphs.graphs import (
     export_json,
     single_step_reductions,
 )
+from hbgraphs.stern import b_matrix
 from hbgraphs.words import weight
 
 
@@ -44,6 +45,25 @@ def test_enumerate_examples():
 def test_enumerate_limit():
     with pytest.raises(SizeLimitError):
         enumerate_expansions(42, limit=5)
+
+
+def test_build_graph_matches_arc_oracle():
+    for n in range(2049):
+        g = build_graph(n)
+        assert g.vertices == oracle_expansions(n), n
+        got = [(a.tail, a.head, a.label, a.position) for a in g.arcs]
+        assert got == oracle_arcs(n), n
+
+
+@pytest.mark.parametrize("n", [2, 10, 42, 1000, 2708])
+def test_build_graph_limit_edge(n):
+    b = b_matrix(n)
+    assert len(build_graph(n, limit=b).vertices) == b
+    assert enumerate_expansions(n, limit=b) == list(oracle_expansions(n))
+    with pytest.raises(SizeLimitError):
+        build_graph(n, limit=b - 1)
+    with pytest.raises(SizeLimitError):
+        enumerate_expansions(n, limit=b - 1)
 
 
 def test_build_graph_a10():
