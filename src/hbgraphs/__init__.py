@@ -37,7 +37,6 @@ from .iso import (
     verify_witness,
 )
 from .stern import (
-    SternCounters,
     a,
     b_and_a,
     b_algorithm1,

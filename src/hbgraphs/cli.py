@@ -3,7 +3,9 @@
 Subcommands: eval, graph, decompose, iso, verify, table, bench.
 Exit codes: 0 success, 1 domain/usage error, 2 size-limit or budget
 abort, 3 verification counterexample.  Machine-readable output goes to
-stdout; diagnostics go to stderr.
+stdout; diagnostics go to stderr.  When the reader of stdout closes it
+early (``hbgraphs table --max 100000 | head -1``), the command stops
+quietly and exits 0.
 """
 
 from __future__ import annotations
@@ -244,7 +246,14 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_OK
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -78,9 +78,11 @@ def _closure(n: int, limit: int, children: list | None = None) -> dict[str, int]
 
     When ``children`` is given, each expanded word appends one list to it,
     in discovery order: the (child id, label, position) of its children,
-    ascending in position.  Raises SizeLimitError on the first new word
-    beyond ``limit``.
+    ascending in position.  Raises SizeLimitError on the first word
+    beyond ``limit``, the minimal expansion included.
     """
+    if limit < 1:
+        raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
     ids = {minimal_expansion(n): 0}
     words = list(ids)
     for w in words:

@@ -155,14 +155,14 @@ def labeled_iso(
 
 
 def even_core(n: int) -> tuple[int, int]:
-    """Strip trailing binary 1s: n = 2^t * m + 2^t - 1 with m even."""
+    """Strip trailing binary 1s: n = 2^t * m + 2^t - 1 with m even.
+
+    t is the index of the lowest set bit of n + 1 = 2^t (m + 1).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = 0
-    while n % 2:
-        n = (n - 1) // 2
-        t += 1
-    return (n, t)
+    t = ((n + 1) & -(n + 1)).bit_length() - 1
+    return (n >> t, t)
 
 
 def iso_closed_form(m: int, n: int) -> bool:

@@ -7,69 +7,122 @@ the minimal expansion.  Also: b(n) with the arc count a(n) in one digit
 pass, the cyclomatic number v(n), and Stern's diatomic sequence
 c(n) = b(n - 1) with its own matrix pair.  All arithmetic is plain Python
 ints (arbitrary precision), and no evaluator keeps state between calls.
+
+The matrix evaluators (``b_matrix``, ``b_matrix_blocks``, ``b_algorithm1``,
+``b_block_formula``, ``c_matrix``) are digit folds: products of small
+integer 2x2 matrices.  Folding one big vector a digit at a time costs
+O(bits) additions of O(bits)-bit numbers, O(bits^2) in all.  Instead each
+cuts its digits into leaves of at most ``_LEAF`` digits, runs its own step
+rule on a leaf with the two rows (or columns) of the identity packed into
+one int as lanes of ``_LANE`` bits, reads the leaf's matrix off the lanes,
+and multiplies the leaf matrices as a balanced tree (``_product``).  The
+leaves cost O(bits) small-int operations, and the tree's top products are
+few and large, where Python's Karatsuba multiplication makes the whole
+subquadratic.  ``b_recursive`` keeps the classical recursion as the
+independent check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
-from .blocks import BlockKind, decompose
 from .iso import even_core
 from .words import minimal_expansion
 
+_LEAF = 256
+# A product of L digit matrices of either pair has entries of absolute
+# value at most Fib(L + 2) (brute-forced for L <= 14), and a block matrix
+# of word length a has row sums at most a + 1 <= 2^a, so a leaf's entries
+# stay below 2^(_LEAF + 1) (a leaf of one longer block: at most a + 1):
+# signed lanes of _LEAF + 2 bits never carry into each other.  Algorithm 1's leaves start from a run counter c < bits
+# carried in from the leaf before, and their entries stay below
+# (c + 1) Fib(L + 2) (brute-forced likewise); Fib(258) < 2^178 leaves room
+# for any c < 2^79.
+_LANE = _LEAF + 2
+_RUNS = re.compile("0+|1+")
+_BLOCKS = re.compile("1+2|2+")
 
-@dataclass
-class SternCounters:
-    """The (h, k) accumulator pair of the block-fold formula; h >= k >= 0."""
 
-    h: int = 1
-    k: int = 1
+def _product(mats: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
+    """The product of 2x2 matrices (a, b, c, d) in list order, as a balanced tree."""
+    while len(mats) > 1:
+        pairs = [
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            for (a, b, c, d), (e, f, g, h) in zip(mats[::2], mats[1::2])
+        ]
+        mats = pairs + mats[-1:] if len(mats) % 2 else pairs
+    return mats[0] if mats else (1, 0, 0, 1)
+
+
+def _lanes(x: int) -> tuple[int, int]:
+    """The signed low and high lanes of a packed int x = low + high * 2^_LANE."""
+    low = x & ((1 << _LANE) - 1)
+    if low >> (_LANE - 1):
+        low -= 1 << _LANE
+    return low, (x - low) >> _LANE
 
 
 def b_recursive(n: int) -> int:
-    """b(0)=1, b(2n+1)=b(n), b(2n+2)=b(n+1)+b(n); explicit stack, memo per call."""
+    """b(0)=1, b(2n+1)=b(n), b(2n+2)=b(n+1)+b(n); explicit stack, memo per call.
+
+    Every argument the recursion meets is (n >> k) - d with d in {0, 1},
+    so the memo is a list indexed by 2k + d and parity is read off the
+    bit string: no big int is shifted or hashed.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    memo = {0: 1}
-    stack = [n]
+    bits = format(n, "b") if n else ""
+    top = len(bits)
+    memo: list[int | None] = [None] * (2 * top + 1)
+    memo[2 * top] = 1  # n >> top == 0
+    if top:
+        memo[2 * top - 1] = 1  # (n >> (top - 1)) - 1 == 0
+    stack = [0]
     while stack:
-        m = stack[-1]
-        if m in memo:
+        key = stack[-1]
+        if memo[key] is not None:
             stack.pop()
             continue
-        if m % 2:
-            p = (m - 1) // 2
-            if p in memo:
-                memo[m] = memo[p]
+        k, d = key >> 1, key & 1
+        if (bits[top - 1 - k] == "1") != d:  # odd: b(2p+1) = b(p), p = (n >> k+1) - d
+            p = key + 2
+            if memo[p] is not None:
+                memo[key] = memo[p]
                 stack.pop()
             else:
                 stack.append(p)
-        else:
-            p, q = m // 2, m // 2 - 1
-            pending = [x for x in (p, q) if x not in memo]
+        else:  # even: b(2p+2) = b(p+1) + b(p), p + 1 = n >> k+1
+            p, q = 2 * k + 2, 2 * k + 3
+            pending = [x for x in (p, q) if memo[x] is None]
             if pending:
                 stack.extend(pending)
             else:
-                memo[m] = memo[p] + memo[q]
+                memo[key] = memo[p] + memo[q]
                 stack.pop()
-    return memo[n]
+    return memo[0]
 
 
 def b_matrix(n: int) -> int:
     """Top entry of M_{d0} ... M_{dt} (1, 0)^T over the binary digits of n.
 
-    Folded right to left: the most significant digit acts on the vector
-    first, so the full product is never materialized.
+    The row vector (top, bottom) = (1, 0) takes the digits most
+    significant first: 0 adds bottom to top, 1 adds top to bottom.  A
+    leaf's lanes of top and bottom are the columns of its matrix.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    top, bottom = 1, 0
-    for ch in format(n, "b") if n else "":
-        if ch == "0":
-            top += bottom
-        else:
-            bottom += top
-    return top
+    bits = format(n, "b") if n else ""
+    mats = []
+    for i in range(0, len(bits), _LEAF):
+        top, bottom = 1, 1 << _LANE
+        for ch in bits[i : i + _LEAF]:
+            if ch == "0":
+                top += bottom
+            else:
+                bottom += top
+        (t0, t1), (u0, u1) = _lanes(top), _lanes(bottom)
+        mats.append((t0, u0, t1, u1))
+    return _product(mats)[0]
 
 
 def b_matrix_blocks(n: int) -> int:
@@ -79,20 +132,18 @@ def b_matrix_blocks(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    top, bottom = 1, 0
     bits = format(n, "b") if n else ""
-    i = 0
-    while i < len(bits):
-        j = i
-        while j < len(bits) and bits[j] == bits[i]:
-            j += 1
-        a = j - i
-        if bits[i] == "0":
-            top += a * bottom
-        else:
-            bottom += a * top
-        i = j
-    return top
+    mats = []
+    for i in range(0, len(bits), _LEAF):
+        top, bottom = 1, 1 << _LANE
+        for run in _RUNS.findall(bits, i, i + _LEAF):
+            if run[0] == "0":
+                top += len(run) * bottom
+            else:
+                bottom += len(run) * top
+        (t0, t1), (u0, u1) = _lanes(top), _lanes(bottom)
+        mats.append((t0, u0, t1, u1))
+    return _product(mats)[0]
 
 
 def b_algorithm1(n: int) -> tuple[int, int]:
@@ -101,6 +152,8 @@ def b_algorithm1(n: int) -> tuple[int, int]:
     Returns (b(n), expensive_steps) where expensive_steps counts the
     multiplicative updates (the two else clauses); it equals the number
     of blocks in the minimal-expansion decomposition of the even core.
+    The counters a1, a2 and expensive run across leaves; only (b, s) is
+    packed, and the leaf matrices act on the column (b, s).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -116,25 +169,30 @@ def b_algorithm1(n: int) -> tuple[int, int]:
         return (1, 0)
     i0 += 1  # d[i0 - 1] is necessarily 0 here, nothing to do for it
     a1 = a2 = 0
-    b, s = 1, 1
     expensive = 0
-    for ell in range(i0, t + 1):
-        if d[ell] == "1":
-            if a1 == 0:
-                a2 += 1
+    mats = []
+    for i in range(i0, t + 1, _LEAF):
+        b, s = 1, 1 << _LANE
+        for ch in d[i : i + _LEAF]:
+            if ch == "1":
+                if a1 == 0:
+                    a2 += 1
+                else:
+                    s = a1 * b + s
+                    b = b + s
+                    a1 = 0
+                    expensive += 1
             else:
-                s = a1 * b + s
-                b = b + s
-                a1 = 0
-                expensive += 1
-        else:
-            if a2 == 0:
-                a1 += 1
-            else:
-                b = b + a2 * s
-                a2 = 0
-                a1 = 1
-                expensive += 1
+                if a2 == 0:
+                    a1 += 1
+                else:
+                    b = b + a2 * s
+                    a2 = 0
+                    a1 = 1
+                    expensive += 1
+        mats.append(_lanes(b) + _lanes(s))
+    m = _product(mats[::-1])
+    b, s = m[0] + m[1], m[2] + m[3]  # from (b, s) = (1, 1)
     if a2:
         expensive += 1
     b = b + a2 * s
@@ -152,32 +210,47 @@ def two_factor_count(b0: int, b2: int, b_n2: int, s: int) -> int:
     return b0 * b_n2 + b2 * s
 
 
-def _fold_blocks(n: int) -> SternCounters:
-    core, _ = even_core(n)  # trailing 1s leave b unchanged
-    counters = SternCounters()
-    for block in reversed(decompose(minimal_expansion(core)).blocks):
-        a, h, k = block.word_length, counters.h, counters.k
-        if block.kind is BlockKind.TYPE1:
-            counters.h, counters.k = a * h + k, (a - 1) * h + k
-        else:
-            counters.h, counters.k = h + a * k, k
-    return counters
+def _block_product(n: int) -> tuple[int, int, int, int]:
+    """The product, in word order, of the block matrices of n's even core.
+
+    A block 1^t 2 of word length a has matrix (a 1; a-1 1), a block 2^a
+    has (1 a; 0 1); trailing 1s leave b unchanged.  Each leaf is a run of
+    whole blocks ending at a ``2``: at most ``_LEAF`` digits, or one long
+    type-1 block.
+    """
+    word = minimal_expansion(even_core(n)[0])
+    mats = []
+    i = 0
+    while i < len(word):
+        j = word.rfind("2", i, i + _LEAF) + 1 or word.index("2", i) + 1
+        h, k = 1, 1 << _LANE
+        for block in reversed(_BLOCKS.findall(word, i, j)):
+            a = len(block)
+            if block[0] == "1":
+                h, k = a * h + k, (a - 1) * h + k
+            else:
+                h, k = h + a * k, k
+        mats.append(_lanes(h) + _lanes(k))
+        i = j
+    return _product(mats)
 
 
 def b_block_formula(n: int) -> int:
-    """b(n) as the final h of the right-to-left block fold."""
+    """b(n) as h = row 0 of the block-matrix product times (1, 1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _fold_blocks(n).h
+    h0, h1, _, _ = _block_product(n)
+    return h0 + h1
 
 
 def short_expansion_count(n: int) -> int:
-    """Number of short expansions of n (the final k of the block fold)."""
+    """Number of short expansions of n: k = row 1 of the block-matrix product times (1, 1)."""
     if n < 0 or n % 2:
         raise ValueError("defined here for even n only")
     if n == 0:
         return 0
-    return _fold_blocks(n).k
+    _, _, k0, k1 = _block_product(n)
+    return k0 + k1
 
 
 def b_and_a(n: int) -> tuple[int, int]:
@@ -222,15 +295,20 @@ def c_matrix(n: int) -> int:
     """c(n) from Stern's own matrix pair C(0) = (1 0; 1 1), C(1) = (0 1; -1 2).
 
     c(n) is the second entry of the row vector (1, 0) C(d_t) ... C(d_0),
-    the digits taken most significant first.  The vector is folded digit
-    by digit, so no matrix is formed.
+    the digits taken most significant first: 0 maps (x, y) to (x + y, y),
+    1 maps it to (-y, x + 2y).
     """
     if n < 1:
         raise ValueError("c is defined for n >= 1")
-    x, y = 1, 0
-    for ch in format(n, "b"):
-        x, y = (x + y, y) if ch == "0" else (-y, x + 2 * y)
-    return y
+    bits = format(n, "b")
+    mats = []
+    for i in range(0, len(bits), _LEAF):
+        x, y = 1, 1 << _LANE
+        for ch in bits[i : i + _LEAF]:
+            x, y = (x + y, y) if ch == "0" else (-y, x + 2 * y)
+        (x0, x1), (y0, y1) = _lanes(x), _lanes(y)
+        mats.append((x0, y0, x1, y1))
+    return _product(mats)[1]
 
 
 def v_level_set_even(level: int, max_n: int) -> list[int]:

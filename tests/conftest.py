@@ -6,7 +6,9 @@ check; the arc oracle reads the reductions off those words by scanning
 for their patterns.  The factor oracle splits an expansion into block
 factors by string slicing and digit values, without the cut finder of
 ``blocks.embed``.  The (b, v) oracle runs the classical recursions on an
-explicit stack, without the digit pass of ``stern.b_and_a``.
+explicit stack, without the digit pass of ``stern.b_and_a``.  The b and
+c oracles fold one vector through the digit matrices a digit at a time,
+without the leaves and product tree of ``stern``.
 """
 
 from functools import lru_cache
@@ -133,6 +135,25 @@ def oracle_b_v(n: int, memo: dict[int, tuple[int, int]] | None = None) -> tuple[
                 memo[m] = (bp + bq, vp + vq + bq - 1)
                 stack.pop()
     return memo[n]
+
+
+def oracle_b_matrix(n: int) -> int:
+    """b(n): the row vector (1, 0) through M(0) = (1 0; 1 1), M(1) = (1 1; 0 1), top bit first."""
+    top, bottom = 1, 0
+    for ch in format(n, "b") if n else "":
+        if ch == "0":
+            top += bottom
+        else:
+            bottom += top
+    return top
+
+
+def oracle_c_matrix(n: int) -> int:
+    """c(n), n >= 1: the row vector (1, 0) through C(0) = (1 0; 1 1), C(1) = (0 1; -1 2)."""
+    x, y = 1, 0
+    for ch in format(n, "b"):
+        x, y = (x + y, y) if ch == "0" else (-y, x + 2 * y)
+    return y
 
 
 @lru_cache(maxsize=None)

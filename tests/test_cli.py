@@ -1,4 +1,9 @@
 import io
+import os
+import subprocess
+import sys
+
+import hbgraphs
 
 from hbgraphs.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -93,9 +98,23 @@ def test_graph_formats():
 
 
 def test_graph_limit_exit_code():
-    status, _, err = invoke("graph", "--n", "42", "--limit", "3")
-    assert status == 2
-    assert "aborted" in err
+    for n, limit in (("42", "3"), ("7", "0")):
+        status, out, err = invoke("graph", "--n", n, "--limit", limit)
+        assert status == EXIT_LIMIT
+        assert out == "" and "aborted" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader stops after one line, like ``hbgraphs table --max 100000 | head -1``
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "hbgraphs.cli", "table", "--max", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n,b,a,v\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert err == b""
 
 
 def test_table():

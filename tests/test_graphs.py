@@ -47,6 +47,14 @@ def test_enumerate_limit():
         enumerate_expansions(42, limit=5)
 
 
+def test_limit_counts_the_first_vertex():
+    for build in (build_graph, enumerate_expansions):
+        with pytest.raises(SizeLimitError):
+            build(7, limit=0)
+    assert build_graph(7, limit=1).vertices == ("111",)
+    assert enumerate_expansions(7, limit=1) == ["111"]
+
+
 def test_build_graph_matches_arc_oracle():
     for n in range(2049):
         g = build_graph(n)

@@ -49,6 +49,15 @@ def test_even_core_examples():
     assert even_core(21) == (10, 1)
     assert even_core(10) == (10, 0)
     assert even_core(7) == (0, 3)
+    assert even_core((1 << 200000) * 4 + (1 << 200000) - 1) == (4, 200000)
+
+
+def test_even_core_matches_bit_loop():
+    for n in range(1 << 12):
+        m, t = n, 0
+        while m % 2:
+            m, t = m // 2, t + 1
+        assert even_core(n) == (m, t), n
 
 
 @given(st.integers(0, 10**6))

@@ -1,12 +1,15 @@
 import random
 import tracemalloc
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_b_v, oracle_expansions
+from conftest import oracle_b_matrix, oracle_b_v, oracle_c_matrix, oracle_expansions
+from hbgraphs.iso import even_core
 from hbgraphs.stern import (
+    _product,
     a,
     b_and_a,
     b_algorithm1,
@@ -178,8 +181,6 @@ def test_c_matrix_agrees(n):
 @given(st.integers(0, 2048))
 @settings(max_examples=80, deadline=None)
 def test_expensive_steps_count_blocks(n):
-    from hbgraphs.iso import even_core
-
     core, _ = even_core(n)
     blocks = decompose(minimal_expansion(core)).blocks
     assert b_algorithm1(n)[1] == len(blocks)
@@ -192,3 +193,62 @@ def test_big_input_arbitrary_precision():
     assert b_matrix_blocks(n) == expected
     assert b_algorithm1(n)[0] == expected
     assert b_block_formula(n) == expected
+
+
+def _mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def test_product_is_a_left_fold():
+    rng = random.Random("product")
+    assert _product([]) == (1, 0, 0, 1)
+    for size in range(1, 10):
+        for _ in range(30):
+            mats = [tuple(rng.randint(-99, 99) for _ in range(4)) for _ in range(size)]
+            assert _product(mats) == reduce(_mul, mats), mats
+
+
+def _shaped(bits: int, rng: random.Random) -> list[int]:
+    """n of exactly ``bits`` bits: random, 1^k, 10^(k-1), (10)^k, (110)^k, 1^k with one 0."""
+    ones = (1 << bits) - 1
+    return [
+        rng.getrandbits(bits) | 1 << (bits - 1),
+        rng.getrandbits(bits) | 1 << (bits - 1),
+        ones,
+        1 << (bits - 1),
+        int(("10" * bits)[:bits], 2),
+        int(("110" * bits)[:bits], 2),
+        ones ^ 1 << (bits // 2) if bits > 1 else ones,
+    ]
+
+
+def _check_against_linear_folds(n: int) -> None:
+    expected = oracle_b_matrix(n)
+    assert b_recursive(n) == expected
+    assert b_matrix(n) == expected
+    assert b_matrix_blocks(n) == expected
+    assert b_algorithm1(n)[0] == expected
+    assert b_block_formula(n) == expected
+    if n:
+        assert c_matrix(n) == oracle_c_matrix(n) == oracle_b_matrix(n - 1)
+
+
+# leaves hold 256 digits: one leaf, a full leaf, one digit over, two leaves, many
+@pytest.mark.parametrize("bits", [1, 255, 256, 257, 511, 512, 513, 5000])
+def test_product_tree_matches_linear_folds(bits):
+    for n in _shaped(bits, random.Random(bits)):
+        _check_against_linear_folds(n)
+        core, _ = even_core(n)
+        assert b_algorithm1(n)[1] == len(decompose(minimal_expansion(core)).blocks)
+        if n % 2 == 0:
+            # a long expansion starts with 1: it is one of n - 2^(bits-1), zero-padded
+            shorts = oracle_b_matrix(n) - oracle_b_matrix(n - (1 << (bits - 1)))
+            assert short_expansion_count(n) == shorts
+
+
+@given(st.integers(0, 2**2000 - 1))
+@settings(max_examples=60, deadline=None)
+def test_product_tree_property(n):
+    _check_against_linear_folds(n)
