@@ -29,7 +29,7 @@ from .graphs import (
     Label,
     build_graph,
 )
-from .words import minimal_expansion, validate_word, value
+from .words import digit_planes, minimal_expansion, validate_word, value
 
 
 class BlockKind(enum.Enum):
@@ -125,10 +125,6 @@ class PlacedGraph:
         return tuple(block_path_graph(b) for b in self.decomposition.blocks)
 
 
-_ONES_BITS = str.maketrans("012", "010")
-_TWOS_BITS = str.maketrans("012", "001")
-
-
 class _CutFinder:
     """Factor cuts of the expansions of one block list.
 
@@ -157,8 +153,7 @@ class _CutFinder:
             if word:
                 raise ValueError("nonempty word with empty block list")
             return (), ()
-        ones = int(word.translate(_ONES_BITS) or "0", 2)
-        twos = int(word.translate(_TWOS_BITS) or "0", 2)
+        ones, twos = digit_planes(word)
         length = len(word)
         # Each candidate length is the digit count of the remaining blocks'
         # word, plus one in the long case.  So when the whole word and the

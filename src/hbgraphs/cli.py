@@ -2,10 +2,11 @@
 
 Subcommands: eval, graph, decompose, iso, verify, table, bench.
 Exit codes: 0 success, 1 domain/usage error, 2 size-limit or budget
-abort, 3 verification counterexample.  Machine-readable output goes to
-stdout; diagnostics go to stderr.  When the reader of stdout closes it
-early (``hbgraphs table --max 100000 | head -1``), the command stops
-quietly and exits 0.
+abort, 3 verification counterexample, 4 internal error (any other
+exception, reported as one line on stderr without a traceback).
+Machine-readable output goes to stdout; diagnostics go to stderr.  When
+the reader of stdout closes it early (``hbgraphs table --max 100000 |
+head -1``), the command stops quietly and exits 0.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_LIMIT = 2
 EXIT_COUNTEREXAMPLE = 3
+EXIT_INTERNAL = 4
 
 _B_ALGOS = {
     "rec": stern.b_recursive,
@@ -243,6 +245,11 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        raise  # main() handles a closed stdout
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=err)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -217,27 +217,28 @@ def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
 
 def export_dot(g: HbGraph, place: dict[Arc, int] | None = None) -> str:
     """Deterministic DOT rendering; optional per-arc ``place`` attributes."""
-    lines = [f"digraph A{g.n} {{"]
-    for w in g.vertices:
-        lines.append(f'  "{render(w)}";')
-    for arc in g.arcs:
-        attrs = f'label="{_DOT_LABEL[arc.label]}"'
-        if place is not None:
-            attrs += f" place={place[arc]}"
-        tail, head = render(g.vertices[arc.tail]), render(g.vertices[arc.head])
-        lines.append(f'  "{tail}" -> "{head}" [{attrs}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = [render(w) for w in g.vertices]
+    arc_lines = (
+        f'  "{names[a.tail]}" -> "{names[a.head]}" [label="{_DOT_LABEL[a.label]}"'
+        + ("];" if place is None else f" place={place[a]}];")
+        for a in g.arcs
+    )
+    # one list of lines; the closing "" gives the final newline without a copy of the text
+    lines = [f"digraph A{g.n} {{", *(f'  "{name}";' for name in names), *arc_lines, "}", ""]
+    return "\n".join(lines)
 
 
 def export_json(g: HbGraph) -> str:
-    """Machine-readable JSON with the same deterministic ordering as DOT."""
-    doc = {
-        "n": g.n,
-        "vertices": list(g.vertices),
-        "arcs": [
-            {"tail": a.tail, "head": a.head, "label": a.label, "position": a.position}
-            for a in g.arcs
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """Machine-readable JSON with the same deterministic ordering as DOT.
+
+    The bytes are those of ``json.dumps`` with ``separators=(",", ":")`` on
+    {"n", "vertices", "arcs"}, each arc an object {"tail", "head", "label",
+    "position"}; the arcs hold only ints and the two label names, which
+    need no escaping, so they are written directly.
+    """
+    vertices = json.dumps(g.vertices, separators=(",", ":"))
+    arcs = ",".join(
+        f'{{"tail":{a.tail},"head":{a.head},"label":"{a.label}","position":{a.position}}}'
+        for a in g.arcs
+    )
+    return f'{{"n":{g.n},"vertices":{vertices},"arcs":[{arcs}]}}'

@@ -3,15 +3,18 @@
 Two routes: a backtracking search over the graph structure, and the
 arithmetic closed form (m and n are related by repeated x -> 2x + 1).
 The search is anchored source-to-source and pruned by per-label degree
-and weight-level invariants; graphs here are small enough that no
-canonical-labeling machinery is needed.
+and weight-level invariants.  Its setup is linear in the arc count a:
+one pass over each graph's arcs gives every vertex signature, g2's
+vertices are bucketed by signature in a dict, and one breadth-first pass
+gives the search order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import HbGraph, build_graph
+from .graphs import HbGraph, Label, build_graph
 from .words import weight
 
 DEFAULT_BUDGET = 10**7
@@ -57,19 +60,40 @@ def verify_witness(
     return True
 
 
-def _level(g: HbGraph, v: int) -> int:
-    # weight drops by 1 per arc, so weight above the sink is an invariant
-    return weight(g.vertices[v]) - weight(g.vertices[g.sink])
+def _signatures(g: HbGraph, ignore_labels: bool) -> list[tuple[int, int, int]]:
+    """(level, out key, in key) of every vertex, from one pass over the arcs.
+
+    The level is the weight above the sink's, an invariant because weight
+    drops by 1 along every arc.  Each arc adds 1 to the degree keys of its
+    ends, and a DOUBLE arc also adds 2^32 unless labels are ignored, so a
+    key packs (DOUBLE count, degree) into one int.
+    """
+    code = {Label.SINGLE: 1, Label.DOUBLE: 1 if ignore_labels else 1 | 1 << 32}
+    outs = [0] * len(g.vertices)
+    ins = [0] * len(g.vertices)
+    for a in g.arcs:
+        c = code[a.label]
+        outs[a.tail] += c
+        ins[a.head] += c
+    base = weight(g.vertices[g.sink])
+    return [
+        (w.count("1") + 2 * w.count("2") - base, o, i)
+        for w, o, i in zip(g.vertices, outs, ins)
+    ]
 
 
-def _signature(g: HbGraph, v: int, ignore_labels: bool):
-    outs = g.out_arcs(v)
-    ins = g.in_arcs(v)
-    if ignore_labels:
-        return (_level(g, v), len(outs), len(ins))
-    out_labels = tuple(sorted(a.label for a in outs))
-    in_labels = tuple(sorted(a.label for a in ins))
-    return (_level(g, v), out_labels, in_labels)
+def _search_order(g: HbGraph) -> list[int]:
+    """g's vertices breadth first from the source, over out- then in-arcs."""
+    order = [g.source]
+    placed = {g.source}
+    for v in order:
+        for u in [a.head for a in g.out_arcs(v)] + [a.tail for a in g.in_arcs(v)]:
+            if u not in placed:
+                order.append(u)
+                placed.add(u)
+    if len(order) < len(g.vertices):
+        raise AssertionError("graph is not connected")
+    return order
 
 
 def labeled_iso(
@@ -82,31 +106,23 @@ def labeled_iso(
 
     Returns the first witness in deterministic search order, or None.
     Raises BudgetExceeded if the search expands more than ``budget`` nodes.
+    Each g1 vertex tries the g2 vertices of its signature in ascending id
+    order, and the vertices are matched in ``_search_order``, so each one
+    after the source is adjacent to an earlier one.
     """
     n1, n2 = len(g1.vertices), len(g2.vertices)
     if n1 != n2 or len(g1.arcs) != len(g2.arcs):
         return None
-    sigs1 = [_signature(g1, v, ignore_labels) for v in range(n1)]
-    sigs2 = [_signature(g2, v, ignore_labels) for v in range(n2)]
-    if sorted(sigs1) != sorted(sigs2):
+    sigs1 = _signatures(g1, ignore_labels)
+    sigs2 = _signatures(g2, ignore_labels)
+    if Counter(sigs1) != Counter(sigs2):
         return None
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    for w, sig in enumerate(sigs2):
+        buckets.setdefault(sig, []).append(w)
 
-    # order g1's vertices so each one is adjacent to an earlier one
-    order = [g1.source]
-    placed = {g1.source}
-    while len(order) < n1:
-        progressed = False
-        for v in list(order):
-            for arc in g1.out_arcs(v) + g1.in_arcs(v):
-                for u in (arc.head, arc.tail):
-                    if u not in placed:
-                        order.append(u)
-                        placed.add(u)
-                        progressed = True
-        if not progressed:
-            raise AssertionError("graph is not connected")
-
-    candidates = [[w for w in range(n2) if sigs2[w] == sigs1[v]] for v in range(n1)]
+    order = _search_order(g1)
+    candidates = [buckets[sig] for sig in sigs1]
     mapping: dict[int, int] = {}
     used: set[int] = set()
     expansions = 0

@@ -12,6 +12,8 @@ import enum
 
 _ALPHABET = frozenset("012")
 _BIT_TO_DIGIT = str.maketrans("01", "12")
+_ONES_BITS = str.maketrans("012", "010")
+_TWOS_BITS = str.maketrans("012", "001")
 
 #: Human-readable rendering of the empty word.
 EMPTY_WORD_DISPLAY = "ε"  # ε
@@ -43,13 +45,19 @@ def validate_expansion(w: str) -> str:
     return w
 
 
+def digit_planes(w: str) -> tuple[int, int]:
+    """The 1s and the 2s of a word read as two binary numbers (ones, twos).
+
+    The value of ``w`` is ones + 2 * twos.  Both are linear-time parses;
+    ``w`` is not validated.
+    """
+    return int(w.translate(_ONES_BITS) or "0", 2), int(w.translate(_TWOS_BITS) or "0", 2)
+
+
 def value(w: str) -> int:
     """Base-2 positional value of a digit word; the empty word gives 0."""
-    validate_word(w)
-    n = 0
-    for ch in w:
-        n = 2 * n + (ord(ch) - 48)
-    return n
+    ones, twos = digit_planes(validate_word(w))
+    return ones + 2 * twos
 
 
 def binary_expansion(n: int) -> str:

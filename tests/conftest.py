@@ -8,13 +8,20 @@ factors by string slicing and digit values, without the cut finder of
 ``blocks.embed``.  The (b, v) oracle runs the classical recursions on an
 explicit stack, without the digit pass of ``stern.b_and_a``.  The b and
 c oracles fold one vector through the digit matrices a digit at a time,
-without the leaves and product tree of ``stern``.
+without the leaves and product tree of ``stern``.  The value oracle folds
+a word a digit at a time, without the two parses of ``words.value``.  The
+isomorphism oracle filters candidates by comparing every pair of vertex
+signatures and orders the search by repeated passes, without the buckets
+and single breadth-first pass of ``iso.labeled_iso``.  The export oracles
+build a dict per arc and encode the document with ``json.dumps``, and
+render both ends of every DOT arc.
 """
 
+import json
 from functools import lru_cache
 
 from hbgraphs.graphs import Label
-from hbgraphs.words import shortlex_key, value
+from hbgraphs.words import shortlex_key
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +74,11 @@ def _oracle_split(word: str, first_value: int, rest_value: int) -> tuple[str, st
         if not 0 < k < len(word):
             continue
         prefix, suffix = word[:-k] + pad, word[-k:]
-        if suffix[0] != "0" and value(suffix) == rest_value and value(prefix) == first_value:
+        if (
+            suffix[0] != "0"
+            and oracle_value(suffix) == rest_value
+            and oracle_value(prefix) == first_value
+        ):
             if found is not None:
                 raise AssertionError(f"ambiguous factor split of {word!r}")
             found = (prefix, suffix)
@@ -85,7 +96,7 @@ def oracle_factors(word: str, blocks) -> tuple[str, ...]:
     if len(blocks) == 1:
         return (word,)
     rest_word = "".join(b.word for b in blocks[1:])
-    first, rest = _oracle_split(word, blocks[0].value, value(rest_word))
+    first, rest = _oracle_split(word, oracle_value(blocks[0].word), oracle_value(rest_word))
     return (first,) + oracle_factors(rest, blocks[1:])
 
 
@@ -168,3 +179,121 @@ def cached_embed(n: int):
     from hbgraphs.blocks import embed
 
     return embed(n)
+
+
+def oracle_value(w: str) -> int:
+    """Base-2 value of a digit word, one doubling per digit."""
+    n = 0
+    for ch in w:
+        n = 2 * n + (ord(ch) - 48)
+    return n
+
+
+def oracle_labeled_iso(g1, g2, ignore_labels: bool = False) -> tuple[tuple | None, int]:
+    """(mapping or None, search nodes expanded) of the depth-first search.
+
+    Candidates are every g2 vertex whose signature equals the g1 vertex's,
+    found by comparing all pairs; the search order grows by whole passes
+    over the vertices placed so far.  The depth-first loop is the library's.
+    """
+    n1, n2 = len(g1.vertices), len(g2.vertices)
+    if n1 != n2 or len(g1.arcs) != len(g2.arcs):
+        return None, 0
+
+    def signature(g, v):
+        level = sum(map(int, g.vertices[v])) - sum(map(int, g.vertices[g.sink]))
+        outs, ins = g.out_arcs(v), g.in_arcs(v)
+        if ignore_labels:
+            return (level, len(outs), len(ins))
+        return (level, tuple(sorted(a.label for a in outs)), tuple(sorted(a.label for a in ins)))
+
+    sigs1 = [signature(g1, v) for v in range(n1)]
+    sigs2 = [signature(g2, v) for v in range(n2)]
+    if sorted(sigs1) != sorted(sigs2):
+        return None, 0
+    order = [g1.source]
+    placed = {g1.source}
+    while len(order) < n1:
+        progressed = False
+        for v in list(order):
+            for arc in g1.out_arcs(v) + g1.in_arcs(v):
+                for u in (arc.head, arc.tail):
+                    if u not in placed:
+                        order.append(u)
+                        placed.add(u)
+                        progressed = True
+        if not progressed:
+            raise AssertionError("graph is not connected")
+    candidates = [[w for w in range(n2) if sigs2[w] == sigs1[v]] for v in range(n1)]
+
+    def consistent(v, w):
+        for arc in g1.out_arcs(v):
+            if arc.head in mapping:
+                img = g2.arc_by_pair.get((w, mapping[arc.head]))
+                if img is None or (not ignore_labels and img.label != arc.label):
+                    return False
+        for arc in g1.in_arcs(v):
+            if arc.tail in mapping:
+                img = g2.arc_by_pair.get((mapping[arc.tail], w))
+                if img is None or (not ignore_labels and img.label != arc.label):
+                    return False
+        return True
+
+    mapping, used, expansions = {}, set(), 0
+    untried = []
+    i = 0
+    while i < n1:
+        if len(untried) == i:
+            untried.append(iter(candidates[order[i]]))
+        v = order[i]
+        for w in untried[i]:
+            if w in used:
+                continue
+            expansions += 1
+            if consistent(v, w):
+                mapping[v] = w
+                used.add(w)
+                i += 1
+                break
+        else:
+            untried.pop()
+            if i == 0:
+                return None, expansions
+            i -= 1
+            used.discard(mapping.pop(order[i]))
+    return tuple(mapping[v] for v in range(n1)), expansions
+
+
+_ORACLE_DOT_LABEL = {Label.SINGLE: "s", Label.DOUBLE: "d"}
+
+
+def oracle_export_json(g) -> str:
+    """The JSON export as one dict per arc, encoded by ``json.dumps``."""
+    doc = {
+        "n": g.n,
+        "vertices": list(g.vertices),
+        "arcs": [
+            {"tail": a.tail, "head": a.head, "label": a.label, "position": a.position}
+            for a in g.arcs
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def oracle_export_dot(g, place=None) -> str:
+    """The DOT export, rendering both ends of every arc."""
+
+    def render(w):
+        return w if w else "ε"
+
+    lines = [f"digraph A{g.n} {{"]
+    for w in g.vertices:
+        lines.append(f'  "{render(w)}";')
+    for arc in g.arcs:
+        attrs = f'label="{_ORACLE_DOT_LABEL[arc.label]}"'
+        if place is not None:
+            attrs += f" place={place[arc]}"
+        tail, head = render(g.vertices[arc.tail]), render(g.vertices[arc.head])
+        lines.append(f'  "{tail}" -> "{head}" [{attrs}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

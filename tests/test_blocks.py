@@ -6,6 +6,7 @@ from conftest import (
     cached_embed,
     cached_graph,
     oracle_expansions,
+    oracle_export_dot,
     oracle_factors,
     oracle_places,
 )
@@ -23,7 +24,7 @@ from hbgraphs.blocks import (
     place_preserving_map,
     place_preserving_through_path,
 )
-from hbgraphs.graphs import Label, counts
+from hbgraphs.graphs import Label, counts, export_dot
 from hbgraphs.iso import labeled_iso
 from hbgraphs.stern import b_matrix
 from hbgraphs.words import binary_expansion, minimal_expansion, value
@@ -135,6 +136,7 @@ def assert_embed_matches_oracle(n):
     blocks = pg.decomposition.blocks
     assert pg.factors == tuple(oracle_factors(w, blocks) for w in pg.graph.vertices), n
     assert pg.place == oracle_places(pg), n
+    assert export_dot(pg.graph, pg.place) == oracle_export_dot(pg.graph, pg.place), n
 
 
 def test_embed_matches_split_oracle():
@@ -248,8 +250,6 @@ def test_maximal_checking_paths_constraints():
 
 
 def test_export_dot_with_places():
-    from hbgraphs.graphs import export_dot
-
     pg = cached_embed(10)
     dot = export_dot(pg.graph, place=pg.place)
     assert '"122" -> "202" [label="d" place=1];' in dot

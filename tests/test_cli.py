@@ -5,9 +5,11 @@ import sys
 
 import hbgraphs
 
+from hbgraphs import cli
 from hbgraphs.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_DOMAIN,
+    EXIT_INTERNAL,
     EXIT_LIMIT,
     EXIT_OK,
     check_range,
@@ -175,3 +177,14 @@ def test_deterministic_output():
     first = invoke("graph", "--n", "20", "--format", "dot")
     second = invoke("graph", "--n", "20", "--format", "dot")
     assert first == second
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch):
+    def crash(args, out):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", crash)
+    status, out, err = invoke("eval", "--fn", "b", "--n", "42")
+    assert status == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: RuntimeError('boom\\nsecond line')\n"

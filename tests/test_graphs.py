@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_graph, oracle_arcs, oracle_expansions
+from conftest import (
+    cached_graph,
+    oracle_arcs,
+    oracle_expansions,
+    oracle_export_dot,
+    oracle_export_json,
+)
 from hbgraphs.graphs import (
     Label,
     SizeLimitError,
@@ -136,6 +142,13 @@ def test_export_json():
         '{"n":2,"vertices":["2","10"],'
         '"arcs":[{"tail":0,"head":1,"label":"single","position":0}]}'
     )
+
+
+def test_exports_match_oracles():
+    for n in range(2049):
+        g = build_graph(n)
+        assert export_json(g) == oracle_export_json(g), n
+        assert export_dot(g) == oracle_export_dot(g), n
 
 
 @given(st.integers(0, 2048))

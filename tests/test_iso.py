@@ -1,8 +1,11 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_graph
+from conftest import cached_graph, oracle_labeled_iso
+from hbgraphs.graphs import counts
 from hbgraphs.iso import (
     BudgetExceeded,
     a10_automorphism,
@@ -28,8 +31,6 @@ def test_labeled_iso_examples():
 
 def test_a10_vs_a12_is_a_genuine_distinction():
     # same (b, a) profile, so the refusal is structural, not a count check
-    from hbgraphs.graphs import counts
-
     assert counts(cached_graph(10)) == counts(cached_graph(12)) == (5, 5, 1)
 
 
@@ -105,3 +106,40 @@ def test_witnesses_verify_both_directions():
         assert w is not None
         assert verify_witness(g1, g2, w)
         assert verify_witness(g2, g1, w.inverse())
+
+
+def equal_count_pairs(top: int) -> list[tuple[int, int]]:
+    """Every ordered pair m, n <= top whose graphs have equal (b, a)."""
+    groups = defaultdict(list)
+    for n in range(top + 1):
+        groups[counts(cached_graph(n))[:2]].append(n)
+    return [(m, n) for ns in groups.values() for m in ns for n in ns]
+
+
+@pytest.mark.parametrize("ignore_labels", [False, True])
+def test_labeled_iso_matches_oracle(ignore_labels):
+    for m, n in equal_count_pairs(300):
+        g1, g2 = cached_graph(m), cached_graph(n)
+        expected, nodes = oracle_labeled_iso(g1, g2, ignore_labels)
+        witness = labeled_iso(g1, g2, ignore_labels, budget=nodes)
+        assert (witness and witness.mapping) == expected, (m, n)
+        if nodes:
+            with pytest.raises(BudgetExceeded):
+                labeled_iso(g1, g2, ignore_labels, budget=nodes - 1)
+
+
+def test_labeled_iso_agrees_with_vf2():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_edge_match
+
+    def digraph(g):
+        d = nx.DiGraph()
+        d.add_nodes_from(range(len(g.vertices)))
+        d.add_edges_from((a.tail, a.head, {"label": a.label}) for a in g.arcs)
+        return d
+
+    label_match = categorical_edge_match("label", None)
+    for m, n in equal_count_pairs(256):
+        g1, g2 = cached_graph(m), cached_graph(n)
+        vf2 = DiGraphMatcher(digraph(g1), digraph(g2), edge_match=label_match).is_isomorphic()
+        assert (labeled_iso(g1, g2) is not None) == vf2, (m, n)

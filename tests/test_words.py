@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import oracle_expansions
+from conftest import oracle_expansions, oracle_value
 from hbgraphs.words import (
     LengthClass,
     binary_expansion,
@@ -52,6 +54,20 @@ def test_shortlex_cmp():
     assert shortlex_cmp("202", "210") == -1
     assert shortlex_cmp("12", "12") == 0
     assert shortlex_cmp("1002", "122") == 1
+
+
+def test_value_matches_digit_loop():
+    rng = random.Random(0)
+    words = ["", "0", "2", "0012", "2" * 300]
+    for length in (1, 63, 64, 65, 4096, 70_000):
+        words.append("".join(rng.choice("012") for _ in range(length)))
+        words.append(minimal_expansion(rng.getrandbits(length)))
+    for w in words:
+        assert value(w) == oracle_value(w), len(w)
+    w = words[-1]
+    assert length_class(w) == (
+        LengthClass.LONG if len(w) == oracle_value(w).bit_length() else LengthClass.SHORT
+    )
 
 
 def test_length_class_examples():
