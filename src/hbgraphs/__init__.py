@@ -5,7 +5,6 @@ from .blocks import (
     BlockDecomposition,
     BlockKind,
     PlacedGraph,
-    block_path_graph,
     decompose,
     embed,
     is_checking_path,
@@ -31,7 +30,6 @@ from .iso import (
     BudgetExceeded,
     IsoWitness,
     a10_automorphism,
-    even_core,
     iso_closed_form,
     labeled_iso,
     verify_witness,
@@ -47,7 +45,6 @@ from .stern import (
     c,
     c_matrix,
     short_expansion_count,
-    two_factor_count,
     v,
     v1_all,
     v_level_set_even,
@@ -55,6 +52,7 @@ from .stern import (
 from .words import (
     LengthClass,
     binary_expansion,
+    even_core,
     is_hyperbinary,
     length_class,
     minimal_expansion,

@@ -29,7 +29,7 @@ from .graphs import (
     Label,
     build_graph,
 )
-from .words import digit_planes, minimal_expansion, validate_word, value
+from .words import BLOCKS, digit_planes, minimal_expansion, validate_word, value
 
 
 class BlockKind(enum.Enum):
@@ -77,29 +77,11 @@ def decompose(w: str) -> BlockDecomposition:
     if "0" in w:
         raise ValueError(f"not a minimal expansion (contains 0): {w!r}")
     core = w.rstrip("1")
-    trailing_ones = len(w) - len(core)
-    blocks: list[Block] = []
-    i = 0
-    while i < len(core):
-        if core[i] == "1":
-            j = i
-            while core[j] == "1":
-                j += 1
-            # core ends with 2, so core[j] == "2"
-            blocks.append(Block(BlockKind.TYPE1, j - i))
-            i = j + 1
-        else:
-            j = i
-            while j < len(core) and core[j] == "2":
-                j += 1
-            blocks.append(Block(BlockKind.TYPE2, j - i))
-            i = j
-    return BlockDecomposition(tuple(blocks), trailing_ones)
-
-
-def block_path_graph(b: Block) -> HbGraph:
-    """The directed path graph A(value(b)) of a single block."""
-    return build_graph(b.value)
+    blocks = tuple(
+        Block(BlockKind.TYPE1, len(m) - 1) if m[0] == "1" else Block(BlockKind.TYPE2, len(m))
+        for m in BLOCKS.findall(core)
+    )
+    return BlockDecomposition(blocks, len(w) - len(core))
 
 
 def path_order(g: HbGraph) -> list[int]:
@@ -122,7 +104,7 @@ class PlacedGraph:
 
     @cached_property
     def block_graphs(self) -> tuple[HbGraph, ...]:
-        return tuple(block_path_graph(b) for b in self.decomposition.blocks)
+        return tuple(build_graph(b.value) for b in self.decomposition.blocks)
 
 
 class _CutFinder:
@@ -188,11 +170,6 @@ class _CutFinder:
             start = cut
         factors.append(word[start:])
         return tuple(cuts), tuple(factors)
-
-
-def factor_tuple(word: str, blocks: tuple[Block, ...]) -> tuple[str, ...]:
-    """Per-block factors of one expansion, per the product embedding."""
-    return _CutFinder(blocks).factors(word)[1]
 
 
 def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
@@ -317,18 +294,21 @@ def maximal_checking_paths_from(
     if _can_prepend(pg, e1):
         return results
 
-    def extend(path: list[Arc]) -> None:
-        image = set(place_preserving_map(pg, path[-1]).values())
-        nexts = [e for e in g.out_arcs(path[-1].head) if e not in image]
-        if not nexts:
+    path: list[Arc] = []
+    branches = [iter([e1])]  # branches[i] yields the arcs still to try as path[i]
+    while branches:
+        e = next(branches[-1], None)
+        del path[len(branches) - 1 :]
+        if e is None:
+            branches.pop()
+            continue
+        path.append(e)
+        image = set(place_preserving_map(pg, e).values())
+        nexts = [x for x in g.out_arcs(e.head) if x not in image]
+        if nexts:
+            branches.append(iter(sorted(nexts, key=lambda a: a.position)))
+        else:
             results.append(tuple(path))
-            return
-        for e in sorted(nexts, key=lambda a: a.position):
-            path.append(e)
-            extend(path)
-            path.pop()
-
-    extend([e1])
 
     def keep(p: tuple[Arc, ...]) -> bool:
         if length is not None and len(p) != length:

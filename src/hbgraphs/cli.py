@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: eval, graph, decompose, iso, verify, table, bench.
+Subcommands: eval, graph, decompose, iso, verify, table.
 Exit codes: 0 success, 1 domain/usage error, 2 size-limit or budget
 abort, 3 verification counterexample, 4 internal error (any other
 exception, reported as one line on stderr without a traceback).
@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
-import time
 
 from . import blocks, graphs, iso, stern
 from .graphs import DEFAULT_LIMIT, SizeLimitError
@@ -89,13 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="CSV table of n,b,a,v")
     p.add_argument("--max", type=nonneg_int, required=True)
-    p.add_argument("--format", choices=["csv"], default="csv")
-
-    p = sub.add_parser("bench", help="time b algorithms on random n of a bit length")
-    p.add_argument("--bits", type=nonneg_int, required=True)
-    p.add_argument("--algo", choices=sorted(_B_ALGOS), action="append",
-                   help="repeatable; default: all")
-    p.add_argument("--reps", type=nonneg_int, default=10)
 
     return parser
 
@@ -154,10 +145,11 @@ def check_range(lo: int, hi: int) -> str | None:
             return f"n={n} b disagreement: rec={expected} " + " ".join(
                 f"{name}={results[name]}" for name in bad)
         if n <= 512:
+            b, arcs = stern.b_and_a(n)
             _, a_count, v_count = graphs.counts(graphs.build_graph(n))
-            if v_count != stern.v(n) or a_count != stern.a(n):
+            if (a_count, v_count) != (arcs, arcs - b + 1):
                 return (f"n={n} structural disagreement: graph (a={a_count}, v={v_count})"
-                        f" vs recursion (a={stern.a(n)}, v={stern.v(n)})")
+                        f" vs recursion (a={arcs}, v={arcs - b + 1})")
     return None
 
 
@@ -175,23 +167,20 @@ def plan_verify(max_n: int, workers: int, cpus: int) -> tuple[list[tuple[int, in
 
 def _cmd_verify(args, out) -> int:
     spans, pool_size = plan_verify(args.max, args.workers, os.cpu_count() or 1)
+    bounds = zip(*spans)
     if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_check_span, spans))
+            results = list(pool.map(check_range, *bounds))
     else:
-        results = map(_check_span, spans)
+        results = map(check_range, *bounds)
     failure = next((r for r in results if r is not None), None)
     if failure:
         print(failure, file=out)
         return EXIT_COUNTEREXAMPLE
     print(f"OK {args.max}", file=out)
     return EXIT_OK
-
-
-def _check_span(span: tuple[int, int]) -> str | None:
-    return check_range(*span)
 
 
 def _cmd_table(args, out) -> int:
@@ -202,22 +191,6 @@ def _cmd_table(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args, out) -> int:
-    rng = random.Random(0)
-    names = args.algo or sorted(_B_ALGOS)
-    inputs = [rng.getrandbits(args.bits) | (1 << max(args.bits - 1, 0))
-              for _ in range(max(args.reps, 1))]
-    for name in names:
-        fn = _B_ALGOS[name]
-        start = time.perf_counter()
-        for n in inputs:
-            fn(n)
-        elapsed = time.perf_counter() - start
-        print(f"{name}: {elapsed / len(inputs) * 1000:.3f} ms/eval "
-              f"({args.bits} bits, {len(inputs)} reps)", file=out)
-    return EXIT_OK
-
-
 _COMMANDS = {
     "eval": _cmd_eval,
     "graph": _cmd_graph,
@@ -225,7 +198,6 @@ _COMMANDS = {
     "iso": _cmd_iso,
     "verify": _cmd_verify,
     "table": _cmd_table,
-    "bench": _cmd_bench,
 }
 
 

@@ -148,9 +148,6 @@ class HbGraph:
     def in_arcs(self, v: int) -> tuple[Arc, ...]:
         return self.in_arcs_table[v]
 
-    def word(self, v: int) -> str:
-        return self.vertices[v]
-
 
 def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
     """Construct A(n) by breadth-first closure from the minimal expansion.

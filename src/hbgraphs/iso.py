@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import HbGraph, Label, build_graph
-from .words import weight
+from .words import even_core, weight
 
 DEFAULT_BUDGET = 10**7
 
@@ -32,16 +32,6 @@ class IsoWitness:
 
     def image(self, v: int) -> int:
         return self.mapping[v]
-
-    def inverse(self) -> "IsoWitness":
-        inv = [0] * len(self.mapping)
-        for v, w in enumerate(self.mapping):
-            inv[w] = v
-        return IsoWitness(tuple(inv))
-
-    def compose(self, other: "IsoWitness") -> "IsoWitness":
-        """self after other (apply other first)."""
-        return IsoWitness(tuple(self.mapping[w] for w in other.mapping))
 
 
 def verify_witness(
@@ -76,10 +66,7 @@ def _signatures(g: HbGraph, ignore_labels: bool) -> list[tuple[int, int, int]]:
         outs[a.tail] += c
         ins[a.head] += c
     base = weight(g.vertices[g.sink])
-    return [
-        (w.count("1") + 2 * w.count("2") - base, o, i)
-        for w, o, i in zip(g.vertices, outs, ins)
-    ]
+    return [(weight(w) - base, o, i) for w, o, i in zip(g.vertices, outs, ins)]
 
 
 def _search_order(g: HbGraph) -> list[int]:
@@ -168,17 +155,6 @@ def labeled_iso(
     if not verify_witness(g1, g2, witness, ignore_labels):
         raise AssertionError("search produced an invalid witness")
     return witness
-
-
-def even_core(n: int) -> tuple[int, int]:
-    """Strip trailing binary 1s: n = 2^t * m + 2^t - 1 with m even.
-
-    t is the index of the lowest set bit of n + 1 = 2^t (m + 1).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    t = ((n + 1) & -(n + 1)).bit_length() - 1
-    return (n >> t, t)
 
 
 def iso_closed_form(m: int, n: int) -> bool:

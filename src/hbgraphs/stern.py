@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .iso import even_core
-from .words import minimal_expansion
+from .words import BLOCKS, even_core, minimal_expansion
 
 _LEAF = 256
 # A product of L digit matrices of either pair has entries of absolute
@@ -40,7 +39,6 @@ _LEAF = 256
 # for any c < 2^79.
 _LANE = _LEAF + 2
 _RUNS = re.compile("0+|1+")
-_BLOCKS = re.compile("1+2|2+")
 
 
 def _product(mats: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
@@ -129,6 +127,10 @@ def b_matrix_blocks(n: int) -> int:
     """Same product as b_matrix, grouped over maximal runs of equal bits.
 
     Uses M0^a = (1 a; 0 1) and M1^a = (1 0; a 1) applied run by run.
+    It is an independent cross-check, not a faster b_matrix: the runs of
+    a random n average two digits, so it halves the steps but pays a regex
+    match and a small-int multiplication per run, and it takes 1.2 to 2.1
+    times b_matrix's time from 64k down to 4k bits.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -199,17 +201,6 @@ def b_algorithm1(n: int) -> tuple[int, int]:
     return (b, expensive)
 
 
-def two_factor_count(b0: int, b2: int, b_n2: int, s: int) -> int:
-    """b(n) from a two-factor split: b0 * b(n2) + b2 * s.
-
-    b0 and b2 count expansions of the first factor ending in 0 and in 2;
-    s counts the short-or-empty expansions of the second factor.
-    """
-    if min(b0, b2, b_n2, s) < 0:
-        raise ValueError("arguments must be nonnegative")
-    return b0 * b_n2 + b2 * s
-
-
 def _block_product(n: int) -> tuple[int, int, int, int]:
     """The product, in word order, of the block matrices of n's even core.
 
@@ -224,7 +215,7 @@ def _block_product(n: int) -> tuple[int, int, int, int]:
     while i < len(word):
         j = word.rfind("2", i, i + _LEAF) + 1 or word.index("2", i) + 1
         h, k = 1, 1 << _LANE
-        for block in reversed(_BLOCKS.findall(word, i, j)):
+        for block in reversed(BLOCKS.findall(word, i, j)):
             a = len(block)
             if block[0] == "1":
                 h, k = a * h + k, (a - 1) * h + k

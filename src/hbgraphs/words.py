@@ -9,11 +9,17 @@ its leading digit is nonzero.
 from __future__ import annotations
 
 import enum
+import re
 
 _ALPHABET = frozenset("012")
 _BIT_TO_DIGIT = str.maketrans("01", "12")
 _ONES_BITS = str.maketrans("012", "010")
 _TWOS_BITS = str.maketrans("012", "001")
+
+#: The blocks 1^t 2 (type 1) and 2^t (type 2) of a minimal expansion with
+#: its trailing 1s stripped, matched left to right: no two type-2 blocks
+#: are adjacent, and every digit lies in exactly one block.
+BLOCKS = re.compile("1+2|2+")
 
 #: Human-readable rendering of the empty word.
 EMPTY_WORD_DISPLAY = "ε"  # ε
@@ -82,10 +88,21 @@ def minimal_expansion(n: int) -> str:
     return format(n + 1 - (1 << length), f"0{length}b").translate(_BIT_TO_DIGIT)
 
 
+def even_core(n: int) -> tuple[int, int]:
+    """Strip trailing binary 1s: n = 2^t * m + 2^t - 1 with m even.
+
+    t is the index of the lowest set bit of n + 1 = 2^t (m + 1).
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    t = ((n + 1) & -(n + 1)).bit_length() - 1
+    return (n >> t, t)
+
+
 def weight(w: str) -> int:
     """Digit sum of the word (drops by exactly 1 along every reduction arc)."""
     validate_word(w)
-    return sum(ord(ch) - 48 for ch in w)
+    return w.count("1") + 2 * w.count("2")
 
 
 def shortlex_key(w: str) -> tuple[int, str]:

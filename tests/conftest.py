@@ -5,7 +5,9 @@ word, without touching the single-step-reduction machinery it is used to
 check; the arc oracle reads the reductions off those words by scanning
 for their patterns.  The factor oracle splits an expansion into block
 factors by string slicing and digit values, without the cut finder of
-``blocks.embed``.  The (b, v) oracle runs the classical recursions on an
+``blocks.embed``.  The decomposition oracle scans a minimal expansion for
+its blocks one digit at a time, without the block pattern of ``words``.
+The (b, v) oracle runs the classical recursions on an
 explicit stack, without the digit pass of ``stern.b_and_a``.  The b and
 c oracles fold one vector through the digit matrices a digit at a time,
 without the leaves and product tree of ``stern``.  The value oracle folds
@@ -98,6 +100,31 @@ def oracle_factors(word: str, blocks) -> tuple[str, ...]:
     rest_word = "".join(b.word for b in blocks[1:])
     first, rest = _oracle_split(word, oracle_value(blocks[0].word), oracle_value(rest_word))
     return (first,) + oracle_factors(rest, blocks[1:])
+
+
+def oracle_decompose(w: str) -> tuple[tuple[tuple[int, int], ...], int]:
+    """((kind, t) of each block, trailing 1s) of a minimal expansion, by a digit scan.
+
+    Kind 1 is the block 1^t 2 and kind 2 the block 2^t.
+    """
+    core = w.rstrip("1")
+    blocks = []
+    i = 0
+    while i < len(core):
+        if core[i] == "1":
+            j = i
+            while core[j] == "1":
+                j += 1
+            # core ends with 2, so core[j] == "2"
+            blocks.append((1, j - i))
+            i = j + 1
+        else:
+            j = i
+            while j < len(core) and core[j] == "2":
+                j += 1
+            blocks.append((2, j - i))
+            i = j
+    return tuple(blocks), len(w) - len(core)
 
 
 def oracle_places(pg) -> dict:

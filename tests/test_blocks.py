@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from conftest import (
     cached_embed,
     cached_graph,
+    oracle_decompose,
     oracle_expansions,
     oracle_export_dot,
     oracle_factors,
@@ -13,10 +14,9 @@ from conftest import (
 from hbgraphs.blocks import (
     Block,
     BlockKind,
-    block_path_graph,
+    _CutFinder,
     decompose,
     embed,
-    factor_tuple,
     is_checking_path,
     maximal_checking_paths_from,
     path_order,
@@ -24,7 +24,7 @@ from hbgraphs.blocks import (
     place_preserving_map,
     place_preserving_through_path,
 )
-from hbgraphs.graphs import Label, counts, export_dot
+from hbgraphs.graphs import Label, build_graph, counts, export_dot
 from hbgraphs.iso import labeled_iso
 from hbgraphs.stern import b_matrix
 from hbgraphs.words import binary_expansion, minimal_expansion, value
@@ -73,17 +73,25 @@ def test_decompose_roundtrip(n):
         assert not (first.kind is BlockKind.TYPE2 and second.kind is BlockKind.TYPE2)
 
 
+def test_decompose_matches_scan_oracle():
+    for n in range(2**15):
+        w = minimal_expansion(n)
+        dec = decompose(w)
+        blocks = tuple((b.kind.value, b.t) for b in dec.blocks)
+        assert (blocks, dec.trailing_ones) == oracle_decompose(w), n
+
+
 def test_block_path_graphs():
-    g = block_path_graph(Block(BlockKind.TYPE1, 1))
+    g = build_graph(Block(BlockKind.TYPE1, 1).value)
     order = path_order(g)
     assert [g.vertices[v] for v in order] == ["12", "20", "100"]
     labels = [g.arc_by_pair[(order[i], order[i + 1])].label for i in range(len(order) - 1)]
     assert labels == [Label.DOUBLE, Label.SINGLE]
 
-    g = block_path_graph(Block(BlockKind.TYPE2, 1))
+    g = build_graph(Block(BlockKind.TYPE2, 1).value)
     assert [g.vertices[v] for v in path_order(g)] == ["2", "10"]
 
-    g = block_path_graph(Block(BlockKind.TYPE2, 3))
+    g = build_graph(Block(BlockKind.TYPE2, 3).value)
     order = path_order(g)
     assert [g.vertices[v] for v in order] == ["222", "1022", "1102", "1110"]
     assert all(a.label == Label.SINGLE for a in g.arcs)
@@ -91,12 +99,12 @@ def test_block_path_graphs():
 
 def test_block_path_graph_shape():
     for t in range(1, 6):
-        g1 = block_path_graph(Block(BlockKind.TYPE1, t))
+        g1 = build_graph(Block(BlockKind.TYPE1, t).value)
         chain = path_order(g1)
         assert len(chain) == t + 2
         labels = [g1.arc_by_pair[(chain[i], chain[i + 1])].label for i in range(t + 1)]
         assert labels == [Label.DOUBLE] * t + [Label.SINGLE]
-        g2 = block_path_graph(Block(BlockKind.TYPE2, t))
+        g2 = build_graph(Block(BlockKind.TYPE2, t).value)
         assert len(path_order(g2)) == t + 1
         assert all(a.label == Label.SINGLE for a in g2.arcs)
 
@@ -128,7 +136,7 @@ def test_embed_edge_cases():
 
 def test_factor_tuple_rejects_garbage():
     with pytest.raises(ValueError):
-        factor_tuple("12", ())
+        _CutFinder(()).factors("12")
 
 
 def assert_embed_matches_oracle(n):
@@ -155,10 +163,10 @@ def test_embed_matches_split_oracle_random(half):
 def test_factor_tuple_agrees_with_oracle():
     blocks = decompose(minimal_expansion(42)).blocks
     for w in oracle_expansions(42):
-        assert factor_tuple(w, blocks) == oracle_factors(w, blocks)
+        assert _CutFinder(blocks).factors(w)[1] == oracle_factors(w, blocks)
     for garbage in ("2", "1000", "222", "10102"):
         with pytest.raises(AssertionError):
-            factor_tuple(garbage, blocks)
+            _CutFinder(blocks).factors(garbage)[1]
         with pytest.raises(AssertionError):
             oracle_factors(garbage, blocks)
 
@@ -227,9 +235,10 @@ def test_maximal_checking_paths():
 
 
 def test_maximal_checking_path_source_run_lengths():
-    # minimal expansion 1^{t-1}2 (n = 2^t): unique maximal path of length t
-    for t in range(1, 7):
-        pg = cached_embed(2**t)
+    # minimal expansion 1^{t-1}2 (n = 2^t): unique maximal path of length t;
+    # t = 1500 is a path deeper than the default recursion limit
+    for t in (*range(1, 7), 1500):
+        pg = embed(2**t)
         (e1,) = pg.graph.out_arcs(pg.graph.source)
         paths = maximal_checking_paths_from(pg, e1)
         assert len(paths) == 1 and len(paths[0]) == t

@@ -161,16 +161,13 @@ def test_check_range_clean():
     assert check_range(0, 32) is None
 
 
-def test_bench_reports():
-    status, out, _ = invoke("bench", "--bits", "64", "--reps", "2", "--algo", "matblk")
-    assert status == EXIT_OK
-    assert out.startswith("matblk:") and "ms/eval" in out
-
-
 def test_usage_error_status():
     assert invoke("nonsense")[0] == EXIT_DOMAIN
     assert invoke("eval", "--fn", "b")[0] == EXIT_DOMAIN
     assert invoke("eval", "--fn", "b", "--n", "-3")[0] == EXIT_DOMAIN
+    # removed input: the bench subcommand and table --format
+    assert invoke("bench", "--bits", "8")[0] == EXIT_DOMAIN
+    assert invoke("table", "--max", "3", "--format", "csv")[0] == EXIT_DOMAIN
 
 
 def test_deterministic_output():

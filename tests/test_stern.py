@@ -1,11 +1,14 @@
+import ast
 import random
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hbgraphs
 from conftest import oracle_b_matrix, oracle_b_v, oracle_c_matrix, oracle_expansions
 from hbgraphs.iso import even_core
 from hbgraphs.stern import (
@@ -20,7 +23,6 @@ from hbgraphs.stern import (
     c,
     c_matrix,
     short_expansion_count,
-    two_factor_count,
     v,
     v1_all,
     v_level_set_even,
@@ -76,12 +78,8 @@ def test_two_factor_count():
         1 for w in oracle_expansions(2) if length_class(w) in (LengthClass.SHORT, LengthClass.EMPTY)
     )
     assert (b0, b2, s) == (2, 1, 1)
-    assert two_factor_count(b0, b2, b_recursive(2), s) == 5
-    # single leading block of length a
-    assert two_factor_count(3, 1, 7, 2) == 3 * 7 + 2  # type 1, a = 3
-    assert two_factor_count(1, 3, 7, 2) == 7 + 3 * 2  # type 2, a = 3
-    with pytest.raises(ValueError):
-        two_factor_count(-1, 0, 0, 0)
+    # b(n) = b0 * b(n2) + b2 * s for the split n = 10 = 4 * 2 + 2
+    assert b0 * b_recursive(2) + b2 * s == 5
 
 
 def test_v_examples():
@@ -252,3 +250,14 @@ def test_product_tree_matches_linear_folds(bits):
 @settings(max_examples=60, deadline=None)
 def test_product_tree_property(n):
     _check_against_linear_folds(n)
+
+
+def test_stern_and_words_import_only_words():
+    # the counting layer sits on the digit words alone, below graphs, blocks and iso
+    package = Path(hbgraphs.__file__).parent
+    for name in ("stern.py", "words.py"):
+        tree = ast.parse((package / name).read_text())
+        relative = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+        }
+        assert relative <= {"words"}, (name, relative)
