@@ -149,19 +149,17 @@ class _CutFinder:
         start = 0
         for rest, k, mask, lead in self.levels:
             room = length - start
-            long_fits = (
-                k < room and nonzero & lead and (ones & mask) + 2 * (twos & mask) == rest
-            )
-            mask >>= 1
-            short_fits = (
-                k <= room and nonzero & lead >> 1 and (ones & mask) + 2 * (twos & mask) == rest
-            )
-            if long_fits and short_fits:
-                raise AssertionError(f"ambiguous factor split of {word[start:]!r}")
-            if long_fits:
+            # At most one length fits: the k-digit suffix is worth the
+            # (k-1)-digit suffix plus d * 2^(k-1) for its nonzero leading
+            # digit d, so the two cannot both be worth rest.
+            if k < room and nonzero & lead and (ones & mask) + 2 * (twos & mask) == rest:
                 cut = length - k
                 factors.append(word[start:cut] + "0")
-            elif short_fits:
+            elif (
+                k <= room
+                and nonzero & lead >> 1
+                and (ones & mask >> 1) + 2 * (twos & mask >> 1) == rest
+            ):
                 cut = length - k + 1
                 factors.append(word[start:cut])
             else:
@@ -273,19 +271,12 @@ def _can_prepend(pg: PlacedGraph, e1: Arc) -> bool:
     return False
 
 
-def maximal_checking_paths_from(
-    pg: PlacedGraph,
-    e1: Arc,
-    length: int | None = None,
-    first_label: str | None = None,
-    second_label: str | None = None,
-    last_label: str | None = None,
-) -> list[tuple[Arc, ...]]:
+def maximal_checking_paths_from(pg: PlacedGraph, e1: Arc) -> list[tuple[Arc, ...]]:
     """All maximal checking paths starting with e1, by exhaustive search.
 
     A path is maximal when it cannot be extended to a checking path on
     either end, so if some arc can be prepended to e1 there are none.
-    The optional constraints filter the result set.
+    Paths branch in ``g.out_arcs`` order, which is ascending in position.
     """
     g = pg.graph
     if e1 not in pg.place:
@@ -306,19 +297,7 @@ def maximal_checking_paths_from(
         image = set(place_preserving_map(pg, e).values())
         nexts = [x for x in g.out_arcs(e.head) if x not in image]
         if nexts:
-            branches.append(iter(sorted(nexts, key=lambda a: a.position)))
+            branches.append(iter(nexts))
         else:
             results.append(tuple(path))
-
-    def keep(p: tuple[Arc, ...]) -> bool:
-        if length is not None and len(p) != length:
-            return False
-        if first_label is not None and p[0].label != first_label:
-            return False
-        if second_label is not None and (len(p) < 2 or p[1].label != second_label):
-            return False
-        if last_label is not None and p[-1].label != last_label:
-            return False
-        return True
-
-    return [p for p in results if keep(p)]
+    return results

@@ -73,17 +73,17 @@ def single_step_reductions(w: str) -> list[tuple[str, str, int]]:
     return list(_children(validate_expansion(w)))
 
 
-def _closure(n: int, limit: int, children: list | None = None) -> dict[str, int]:
-    """H(n) as {word: discovery id}, expanding each word once, breadth first.
+def _closure(n: int, seed: str, limit: int, children: list | None = None) -> dict[str, int]:
+    """The closure of ``seed``, an expansion of n, as {word: discovery id}, breadth first.
 
     When ``children`` is given, each expanded word appends one list to it,
     in discovery order: the (child id, label, position) of its children,
     ascending in position.  Raises SizeLimitError on the first word
-    beyond ``limit``, the minimal expansion included.
+    beyond ``limit``, the seed included.
     """
     if limit < 1:
         raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
-    ids = {minimal_expansion(n): 0}
+    ids = {seed: 0}
     words = list(ids)
     for w in words:
         out = []
@@ -108,7 +108,7 @@ def _shortlex_sorted(words) -> list[str]:
 
 def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
     """H(n) in shortlex order, as the reduction closure of the minimal expansion."""
-    return _shortlex_sorted(_closure(n, limit))
+    return _shortlex_sorted(_closure(n, minimal_expansion(n), limit))
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,13 @@ def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
     and remapped to shortlex ranks.  Children come in ascending position,
     so the arcs come out in (tail, position) order without a sort.
     """
+    return _closed_graph(n, minimal_expansion(n), limit)
+
+
+def _closed_graph(n: int, seed: str, limit: int) -> HbGraph:
+    """The graph on the reduction closure of ``seed``, as ``build_graph`` describes."""
     children: list[list[tuple[int, str, int]]] = []
-    ids = _closure(n, limit, children)
+    ids = _closure(n, seed, limit, children)
     verts = _shortlex_sorted(ids)
     rank = [0] * len(verts)
     for r, w in enumerate(verts):
@@ -167,6 +172,7 @@ def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
         i = ids[w]
         arcs += [Arc(r, rank[cid], label, pos) for cid, label, pos in children[i]]
         children[i] = None  # the arcs reuse the memory of the freed child records
+    # the binary expansion is reachable from every expansion of n
     return HbGraph(
         n=n,
         vertices=tuple(verts),
@@ -184,32 +190,14 @@ def counts(g: HbGraph) -> tuple[int, int, int]:
 
 
 def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
-    """Induced subgraph on ``start`` and everything reachable from it."""
+    """Induced subgraph on ``start`` and everything reachable from it.
+
+    That is the graph on the closure of ``start``'s word: the reductions
+    of a descendant are descendants, so the closure's arcs are the induced ones.
+    """
     if not 0 <= start < len(g.vertices):
         raise ValueError(f"unknown vertex id {start}")
-    reach = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for arc in g.out_arcs(v):
-            if arc.head not in reach:
-                reach.add(arc.head)
-                frontier.append(arc.head)
-    verts = _shortlex_sorted(g.vertices[v] for v in reach)
-    index = {w: i for i, w in enumerate(verts)}
-    arcs = tuple(
-        Arc(index[g.vertices[a.tail]], index[g.vertices[a.head]], a.label, a.position)
-        for a in g.arcs
-        if a.tail in reach and a.head in reach
-    )
-    # the original sink is reachable from every vertex
-    return HbGraph(
-        n=g.n,
-        vertices=tuple(verts),
-        arcs=arcs,
-        source=index[g.vertices[start]],
-        sink=index[g.vertices[g.sink]],
-    )
+    return _closed_graph(g.n, g.vertices[start], len(g.vertices))
 
 
 def export_dot(g: HbGraph, place: dict[Arc, int] | None = None) -> str:

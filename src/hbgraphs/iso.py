@@ -4,9 +4,9 @@ Two routes: a backtracking search over the graph structure, and the
 arithmetic closed form (m and n are related by repeated x -> 2x + 1).
 The search is anchored source-to-source and pruned by per-label degree
 and weight-level invariants.  Its setup is linear in the arc count a:
-one pass over each graph's arcs gives every vertex signature, g2's
-vertices are bucketed by signature in a dict, and one breadth-first pass
-gives the search order.
+one pass over each graph's arcs gives every vertex signature, the level
+included, g2's vertices are bucketed by signature in a dict, and one
+breadth-first pass gives the search order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import HbGraph, Label, build_graph
-from .words import even_core, weight
+from .words import even_core
 
 DEFAULT_BUDGET = 10**7
 
@@ -34,9 +34,7 @@ class IsoWitness:
         return self.mapping[v]
 
 
-def verify_witness(
-    g1: HbGraph, g2: HbGraph, witness: IsoWitness, ignore_labels: bool = False
-) -> bool:
+def verify_witness(g1: HbGraph, g2: HbGraph, witness: IsoWitness) -> bool:
     """Check a witness arc-by-arc, in both directions."""
     m = witness.mapping
     if len(m) != len(g1.vertices) or sorted(m) != list(range(len(g2.vertices))):
@@ -45,28 +43,31 @@ def verify_witness(
         return False
     for a in g1.arcs:
         img = g2.arc_by_pair.get((m[a.tail], m[a.head]))
-        if img is None or (not ignore_labels and img.label != a.label):
+        if img is None or img.label != a.label:
             return False
     return True
 
 
-def _signatures(g: HbGraph, ignore_labels: bool) -> list[tuple[int, int, int]]:
+def _signatures(g: HbGraph) -> list[tuple[int, int, int]]:
     """(level, out key, in key) of every vertex, from one pass over the arcs.
 
     The level is the weight above the sink's, an invariant because weight
-    drops by 1 along every arc.  Each arc adds 1 to the degree keys of its
-    ends, and a DOUBLE arc also adds 2^32 unless labels are ignored, so a
-    key packs (DOUBLE count, degree) into one int.
+    drops by 1 along every arc: a tail's level is its head's plus 1.  Heads
+    have higher (shortlex) ids than tails and the arcs are in tail order, so
+    in reverse each head's level is final before a tail reads it.  Each arc
+    adds 1 to the degree keys of its ends, and a DOUBLE arc also adds 2^32,
+    so a key packs (DOUBLE count, degree) into one int.
     """
-    code = {Label.SINGLE: 1, Label.DOUBLE: 1 if ignore_labels else 1 | 1 << 32}
+    code = {Label.SINGLE: 1, Label.DOUBLE: 1 | 1 << 32}
     outs = [0] * len(g.vertices)
     ins = [0] * len(g.vertices)
-    for a in g.arcs:
+    level = [0] * len(g.vertices)
+    for a in reversed(g.arcs):
         c = code[a.label]
         outs[a.tail] += c
         ins[a.head] += c
-    base = weight(g.vertices[g.sink])
-    return [(weight(w) - base, o, i) for w, o, i in zip(g.vertices, outs, ins)]
+        level[a.tail] = level[a.head] + 1
+    return list(zip(level, outs, ins))
 
 
 def _search_order(g: HbGraph) -> list[int]:
@@ -83,12 +84,7 @@ def _search_order(g: HbGraph) -> list[int]:
     return order
 
 
-def labeled_iso(
-    g1: HbGraph,
-    g2: HbGraph,
-    ignore_labels: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> IsoWitness | None:
+def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
     """Find an edge-labeled directed-graph isomorphism g1 -> g2, if any.
 
     Returns the first witness in deterministic search order, or None.
@@ -100,8 +96,8 @@ def labeled_iso(
     n1, n2 = len(g1.vertices), len(g2.vertices)
     if n1 != n2 or len(g1.arcs) != len(g2.arcs):
         return None
-    sigs1 = _signatures(g1, ignore_labels)
-    sigs2 = _signatures(g2, ignore_labels)
+    sigs1 = _signatures(g1)
+    sigs2 = _signatures(g2)
     if Counter(sigs1) != Counter(sigs2):
         return None
     buckets: dict[tuple[int, int, int], list[int]] = {}
@@ -118,12 +114,12 @@ def labeled_iso(
         for arc in g1.out_arcs(v):
             if arc.head in mapping:
                 img = g2.arc_by_pair.get((w, mapping[arc.head]))
-                if img is None or (not ignore_labels and img.label != arc.label):
+                if img is None or img.label != arc.label:
                     return False
         for arc in g1.in_arcs(v):
             if arc.tail in mapping:
                 img = g2.arc_by_pair.get((mapping[arc.tail], w))
-                if img is None or (not ignore_labels and img.label != arc.label):
+                if img is None or img.label != arc.label:
                     return False
         return True
 
@@ -152,7 +148,7 @@ def labeled_iso(
             i -= 1
             used.discard(mapping.pop(order[i]))
     witness = IsoWitness(tuple(mapping[v] for v in range(n1)))
-    if not verify_witness(g1, g2, witness, ignore_labels):
+    if not verify_witness(g1, g2, witness):
         raise AssertionError("search produced an invalid witness")
     return witness
 

@@ -16,13 +16,15 @@ isomorphism oracle filters candidates by comparing every pair of vertex
 signatures and orders the search by repeated passes, without the buckets
 and single breadth-first pass of ``iso.labeled_iso``.  The export oracles
 build a dict per arc and encode the document with ``json.dumps``, and
-render both ends of every DOT arc.
+render both ends of every DOT arc.  The descendants oracle walks a built
+graph's out-arcs and re-indexes the induced subgraph, without the
+reduction closure of ``graphs.descendants_subgraph``.
 """
 
 import json
 from functools import lru_cache
 
-from hbgraphs.graphs import Label
+from hbgraphs.graphs import Arc, HbGraph, Label
 from hbgraphs.words import shortlex_key
 
 
@@ -208,6 +210,33 @@ def cached_embed(n: int):
     return embed(n)
 
 
+def oracle_descendants(g, start: int):
+    """Induced subgraph of g on ``start`` and its descendants, by a depth-first walk."""
+    reach = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for arc in g.out_arcs(v):
+            if arc.head not in reach:
+                reach.add(arc.head)
+                frontier.append(arc.head)
+    verts = sorted((g.vertices[v] for v in reach), key=shortlex_key)
+    index = {w: i for i, w in enumerate(verts)}
+    arcs = tuple(
+        Arc(index[g.vertices[a.tail]], index[g.vertices[a.head]], a.label, a.position)
+        for a in g.arcs
+        if a.tail in reach and a.head in reach
+    )
+    # the original sink is reachable from every vertex
+    return HbGraph(
+        n=g.n,
+        vertices=tuple(verts),
+        arcs=arcs,
+        source=index[g.vertices[start]],
+        sink=index[g.vertices[g.sink]],
+    )
+
+
 def oracle_value(w: str) -> int:
     """Base-2 value of a digit word, one doubling per digit."""
     n = 0
@@ -216,7 +245,7 @@ def oracle_value(w: str) -> int:
     return n
 
 
-def oracle_labeled_iso(g1, g2, ignore_labels: bool = False) -> tuple[tuple | None, int]:
+def oracle_labeled_iso(g1, g2) -> tuple[tuple | None, int]:
     """(mapping or None, search nodes expanded) of the depth-first search.
 
     Candidates are every g2 vertex whose signature equals the g1 vertex's,
@@ -230,8 +259,6 @@ def oracle_labeled_iso(g1, g2, ignore_labels: bool = False) -> tuple[tuple | Non
     def signature(g, v):
         level = sum(map(int, g.vertices[v])) - sum(map(int, g.vertices[g.sink]))
         outs, ins = g.out_arcs(v), g.in_arcs(v)
-        if ignore_labels:
-            return (level, len(outs), len(ins))
         return (level, tuple(sorted(a.label for a in outs)), tuple(sorted(a.label for a in ins)))
 
     sigs1 = [signature(g1, v) for v in range(n1)]
@@ -257,12 +284,12 @@ def oracle_labeled_iso(g1, g2, ignore_labels: bool = False) -> tuple[tuple | Non
         for arc in g1.out_arcs(v):
             if arc.head in mapping:
                 img = g2.arc_by_pair.get((w, mapping[arc.head]))
-                if img is None or (not ignore_labels and img.label != arc.label):
+                if img is None or img.label != arc.label:
                     return False
         for arc in g1.in_arcs(v):
             if arc.tail in mapping:
                 img = g2.arc_by_pair.get((mapping[arc.tail], w))
-                if img is None or (not ignore_labels and img.label != arc.label):
+                if img is None or img.label != arc.label:
                     return False
         return True
 

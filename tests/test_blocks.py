@@ -254,8 +254,9 @@ def test_maximal_checking_path_source_run_lengths():
 def test_maximal_checking_paths_constraints():
     pg = cached_embed(10)
     e1 = arc(pg.graph, "122", "202")
-    assert maximal_checking_paths_from(pg, e1, length=2, first_label=Label.DOUBLE)
-    assert maximal_checking_paths_from(pg, e1, last_label=Label.DOUBLE) == []
+    paths = maximal_checking_paths_from(pg, e1)
+    assert [p for p in paths if len(p) == 2 and p[0].label == Label.DOUBLE]
+    assert [p for p in paths if p[-1].label == Label.DOUBLE] == []
 
 
 def test_export_dot_with_places():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from conftest import (
     cached_graph,
     oracle_arcs,
+    oracle_descendants,
     oracle_expansions,
     oracle_export_dot,
     oracle_export_json,
@@ -67,6 +68,8 @@ def test_build_graph_matches_arc_oracle():
         assert g.vertices == oracle_expansions(n), n
         got = [(a.tail, a.head, a.label, a.position) for a in g.arcs]
         assert got == oracle_arcs(n), n
+        # every reduction makes its word shortlex-greater: ids are a topological order
+        assert all(a.tail < a.head for a in g.arcs), n
 
 
 @pytest.mark.parametrize("n", [2, 10, 42, 1000, 2708])
@@ -123,6 +126,16 @@ def test_descendants_subgraph():
     assert whole.arcs == g.arcs
     with pytest.raises(ValueError):
         descendants_subgraph(g, 99)
+
+
+def test_descendants_subgraph_matches_oracle():
+    for n in range(201):
+        g = cached_graph(n)
+        for v in range(len(g.vertices)):
+            sub, expected = descendants_subgraph(g, v), oracle_descendants(g, v)
+            assert sub.vertices == expected.vertices, (n, v)
+            assert sub.arcs == expected.arcs, (n, v)
+            assert (sub.source, sub.sink) == (expected.source, expected.sink), (n, v)
 
 
 def test_export_dot():
