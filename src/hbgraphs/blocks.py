@@ -22,13 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import (
-    DEFAULT_LIMIT,
-    Arc,
-    HbGraph,
-    Label,
-    build_graph,
-)
+from .graphs import DEFAULT_LIMIT, Arc, HbGraph, Label, build_graph
 from .words import BLOCKS, digit_planes, minimal_expansion, validate_word, value
 
 
@@ -87,8 +81,8 @@ def decompose(w: str) -> BlockDecomposition:
 def path_order(g: HbGraph) -> list[int]:
     """Vertex ids of a directed path graph, from source to sink."""
     order = [g.source]
-    while g.out_arcs(order[-1]):
-        (arc,) = g.out_arcs(order[-1])
+    while outs := g.out_arcs(order[-1]):
+        (arc,) = outs
         order.append(arc.head)
     if len(order) != len(g.vertices):
         raise ValueError("graph is not a directed path")
@@ -214,7 +208,7 @@ def place_preserving_map(pg: PlacedGraph, e: Arc) -> dict[Arc, Arc]:
     for e_x in g.out_arcs(e.tail):
         if e_x == e:
             continue
-        matches = [e_y for e_y in g.out_arcs(e.head) if (e_x.head, e_y.head) in g.arc_by_pair]
+        matches = [e_y for e_y in g.out_arcs(e.head) if g.arc(e_x.head, e_y.head) is not None]
         if len(matches) != 1:
             raise AssertionError(
                 f"place-preserving map through {e} not well-defined at {e_x}: "
@@ -229,7 +223,7 @@ def _check_path(g: HbGraph, path: list[Arc] | tuple[Arc, ...]) -> None:
         if prev.head != nxt.tail:
             raise ValueError("arcs do not form a directed path")
     for arc in path:
-        if (arc.tail, arc.head) not in g.arc_by_pair or g.arc_by_pair[(arc.tail, arc.head)] != arc:
+        if not 0 <= arc.tail < len(g.vertices) or g.arc(arc.tail, arc.head) != arc:
             raise ValueError(f"arc {arc} not in graph")
 
 

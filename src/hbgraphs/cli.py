@@ -35,10 +35,18 @@ _B_ALGOS = {
 }
 
 
+#: longest decimal input, Python's default int-string limit: it bounds the work of ``eval``
+MAX_DECIMAL_DIGITS = 4300
+
+
 def nonneg_int(text: str) -> int:
     """Nonnegative arbitrary-precision integer, decimal or 0b-prefixed binary."""
+    binary = text.startswith(("0b", "0B"))
+    if not binary and len(text) > MAX_DECIMAL_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"decimal input is limited to {MAX_DECIMAL_DIGITS} digits; give larger ones as 0b...")
     try:
-        n = int(text[2:], 2) if text.startswith(("0b", "0B")) else int(text, 10)
+        n = int(text[2:], 2) if binary else int(text, 10)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if n < 0:
@@ -227,6 +235,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10 builds before 3.10.7 lack it
+        sys.set_int_max_str_digits(0)  # answers such as b(n) may exceed 4300 digits
     try:
         status = run()
         sys.stdout.flush()

@@ -11,12 +11,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import (
-    binary_expansion,
-    minimal_expansion,
-    render,
-    validate_expansion,
-)
+from .words import binary_expansion, minimal_expansion, render, validate_expansion
 
 DEFAULT_LIMIT = 10**6
 
@@ -28,8 +23,6 @@ class SizeLimitError(Exception):
 class Label:
     SINGLE = "single"  # ->   patterns x02y -> x10y and 2y -> 10y
     DOUBLE = "double"  # ->>  pattern  x12y -> x20y
-
-    ALL = (SINGLE, DOUBLE)
 
 
 #: one-letter codes used in DOT output
@@ -65,11 +58,7 @@ def _children(w: str):
 
 
 def single_step_reductions(w: str) -> list[tuple[str, str, int]]:
-    """All children of ``w`` under one reduction, as (child, label, position).
-
-    Ordered by ascending position.  The leading ``2y -> 10y`` rule (the only
-    one that lengthens the word) is assigned position 0.
-    """
+    """The reductions of ``w`` as a list of (child, label, position), ascending in position."""
     return list(_children(validate_expansion(w)))
 
 
@@ -124,29 +113,27 @@ class HbGraph:
         return {w: i for i, w in enumerate(self.vertices)}
 
     @cached_property
-    def out_arcs_table(self) -> tuple[tuple[Arc, ...], ...]:
-        table: list[list[Arc]] = [[] for _ in self.vertices]
-        for arc in self.arcs:
-            table[arc.tail].append(arc)
-        return tuple(tuple(row) for row in table)
-
-    @cached_property
-    def in_arcs_table(self) -> tuple[tuple[Arc, ...], ...]:
-        table: list[list[Arc]] = [[] for _ in self.vertices]
-        for arc in self.arcs:
-            table[arc.head].append(arc)
-        return tuple(tuple(row) for row in table)
-
-    @cached_property
-    def arc_by_pair(self) -> dict[tuple[int, int], Arc]:
-        # at most one arc joins an ordered pair of expansions
-        return {(a.tail, a.head): a for a in self.arcs}
+    def _adjacency(self) -> tuple[tuple[tuple[Arc, ...], ...], tuple[tuple[Arc, ...], ...]]:
+        """(out-rows, in-rows): each vertex's arcs as tail and as head, in ``arcs`` order."""
+        outs: list[list[Arc]] = [[] for _ in self.vertices]
+        ins: list[list[Arc]] = [[] for _ in self.vertices]
+        for a in self.arcs:
+            outs[a.tail].append(a)
+            ins[a.head].append(a)
+        return tuple(map(tuple, outs)), tuple(map(tuple, ins))
 
     def out_arcs(self, v: int) -> tuple[Arc, ...]:
-        return self.out_arcs_table[v]
+        return self._adjacency[0][v]
 
     def in_arcs(self, v: int) -> tuple[Arc, ...]:
-        return self.in_arcs_table[v]
+        return self._adjacency[1][v]
+
+    def arc(self, tail: int, head: int) -> Arc | None:
+        """The arc from ``tail`` to ``head``, or None: at most one joins an ordered pair."""
+        for a in self._adjacency[0][tail]:
+            if a.head == head:
+                return a
+        return None
 
 
 def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:

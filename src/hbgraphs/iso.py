@@ -6,7 +6,9 @@ The search is anchored source-to-source and pruned by per-label degree
 and weight-level invariants.  Its setup is linear in the arc count a:
 one pass over each graph's arcs gives every vertex signature, the level
 included, g2's vertices are bucketed by signature in a dict, and one
-breadth-first pass gives the search order.
+breadth-first pass gives the search order.  The graphs are read through
+``HbGraph.out_arcs``, ``in_arcs`` and ``arc`` (a scan of the tail's short
+out-row), so no table of arcs by vertex pair is built.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def verify_witness(g1: HbGraph, g2: HbGraph, witness: IsoWitness) -> bool:
     if len(g1.arcs) != len(g2.arcs):
         return False
     for a in g1.arcs:
-        img = g2.arc_by_pair.get((m[a.tail], m[a.head]))
+        img = g2.arc(m[a.tail], m[a.head])
         if img is None or img.label != a.label:
             return False
     return True
@@ -84,6 +86,18 @@ def _search_order(g: HbGraph) -> list[int]:
     return order
 
 
+def _candidates(g1: HbGraph, g2: HbGraph) -> list[list[int]] | None:
+    """Each g1 vertex's g2 vertices of equal signature, ascending; None if the signatures differ."""
+    sigs1 = _signatures(g1)
+    sigs2 = _signatures(g2)
+    if Counter(sigs1) != Counter(sigs2):  # so do they when the vertex or arc counts differ
+        return None
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    for w, sig in enumerate(sigs2):
+        buckets.setdefault(sig, []).append(w)
+    return [buckets[sig] for sig in sigs1]
+
+
 def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
     """Find an edge-labeled directed-graph isomorphism g1 -> g2, if any.
 
@@ -93,32 +107,24 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
     order, and the vertices are matched in ``_search_order``, so each one
     after the source is adjacent to an earlier one.
     """
-    n1, n2 = len(g1.vertices), len(g2.vertices)
-    if n1 != n2 or len(g1.arcs) != len(g2.arcs):
+    candidates = _candidates(g1, g2)
+    if candidates is None:
         return None
-    sigs1 = _signatures(g1)
-    sigs2 = _signatures(g2)
-    if Counter(sigs1) != Counter(sigs2):
-        return None
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for w, sig in enumerate(sigs2):
-        buckets.setdefault(sig, []).append(w)
-
     order = _search_order(g1)
-    candidates = [buckets[sig] for sig in sigs1]
     mapping: dict[int, int] = {}
     used: set[int] = set()
     expansions = 0
+    out1, in1, arc2 = g1.out_arcs, g1.in_arcs, g2.arc  # bound once, used on every search node
 
     def consistent(v: int, w: int) -> bool:
-        for arc in g1.out_arcs(v):
+        for arc in out1(v):
             if arc.head in mapping:
-                img = g2.arc_by_pair.get((w, mapping[arc.head]))
+                img = arc2(w, mapping[arc.head])
                 if img is None or img.label != arc.label:
                     return False
-        for arc in g1.in_arcs(v):
+        for arc in in1(v):
             if arc.tail in mapping:
-                img = g2.arc_by_pair.get((mapping[arc.tail], w))
+                img = arc2(mapping[arc.tail], w)
                 if img is None or img.label != arc.label:
                     return False
         return True
@@ -126,7 +132,7 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
     # depth-first over order; untried[i] holds the candidates left for order[i]
     untried = []
     i = 0
-    while i < n1:
+    while i < len(order):
         if len(untried) == i:
             untried.append(iter(candidates[order[i]]))
         v = order[i]
@@ -147,7 +153,7 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
                 return None
             i -= 1
             used.discard(mapping.pop(order[i]))
-    witness = IsoWitness(tuple(mapping[v] for v in range(n1)))
+    witness = IsoWitness(tuple(mapping[v] for v in range(len(order))))
     if not verify_witness(g1, g2, witness):
         raise AssertionError("search produced an invalid witness")
     return witness

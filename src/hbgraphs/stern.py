@@ -33,10 +33,10 @@ _LEAF = 256
 # value at most Fib(L + 2) (brute-forced for L <= 14), and a block matrix
 # of word length a has row sums at most a + 1 <= 2^a, so a leaf's entries
 # stay below 2^(_LEAF + 1) (a leaf of one longer block: at most a + 1):
-# signed lanes of _LEAF + 2 bits never carry into each other.  Algorithm 1's leaves start from a run counter c < bits
-# carried in from the leaf before, and their entries stay below
-# (c + 1) Fib(L + 2) (brute-forced likewise); Fib(258) < 2^178 leaves room
-# for any c < 2^79.
+# signed lanes of _LEAF + 2 bits never carry into each other.
+# Algorithm 1's leaves start from a run counter c < bits carried in from
+# the leaf before, and their entries stay below (c + 1) Fib(L + 2)
+# (brute-forced likewise); Fib(258) < 2^178 leaves room for any c < 2^79.
 _LANE = _LEAF + 2
 _RUNS = re.compile("0+|1+")
 

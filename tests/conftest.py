@@ -283,12 +283,12 @@ def oracle_labeled_iso(g1, g2) -> tuple[tuple | None, int]:
     def consistent(v, w):
         for arc in g1.out_arcs(v):
             if arc.head in mapping:
-                img = g2.arc_by_pair.get((w, mapping[arc.head]))
+                img = g2.arc(w, mapping[arc.head])
                 if img is None or img.label != arc.label:
                     return False
         for arc in g1.in_arcs(v):
             if arc.tail in mapping:
-                img = g2.arc_by_pair.get((mapping[arc.tail], w))
+                img = g2.arc(mapping[arc.tail], w)
                 if img is None or img.label != arc.label:
                     return False
         return True

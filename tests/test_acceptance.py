@@ -91,7 +91,7 @@ def test_criterion_5_embedding_suite():
                 i = pg.place[arc] - 1
                 fx, fy = pg.factors[arc.tail], pg.factors[arc.head]
                 bg = block_gs[i]
-                img = bg.arc_by_pair.get((bg.index[fx[i]], bg.index[fy[i]]))
+                img = bg.arc(bg.index[fx[i]], bg.index[fy[i]])
                 assert img is not None and img.label == arc.label, (n, arc)
             tuple_to_vid = {f: vid for vid, f in enumerate(pg.factors)}
             for fx, x in tuple_to_vid.items():
@@ -101,7 +101,7 @@ def test_criterion_5_embedding_suite():
                         y = tuple_to_vid.get(fy)
                         if y is None:
                             continue
-                        arc = g.arc_by_pair.get((x, y))
+                        arc = g.arc(x, y)
                         assert arc is not None and arc.label == barc.label, (n, fx, fy)
             # place composed with any place-preserving map is the place map
             for e in g.arcs:
@@ -126,7 +126,7 @@ def test_criterion_7_checking_path_fixtures():
         g = pg.graph
 
         def arc(t, h):
-            return g.arc_by_pair[(g.index[t], g.index[h])]
+            return g.arc(g.index[t], g.index[h])
 
         assert blocks.is_checking_path(pg, [arc("122", "202"), arc("202", "1002")])
         assert blocks.is_checking_path(pg, [arc("122", "202"), arc("202", "210")])

@@ -31,7 +31,7 @@ from hbgraphs.words import binary_expansion, minimal_expansion, value
 
 
 def arc(g, tail, head):
-    return g.arc_by_pair[(g.index[tail], g.index[head])]
+    return g.arc(g.index[tail], g.index[head])
 
 
 def test_block_words():
@@ -85,7 +85,7 @@ def test_block_path_graphs():
     g = build_graph(Block(BlockKind.TYPE1, 1).value)
     order = path_order(g)
     assert [g.vertices[v] for v in order] == ["12", "20", "100"]
-    labels = [g.arc_by_pair[(order[i], order[i + 1])].label for i in range(len(order) - 1)]
+    labels = [g.arc(order[i], order[i + 1]).label for i in range(len(order) - 1)]
     assert labels == [Label.DOUBLE, Label.SINGLE]
 
     g = build_graph(Block(BlockKind.TYPE2, 1).value)
@@ -102,7 +102,7 @@ def test_block_path_graph_shape():
         g1 = build_graph(Block(BlockKind.TYPE1, t).value)
         chain = path_order(g1)
         assert len(chain) == t + 2
-        labels = [g1.arc_by_pair[(chain[i], chain[i + 1])].label for i in range(t + 1)]
+        labels = [g1.arc(chain[i], chain[i + 1]).label for i in range(t + 1)]
         assert labels == [Label.DOUBLE] * t + [Label.SINGLE]
         g2 = build_graph(Block(BlockKind.TYPE2, t).value)
         assert len(path_order(g2)) == t + 1

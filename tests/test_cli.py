@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import hbgraphs
 
@@ -16,6 +17,7 @@ from hbgraphs.cli import (
     plan_verify,
     run,
 )
+from hbgraphs.stern import b_matrix
 
 
 def invoke(*argv):
@@ -39,6 +41,27 @@ def test_eval_algos_agree():
 def test_eval_binary_input():
     status, out, _ = invoke("eval", "--fn", "b", "--n", "0b101010")
     assert status == EXIT_OK and out == "13\n"
+
+
+def test_eval_answer_over_4300_digits():
+    # b(n) of this 40 000-bit n has about 8 400 decimal digits
+    n = int("10" * 20000, 2)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "hbgraphs.cli", "eval", "--fn", "b",
+                           "--n", "0b" + "10" * 20000, "--algo", "mat"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    # Decimal converts exactly and is not held to this process's int-string limit
+    assert proc.stdout == f"{Decimal(b_matrix(n))}\n"
+
+
+def test_eval_rejects_long_decimal_input(capsys):
+    status, out, _ = invoke("eval", "--fn", "b", "--n", "7" * 5000)
+    assert (status, out) == (EXIT_DOMAIN, "")
+    # usage errors go to the process's stderr
+    err = capsys.readouterr().err
+    assert "limited to 4300 digits" in err and "0b" in err
+    assert invoke("eval", "--fn", "b", "--n", "1" + "0" * 4299)[0] == EXIT_OK
 
 
 def test_eval_other_fns():

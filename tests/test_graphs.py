@@ -138,6 +138,29 @@ def test_descendants_subgraph_matches_oracle():
             assert (sub.source, sub.sink) == (expected.source, expected.sink), (n, v)
 
 
+def check_adjacency(g):
+    """Rows against a filter of ``g.arcs``; ``arc`` against every arc and some non-arcs."""
+    for v in range(len(g.vertices)):
+        assert g.out_arcs(v) == tuple(a for a in g.arcs if a.tail == v), (g.n, v)
+        assert g.in_arcs(v) == tuple(a for a in g.arcs if a.head == v), (g.n, v)
+        assert g.arc(v, v) is None, (g.n, v)
+    for a in g.arcs:
+        assert g.arc(a.tail, a.head) is a, (g.n, a)
+        assert g.arc(a.head, a.tail) is None, (g.n, a)
+
+
+def test_adjacency_matches_arcs():
+    for n in range(2049):
+        check_adjacency(build_graph(n))
+
+
+def test_adjacency_of_descendant_subgraphs():
+    for n in range(201):
+        g = cached_graph(n)
+        for v in range(len(g.vertices)):
+            check_adjacency(descendants_subgraph(g, v))
+
+
 def test_export_dot():
     assert export_dot(cached_graph(0)) == 'digraph A0 {\n  "ε";\n}\n'
     dot2 = export_dot(cached_graph(2))
