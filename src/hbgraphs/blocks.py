@@ -6,24 +6,20 @@ odd numbers carry an extra tail of 1s.  A(n) embeds as an induced
 subgraph into the Cartesian product of the path graphs of its blocks,
 which yields the place map, place-preserving maps and checking paths.
 
-Every expansion splits into one factor per block at its cuts, the start
-indices of its second, third, ... factors.  The place of an arc is read
-off the cuts of its tail: every reduction rewrites one ``2``, at index
-j = position + 1 (j = 0 for the leading ``2y -> 10y`` rule), and the
-place is 1 + the number of cuts <= j.  So ``embed`` costs about one
-``build_graph``: two integer parses and a few masked comparisons per
-vertex, and a bisection and a few tuple comparisons per arc.
+Every expansion is one tuple of block states, its factors, and every arc
+steps one of them: ``graphs`` generates A(n) in these coordinates, so
+``embed`` reads the factors and each arc's place (the stepped coordinate)
+off the generator and finds no cuts in any word.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import DEFAULT_LIMIT, Arc, HbGraph, Label, build_graph
-from .words import BLOCKS, digit_planes, minimal_expansion, validate_word, value
+from .graphs import DEFAULT_LIMIT, Arc, HbGraph, _graph, _walk, build_graph
+from .words import BLOCKS, minimal_expansion, validate_word, value
 
 
 class BlockKind(enum.Enum):
@@ -101,90 +97,23 @@ class PlacedGraph:
         return tuple(build_graph(b.value) for b in self.decomposition.blocks)
 
 
-class _CutFinder:
-    """Factor cuts of the expansions of one block list.
-
-    The cuts of an expansion are the start indices of its second, third,
-    ... factors.  Past a cut the word is an expansion of the value of the
-    remaining blocks' word, so it has no leading 0 and its digit count is
-    the ``bit_length`` k of that value (long: the factor before the cut
-    regains its truncated final 0) or k - 1 (short).  Both tests read the
-    word's digits as two binary numbers, the 1s and the 2s, under masks.
-    Exactly one of the two candidate lengths fits at each cut.
-    """
-
-    def __init__(self, blocks: tuple[Block, ...]):
-        self.blocks = blocks
-        self.total = value("".join(b.word for b in blocks))
-        # per cut: (value past it, long digit count k, k-digit mask, bit of digit k)
-        self.levels = []
-        for i in range(1, len(blocks)):
-            rest = value("".join(b.word for b in blocks[i:]))
-            k = rest.bit_length()  # block words end in 2, so rest >= 2 and k >= 2
-            self.levels.append((rest, k, (1 << k) - 1, 1 << (k - 1)))
-
-    def factors(self, word: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        """(cuts, untruncated factors) of one expansion."""
-        if not self.blocks:
-            if word:
-                raise ValueError("nonempty word with empty block list")
-            return (), ()
-        ones, twos = digit_planes(word)
-        length = len(word)
-        # Each candidate length is the digit count of the remaining blocks'
-        # word, plus one in the long case.  So when the whole word and the
-        # part past a cut have the right values, so has the factor before
-        # the cut: one check of the whole value stands in for one per factor.
-        if self.levels and ones + 2 * twos != self.total:
-            raise AssertionError(f"no factor split of {word!r}")
-        nonzero = ones | twos
-        cuts: list[int] = []
-        factors: list[str] = []
-        start = 0
-        for rest, k, mask, lead in self.levels:
-            room = length - start
-            # At most one length fits: the k-digit suffix is worth the
-            # (k-1)-digit suffix plus d * 2^(k-1) for its nonzero leading
-            # digit d, so the two cannot both be worth rest.
-            if k < room and nonzero & lead and (ones & mask) + 2 * (twos & mask) == rest:
-                cut = length - k
-                factors.append(word[start:cut] + "0")
-            elif (
-                k <= room
-                and nonzero & lead >> 1
-                and (ones & mask >> 1) + 2 * (twos & mask >> 1) == rest
-            ):
-                cut = length - k + 1
-                factors.append(word[start:cut])
-            else:
-                raise AssertionError(f"no factor split of {word[start:]!r}")
-            cuts.append(cut)
-            start = cut
-        factors.append(word[start:])
-        return tuple(cuts), tuple(factors)
-
-
 def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
     """Build A(n) together with its embedding into the product of block paths.
 
-    The place of an arc is the factor that holds the ``2`` it rewrites:
-    index position + 1, or 0 for the leading ``2y -> 10y`` rule.
+    The graph is generated in product coordinates, so a vertex's factors
+    are its block states and an arc's place is the coordinate it steps.
     """
     if n % 2:
         raise ValueError(f"embed requires an even n, got {n}")
-    g = build_graph(n, limit)
-    dec = decompose(minimal_expansion(n))
-    finder = _CutFinder(dec.blocks)
-    cuts, factors = zip(*map(finder.factors, g.vertices))
-    place: dict[Arc, int] = {}
-    for arc in g.arcs:
-        j = 0 if arc.position == 0 and arc.label == Label.SINGLE else arc.position + 1
-        p = bisect_right(cuts[arc.tail], j)
-        fx, fy = factors[arc.tail], factors[arc.head]
-        if fx[p] == fy[p] or fx[:p] != fy[:p] or fx[p + 1 :] != fy[p + 1 :]:
-            raise AssertionError(f"arc {arc} does not change exactly factor {p + 1}")
-        place[arc] = p + 1
-    return PlacedGraph(graph=g, decomposition=dec, factors=factors, place=place)
+    level, _ = _walk(n, limit, factors=True)
+    g = _graph(n, level, "")
+    places = [place for _, _, steps, _ in level for *_, place in steps]
+    return PlacedGraph(
+        graph=g,
+        decomposition=decompose(minimal_expansion(n)),
+        factors=tuple(factors for *_, factors in level),
+        place=dict(zip(g.arcs, places)),
+    )
 
 
 def place_map(pg: PlacedGraph, arc: Arc) -> int:

@@ -147,7 +147,8 @@ def check_range(lo: int, hi: int) -> str | None:
     for n in range(lo, hi + 1):
         results = {name: fn(n) for name, fn in _B_ALGOS.items()}
         expected = results["rec"]
-        # up to 512 the graph is checked too, and its vertices are the enumeration
+        # the enumeration counts the admissible tuples of block states, the product
+        # count of the structure theorem; up to 512 the graph built from them is checked too
         g = graphs.build_graph(n) if n <= 512 else None
         results["enumeration"] = len(g.vertices if g else graphs.enumerate_expansions(n))
         bad = sorted(name for name, got in results.items() if got != expected)

@@ -3,6 +3,15 @@
 Vertices are the expansions in H(n) (shortlex-sorted, ids are positions in
 that order); arcs are the single-step reductions among them, labeled
 SINGLE (->) or DOUBLE (->>).  A completed graph is immutable.
+
+A(n) is generated as an induced subgraph of the Cartesian product of its
+blocks' path graphs (``_walk``): a vertex is an admissible tuple of block
+states, whose lexicographic order is the shortlex order of the words, and
+an arc steps one coordinate, to the vertex a fixed stride of ids on (the
+count of completions after the stepped state).  So the vertices come out
+in id order and the arcs in (tail, position) order, with no closure over
+words, no sort and no table of words; the vertex count is known, and
+checked against the limit, before anything is built.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import binary_expansion, minimal_expansion, render, validate_expansion
+from .words import BLOCKS, even_core, minimal_expansion, render, validate_expansion
 
 DEFAULT_LIMIT = 10**6
 
@@ -62,42 +71,106 @@ def single_step_reductions(w: str) -> list[tuple[str, str, int]]:
     return list(_children(validate_expansion(w)))
 
 
-def _closure(n: int, seed: str, limit: int, children: list | None = None) -> dict[str, int]:
-    """The closure of ``seed``, an expansion of n, as {word: discovery id}, breadth first.
+def _flags(block: str, s: int) -> tuple[bool, bool]:
+    """(long, ends in 0) of state s of a block; every block has len(block) + 1 states.
 
-    When ``children`` is given, each expanded word appends one list to it,
-    in discovery order: the (child id, label, position) of its children,
-    ascending in position.  Raises SizeLimitError on the first word
-    beyond ``limit``, the seed included.
+    A state is long when its word is longer than the block's.
     """
-    if limit < 1:
+    if block[0] == "1":
+        return s == len(block), s > 0
+    return s > 0, s == len(block)
+
+
+def _block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple | None]]:
+    """The path of one block's expansions, in closed form, from the block word on.
+
+    Each state is (word, long, ends in 0, step), ``step`` the (label, local
+    position) of the arc to the next state, None for the last.  The leading
+    ``2y -> 10y`` step rewrites the 0 before the block: local position -1,
+    or 0 for the first block.
+    """
+    lead = (Label.SINGLE, 0 if first else -1)
+    if block[0] == "1":  # 1^t 2: 1^(t-i) 2 0^i for i = 0..t, then 1 0^(t+1)
+        t = len(block) - 1
+        words = [block[i:] + "0" * i for i in range(t + 1)] + ["1" + "0" * (t + 1)]
+        steps = [(Label.DOUBLE, t - i - 1) for i in range(t)] + [lead, None]
+    else:  # 2^t: 2^t, then 1^i 0 2^(t-i) for i = 1..t
+        t = len(block)
+        words = [block] + ["1" * i + "0" + block[i:] for i in range(1, t + 1)]
+        steps = [lead] + [(Label.SINGLE, i) for i in range(1, t)] + [None]
+    return [(w, *_flags(block, s), step) for s, (w, step) in enumerate(zip(words, steps))]
+
+
+def _blocks(n: int) -> tuple[list[str], str]:
+    """The block words of the minimal expansion of n's even core, and n's trailing 1s."""
+    core, t = even_core(n)
+    return BLOCKS.findall(minimal_expansion(core)), "1" * t
+
+
+def _walk(
+    n: int, limit: int, lower: list[int] | None = None, factors: bool = False
+) -> tuple[list[tuple], str]:
+    """The admissible tuples of block states at or above ``lower``, in id order.
+
+    A vertex is a tuple x_1 ... x_k of block states, admissible when every
+    long x_p (p >= 2) follows an x_(p-1) that ends in 0; its word joins
+    the state words, each dropping its final 0 before a long state.
+    Lexicographic order of the tuples is shortlex order of the words, so
+    extending every prefix by the states of the next block in turn, level
+    by level, emits the vertices in id order.  The arc x_p -> x_p + 1 goes
+    C ids on, C the count of completions after x_p (which depends only on
+    whether x_p ends in 0); its place is p, and it rewrites the digit
+    r places from the end of the core word, r fixed by p and x_p.
+
+    Returns one (core word, ends in 0, arc steps, state words) per vertex,
+    the state words only with ``factors``, and n's trailing 1s.  Raises
+    SizeLimitError, before any state word is made, when there are more
+    than ``limit`` tuples.
+    """
+    blocks, ones = _blocks(n)
+    lower = lower or [0] * len(blocks)
+    # counts[p][e]: the admissible completions from block p on, after a state that ends
+    # in 0 iff e, capped above ``limit`` so that a refused n costs no big ints (every
+    # count in use is at most the vertex count)
+    counts = [(1, 1)]
+    for block, lo in zip(reversed(blocks), reversed(lower)):
+        after, count = counts[-1], [0, 0]
+        for s in range(lo, len(block) + 1):
+            long, zero = _flags(block, s)
+            count[0] += 0 if long else after[zero]
+            count[1] += after[zero]
+        counts.append(tuple(min(c, limit + 1) for c in count))
+    counts.reverse()
+    if counts[0][1] > limit:
         raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
-    ids = {seed: 0}
-    words = list(ids)
-    for w in words:
-        out = []
-        for child, label, pos in _children(w):
-            cid = ids.get(child)
-            if cid is None:
-                if len(words) >= limit:
-                    raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
-                cid = ids[child] = len(words)
-                words.append(child)
-            out.append((cid, label, pos))
-        if children is not None:
-            children.append(out)
-    return ids
-
-
-def _shortlex_sorted(words) -> list[str]:
-    out = sorted(words)
-    out.sort(key=len)  # stable: equal lengths keep lexicographic order
-    return out
+    level = [("", True, (), ())]
+    width = sum(map(len, blocks))  # of the blocks after p
+    for p, (block, lo) in enumerate(zip(blocks, lower)):
+        width -= len(block)
+        states = _block_states(block, p == 0)
+        rows = ([], [])  # rows[e]: the states, and their arcs, after one that ends in 0 iff e
+        for s in range(lo, len(states)):
+            w, long, zero, step = states[s]
+            for e in (0, 1) if not long else (1,):
+                arc = ()
+                if step and (e or not states[s + 1][1]):
+                    # x_p ... x_k take width + len(w) digits: a final 0 that x_p
+                    # drops comes back as the extra digit of the long x_(p+1)
+                    label, local = step
+                    arc = ((counts[p + 1][zero], label, width + len(w) - local, p + 1),)
+                rows[e].append((w, long and p > 0, zero, arc, (w,) if factors else ()))
+        level = [
+            (word[:-1] + w if drop else word + w, zero, arcs + arc, words + factor)
+            for word, e, arcs, words in level
+            for w, drop, zero, arc, factor in rows[e]
+        ]
+    return level, ones
 
 
 def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
-    """H(n) in shortlex order, as the reduction closure of the minimal expansion."""
-    return _shortlex_sorted(_closure(n, minimal_expansion(n), limit))
+    """H(n) in shortlex order: the words of the admissible tuples of block states."""
+    level, ones = _walk(n, limit)
+    return [word + ones for word, *_ in level]
 
 
 @dataclass(frozen=True)
@@ -137,36 +210,27 @@ class HbGraph:
 
 
 def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
-    """Construct A(n) by breadth-first closure from the minimal expansion.
+    """Construct A(n) from the admissible tuples of its blocks' states.
 
-    Each vertex is expanded once; its children are kept as discovery ids
-    and remapped to shortlex ranks.  Children come in ascending position,
-    so the arcs come out in (tail, position) order without a sort.
+    ``_walk`` gives the vertices in shortlex (id) order, lexicographic
+    order of the tuples, and each vertex's arcs as coordinate steps in
+    ascending place and so in ascending position: head = tail + the
+    stride of the step.  Raises SizeLimitError before building anything
+    when A(n) has more than ``limit`` vertices.
     """
-    return _closed_graph(n, minimal_expansion(n), limit)
+    return _graph(n, *_walk(n, limit))
 
 
-def _closed_graph(n: int, seed: str, limit: int) -> HbGraph:
-    """The graph on the reduction closure of ``seed``, as ``build_graph`` describes."""
-    children: list[list[tuple[int, str, int]]] = []
-    ids = _closure(n, seed, limit, children)
-    verts = _shortlex_sorted(ids)
-    rank = [0] * len(verts)
-    for r, w in enumerate(verts):
-        rank[ids[w]] = r
-    arcs = []
-    for r, w in enumerate(verts):
-        i = ids[w]
-        arcs += [Arc(r, rank[cid], label, pos) for cid, label, pos in children[i]]
-        children[i] = None  # the arcs reuse the memory of the freed child records
-    # the binary expansion is reachable from every expansion of n
-    return HbGraph(
-        n=n,
-        vertices=tuple(verts),
-        arcs=tuple(arcs),
-        source=rank[0],
-        sink=rank[ids[binary_expansion(n)]],
+def _graph(n: int, level: list, ones: str) -> HbGraph:
+    """The graph on the vertices ``_walk`` returned; the last is the binary expansion."""
+    ids = list(range(len(level)))  # the arcs share these int objects, not one per head
+    arcs = tuple(
+        Arc(v, ids[v + stride], label, len(word) - r)
+        for v, (word, _, steps, _) in zip(ids, level)
+        for stride, label, r, _ in steps
     )
+    vertices = tuple(word + ones for word, *_ in level)
+    return HbGraph(n=n, vertices=vertices, arcs=arcs, source=0, sink=len(vertices) - 1)
 
 
 def counts(g: HbGraph) -> tuple[int, int, int]:
@@ -179,12 +243,23 @@ def counts(g: HbGraph) -> tuple[int, int, int]:
 def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
     """Induced subgraph on ``start`` and everything reachable from it.
 
-    That is the graph on the closure of ``start``'s word: the reductions
-    of a descendant are descendants, so the closure's arcs are the induced ones.
+    Every arc steps one block coordinate up, and every admissible tuple at
+    or above ``start``'s coordinatewise is reached from it, so this is the
+    graph of the tuples whose coordinates are bounded below by ``start``'s.
     """
     if not 0 <= start < len(g.vertices):
         raise ValueError(f"unknown vertex id {start}")
-    return _closed_graph(g.n, g.vertices[start], len(g.vertices))
+    blocks, _ = _blocks(g.n)
+    word, lower, at = g.vertices[start], [], 0
+    for p, block in enumerate(blocks):
+        # the one state whose word, less a final 0 dropped before a long state, starts here
+        for s, (w, _, zero, _) in enumerate(_block_states(block, p == 0)):
+            if word.startswith(w[:-1] if zero else w, at):
+                break
+        lower.append(s)
+        # the 0 was dropped iff the digit in its place is the long next state's leading 1
+        at += len(w) - (zero and word[at + len(w) - 1] == "1")
+    return _graph(g.n, *_walk(g.n, len(g.vertices), lower))
 
 
 def export_dot(g: HbGraph, place: dict[Arc, int] | None = None) -> str:

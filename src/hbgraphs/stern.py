@@ -61,43 +61,32 @@ def _lanes(x: int) -> tuple[int, int]:
 
 
 def b_recursive(n: int) -> int:
-    """b(0)=1, b(2n+1)=b(n), b(2n+2)=b(n+1)+b(n); explicit stack, memo per call.
+    """b(0)=1, b(2n+1)=b(n), b(2n+2)=b(n+1)+b(n), on the arguments the recursion meets.
 
     Every argument the recursion meets is (n >> k) - d with d in {0, 1},
-    so the memo is a list indexed by 2k + d and parity is read off the
-    bit string: no big int is shifted or hashed.
+    and it is odd iff bit k of n differs from d.  A pass down the levels k
+    marks the d the recursion meets at each; a pass back up evaluates
+    them, keeping only the level below, which nothing above it reads
+    again.  So two levels of big ints are held at a time, not a memo of
+    all of them, whose size is quadratic in the bit length.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    bits = format(n, "b") if n else ""
+    bits = format(n, "b")[::-1] if n else ""  # bits[k] is bit k of n
     top = len(bits)
-    memo: list[int | None] = [None] * (2 * top + 1)
-    memo[2 * top] = 1  # n >> top == 0
-    if top:
-        memo[2 * top - 1] = 1  # (n >> (top - 1)) - 1 == 0
-    stack = [0]
-    while stack:
-        key = stack[-1]
-        if memo[key] is not None:
-            stack.pop()
-            continue
-        k, d = key >> 1, key & 1
-        if (bits[top - 1 - k] == "1") != d:  # odd: b(2p+1) = b(p), p = (n >> k+1) - d
-            p = key + 2
-            if memo[p] is not None:
-                memo[key] = memo[p]
-                stack.pop()
-            else:
-                stack.append(p)
-        else:  # even: b(2p+2) = b(p+1) + b(p), p + 1 = n >> k+1
-            p, q = 2 * k + 2, 2 * k + 3
-            pending = [x for x in (p, q) if memo[x] is None]
-            if pending:
-                stack.extend(pending)
-            else:
-                memo[key] = memo[p] + memo[q]
-                stack.pop()
-    return memo[0]
+    need = bytearray(top + 1)  # bit d of need[k] set: the recursion meets (n >> k) - d
+    need[0] = 1
+    for k in range(top - 1):
+        for d in (0, 1):
+            if need[k] >> d & 1:  # odd: b(p) at d; even: b(p + 1) + b(p) at both
+                need[k + 1] |= 1 << d if (bits[k] == "1") != d else 3
+    below = [1, 1]  # (n >> top - 1) - d is 1 - d, and b(1) = b(0) = 1
+    for k in range(top - 2, -1, -1):
+        below = [
+            (below[d] if (bits[k] == "1") != d else below[0] + below[1]) if need[k] >> d & 1 else None
+            for d in (0, 1)
+        ]
+    return below[0]
 
 
 def b_matrix(n: int) -> int:

@@ -4,8 +4,8 @@ The enumeration oracle builds H(n) by recursion on the last digit of a
 word, without touching the single-step-reduction machinery it is used to
 check; the arc oracle reads the reductions off those words by scanning
 for their patterns.  The factor oracle splits an expansion into block
-factors by string slicing and digit values, without the cut finder of
-``blocks.embed``.  The decomposition oracle scans a minimal expansion for
+factors by string slicing and digit values, without the block states
+of ``blocks.embed``.  The decomposition oracle scans a minimal expansion for
 its blocks one digit at a time, without the block pattern of ``words``.
 The (b, v) oracle runs the classical recursions on an
 explicit stack, without the digit pass of ``stern.b_and_a``.  The b and
@@ -18,14 +18,17 @@ and single breadth-first pass of ``iso.labeled_iso``.  The export oracles
 build a dict per arc and encode the document with ``json.dumps``, and
 render both ends of every DOT arc.  The descendants oracle walks a built
 graph's out-arcs and re-indexes the induced subgraph, without the
-reduction closure of ``graphs.descendants_subgraph``.
+coordinate bounds of ``graphs.descendants_subgraph``.  The closure oracle
+builds A(n), or the descendants of any expansion, by applying the single
+step reductions breadth first from a seed word and sorting the words it
+finds, without the block states of ``graphs.build_graph``.
 """
 
 import json
 from functools import lru_cache
 
-from hbgraphs.graphs import Arc, HbGraph, Label
-from hbgraphs.words import shortlex_key
+from hbgraphs.graphs import Arc, HbGraph, Label, SizeLimitError, _children
+from hbgraphs.words import binary_expansion, shortlex_key
 
 
 @lru_cache(maxsize=None)
@@ -351,3 +354,63 @@ def oracle_export_dot(g, place=None) -> str:
         lines.append(f'  "{tail}" -> "{head}" [{attrs}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _oracle_closure(n: int, seed: str, limit: int, children: list | None = None) -> dict[str, int]:
+    """The closure of ``seed``, an expansion of n, as {word: discovery id}, breadth first.
+
+    When ``children`` is given, each expanded word appends one list to it,
+    in discovery order: the (child id, label, position) of its children,
+    ascending in position.  Raises SizeLimitError on the first word
+    beyond ``limit``, the seed included.
+    """
+    if limit < 1:
+        raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
+    ids = {seed: 0}
+    words = list(ids)
+    for w in words:
+        out = []
+        for child, label, pos in _children(w):
+            cid = ids.get(child)
+            if cid is None:
+                if len(words) >= limit:
+                    raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
+                cid = ids[child] = len(words)
+                words.append(child)
+            out.append((cid, label, pos))
+        if children is not None:
+            children.append(out)
+    return ids
+
+
+def _oracle_shortlex_sorted(words) -> list[str]:
+    out = sorted(words)
+    out.sort(key=len)  # stable: equal lengths keep lexicographic order
+    return out
+
+
+def oracle_closure_graph(n: int, seed: str, limit: int) -> HbGraph:
+    """The graph on the reduction closure of ``seed``, ids in shortlex order.
+
+    With the minimal expansion of n as ``seed`` it is A(n); with any vertex
+    of A(n) it is that vertex's descendants subgraph.
+    """
+    children: list[list[tuple[int, str, int]]] = []
+    ids = _oracle_closure(n, seed, limit, children)
+    verts = _oracle_shortlex_sorted(ids)
+    rank = [0] * len(verts)
+    for r, w in enumerate(verts):
+        rank[ids[w]] = r
+    arcs = []
+    for r, w in enumerate(verts):
+        i = ids[w]
+        arcs += [Arc(r, rank[cid], label, pos) for cid, label, pos in children[i]]
+        children[i] = None  # the arcs reuse the memory of the freed child records
+    # the binary expansion is reachable from every expansion of n
+    return HbGraph(
+        n=n,
+        vertices=tuple(verts),
+        arcs=tuple(arcs),
+        source=rank[0],
+        sink=rank[ids[binary_expansion(n)]],
+    )

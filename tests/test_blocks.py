@@ -14,7 +14,6 @@ from conftest import (
 from hbgraphs.blocks import (
     Block,
     BlockKind,
-    _CutFinder,
     decompose,
     embed,
     is_checking_path,
@@ -134,11 +133,6 @@ def test_embed_edge_cases():
         embed(21)
 
 
-def test_factor_tuple_rejects_garbage():
-    with pytest.raises(ValueError):
-        _CutFinder(()).factors("12")
-
-
 def assert_embed_matches_oracle(n):
     pg = embed(n)
     blocks = pg.decomposition.blocks
@@ -158,17 +152,6 @@ def test_embed_matches_split_oracle_random(half):
     n = 2 * half
     assume(b_matrix(n) <= 2000)
     assert_embed_matches_oracle(n)
-
-
-def test_factor_tuple_agrees_with_oracle():
-    blocks = decompose(minimal_expansion(42)).blocks
-    for w in oracle_expansions(42):
-        assert _CutFinder(blocks).factors(w)[1] == oracle_factors(w, blocks)
-    for garbage in ("2", "1000", "222", "10102"):
-        with pytest.raises(AssertionError):
-            _CutFinder(blocks).factors(garbage)[1]
-        with pytest.raises(AssertionError):
-            oracle_factors(garbage, blocks)
 
 
 def test_place_map_examples():

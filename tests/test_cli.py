@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import hbgraphs
@@ -127,6 +128,17 @@ def test_graph_limit_exit_code():
         status, out, err = invoke("graph", "--n", n, "--limit", limit)
         assert status == EXIT_LIMIT
         assert out == "" and "aborted" in err
+
+
+def test_huge_graph_is_refused_before_any_vertex_is_built():
+    # binary (10)^60: b(n) is about 10^25, so the count alone must refuse it
+    n = "0b" + "10" * 60
+    message = f"aborted: |H({int(n, 2)})| exceeds limit 1000000\n"
+    for argv in (("graph", "--n", n), ("iso", "--m", n, "--n", "10", "--structural")):
+        start = time.perf_counter()
+        status, out, err = invoke(*argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (status, out, err) == (EXIT_LIMIT, "", message), argv
 
 
 def test_closed_stdout_exits_quietly():

@@ -5,11 +5,15 @@ from hypothesis import strategies as st
 from conftest import (
     cached_graph,
     oracle_arcs,
+    oracle_closure_graph,
     oracle_descendants,
     oracle_expansions,
     oracle_export_dot,
     oracle_export_json,
+    oracle_factors,
+    oracle_places,
 )
+from hbgraphs.blocks import embed
 from hbgraphs.graphs import (
     Label,
     SizeLimitError,
@@ -22,7 +26,7 @@ from hbgraphs.graphs import (
     single_step_reductions,
 )
 from hbgraphs.stern import b_matrix
-from hbgraphs.words import weight
+from hbgraphs.words import minimal_expansion, weight
 
 
 def arcs_as_words(g):
@@ -224,3 +228,42 @@ def test_branching_iff_cyclomatic(n):
     _, _, v_count = counts(g)
     branching = any(len(g.out_arcs(v)) >= 2 for v in range(len(g.vertices)))
     assert branching == (v_count >= 1)
+
+
+def assert_generated_matches_closure(n, starts):
+    """A(n), H(n), the descendants of ``starts`` and (n even) the embedding, against the oracles."""
+    g = build_graph(n)
+    b = len(g.vertices)
+    assert g == oracle_closure_graph(n, minimal_expansion(n), b), n
+    assert enumerate_expansions(n) == list(g.vertices), n
+    for v in starts:
+        assert descendants_subgraph(g, v) == oracle_closure_graph(n, g.vertices[v], b), (n, v)
+    if n % 2 == 0:
+        pg = embed(n)
+        assert pg.graph == g, n
+        blocks = pg.decomposition.blocks
+        assert pg.factors == tuple(oracle_factors(w, blocks) for w in g.vertices), n
+        assert pg.place == oracle_places(pg), n
+
+
+def n_from_runs(runs):
+    """The number of at most 40 bits whose binary digits are runs of 1s and 0s of these lengths."""
+    return int("".join(str(1 - i % 2) * r for i, r in enumerate(runs))[:40], 2)
+
+
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=10)
+    .map(n_from_runs)
+    .filter(lambda n: b_matrix(n) <= 3000),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_generator_matches_closure_oracle(n, data):
+    b = b_matrix(n)
+    starts = data.draw(st.lists(st.integers(0, b - 1), min_size=1, max_size=3))
+    assert_generated_matches_closure(n, starts + [0, b - 1])
+
+
+def test_generator_matches_closure_oracle_at_b_10946():
+    assert b_matrix(699050) == 10946
+    assert_generated_matches_closure(699050, [1, 5000, 10945])

@@ -153,6 +153,19 @@ def test_evaluators_hold_no_memory_between_calls():
         assert held < 0.1 * 2**20, f"{fn.__name__} holds {held} bytes"
 
 
+def test_b_recursive_peak_memory_is_not_quadratic():
+    # a memo of every level of a 16k-bit n holds about 10 MB of big ints
+    n = random.Random("peak").getrandbits(16384) | 1 << 16383
+    tracemalloc.start()
+    try:
+        got = b_recursive(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"b_recursive peaked at {peak} bytes"
+    assert got == b_matrix(n)
+
+
 @given(st.integers(0, 2048))
 @settings(max_examples=120, deadline=None)
 def test_five_way_agreement(n):
