@@ -1,9 +1,6 @@
 """Graphs of hyperbinary expansions and Stern-sequence algorithms."""
 
 from .blocks import (
-    Block,
-    BlockDecomposition,
-    BlockKind,
     PlacedGraph,
     decompose,
     embed,

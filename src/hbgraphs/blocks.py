@@ -1,10 +1,11 @@
-"""Block decomposition and the Cartesian-product view of A(n).
+"""The Cartesian-product view of A(n): embedding, place map, checking paths.
 
-A minimal expansion of an even number factors uniquely into blocks
-1^t 2 (type 1) and 2^t (type 2), with no two consecutive type-2 blocks;
-odd numbers carry an extra tail of 1s.  A(n) embeds as an induced
-subgraph into the Cartesian product of the path graphs of its blocks,
-which yields the place map, place-preserving maps and checking paths.
+A minimal expansion of an even number factors uniquely into the block
+words 1^t 2 (type 1) and 2^t (type 2), with no two consecutive type-2
+blocks (``words.decompose``, re-exported here); odd numbers carry an
+extra tail of 1s.  A(n) embeds as an induced subgraph into the Cartesian
+product of the path graphs of its blocks, which yields the place map,
+place-preserving maps and checking paths.
 
 Every expansion is one tuple of block states, its factors, and every arc
 steps one of them: ``graphs`` generates A(n) in these coordinates, so
@@ -14,64 +15,11 @@ off the generator and finds no cuts in any word.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import DEFAULT_LIMIT, Arc, HbGraph, _graph, _walk, build_graph
-from .words import BLOCKS, minimal_expansion, validate_word, value
-
-
-class BlockKind(enum.Enum):
-    TYPE1 = 1  # the word 1^t 2
-    TYPE2 = 2  # the word 2^t
-
-
-@dataclass(frozen=True)
-class Block:
-    kind: BlockKind
-    t: int
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("block parameter t must be >= 1")
-
-    @property
-    def word(self) -> str:
-        if self.kind is BlockKind.TYPE1:
-            return "1" * self.t + "2"
-        return "2" * self.t
-
-    @property
-    def word_length(self) -> int:
-        return self.t + 1 if self.kind is BlockKind.TYPE1 else self.t
-
-    @property
-    def value(self) -> int:
-        return value(self.word)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[Block, ...]
-    trailing_ones: int
-
-    @property
-    def word(self) -> str:
-        return "".join(b.word for b in self.blocks) + "1" * self.trailing_ones
-
-
-def decompose(w: str) -> BlockDecomposition:
-    """Unique block decomposition of a minimal expansion (digits in {1,2})."""
-    validate_word(w)
-    if "0" in w:
-        raise ValueError(f"not a minimal expansion (contains 0): {w!r}")
-    core = w.rstrip("1")
-    blocks = tuple(
-        Block(BlockKind.TYPE1, len(m) - 1) if m[0] == "1" else Block(BlockKind.TYPE2, len(m))
-        for m in BLOCKS.findall(core)
-    )
-    return BlockDecomposition(blocks, len(w) - len(core))
+from .words import decompose, minimal_expansion, value
 
 
 def path_order(g: HbGraph) -> list[int]:
@@ -88,13 +36,13 @@ def path_order(g: HbGraph) -> list[int]:
 @dataclass(frozen=True)
 class PlacedGraph:
     graph: HbGraph
-    decomposition: BlockDecomposition
+    blocks: tuple[str, ...]  # the block words of n's minimal expansion
     factors: tuple[tuple[str, ...], ...]  # per-vertex factor tuple, untruncated
     place: dict[Arc, int]  # 1-based block index of each arc
 
     @cached_property
     def block_graphs(self) -> tuple[HbGraph, ...]:
-        return tuple(build_graph(b.value) for b in self.decomposition.blocks)
+        return tuple(build_graph(value(b)) for b in self.blocks)
 
 
 def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
@@ -110,7 +58,7 @@ def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
     places = [place for _, _, steps, _ in level for *_, place in steps]
     return PlacedGraph(
         graph=g,
-        decomposition=decompose(minimal_expansion(n)),
+        blocks=decompose(minimal_expansion(n))[0],
         factors=tuple(factors for *_, factors in level),
         place=dict(zip(g.arcs, places)),
     )
@@ -169,6 +117,8 @@ def place_preserving_through_path(
     if not path:
         if start is None:
             raise ValueError("empty path requires a start vertex")
+        if not 0 <= start < len(g.vertices):
+            raise ValueError(f"unknown vertex id {start}")
         return {a: a for a in g.out_arcs(start)}
     current = {a: a for a in g.out_arcs(path[0].tail)}
     for e in path:

@@ -15,10 +15,10 @@ import argparse
 import os
 import sys
 
-from . import blocks, graphs, iso, stern
+from . import graphs, iso, stern
 from .graphs import DEFAULT_LIMIT, SizeLimitError
 from .iso import DEFAULT_BUDGET, BudgetExceeded
-from .words import minimal_expansion, render
+from .words import decompose, minimal_expansion, render
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -120,10 +120,10 @@ def _cmd_graph(args, out) -> int:
 
 
 def _cmd_decompose(args, out) -> int:
-    dec = blocks.decompose(minimal_expansion(args.n))
-    for block in dec.blocks:
-        print(f"T{block.kind.value} t={block.t}", file=out)
-    print(f"tail=1^{dec.trailing_ones}", file=out)
+    blocks, ones = decompose(minimal_expansion(args.n))
+    for b in blocks:
+        print(f"T1 t={len(b) - 1}" if b[0] == "1" else f"T2 t={len(b)}", file=out)
+    print(f"tail=1^{ones}", file=out)
     return EXIT_OK
 
 

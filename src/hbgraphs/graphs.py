@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import BLOCKS, even_core, minimal_expansion, render, validate_expansion
+from .words import decompose, minimal_expansion, render, validate_expansion
 
 DEFAULT_LIMIT = 10**6
 
@@ -101,12 +101,6 @@ def _block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple 
     return [(w, *_flags(block, s), step) for s, (w, step) in enumerate(zip(words, steps))]
 
 
-def _blocks(n: int) -> tuple[list[str], str]:
-    """The block words of the minimal expansion of n's even core, and n's trailing 1s."""
-    core, t = even_core(n)
-    return BLOCKS.findall(minimal_expansion(core)), "1" * t
-
-
 def _walk(
     n: int, limit: int, lower: list[int] | None = None, factors: bool = False
 ) -> tuple[list[tuple], str]:
@@ -127,7 +121,7 @@ def _walk(
     SizeLimitError, before any state word is made, when there are more
     than ``limit`` tuples.
     """
-    blocks, ones = _blocks(n)
+    blocks, ones = decompose(minimal_expansion(n))
     lower = lower or [0] * len(blocks)
     # counts[p][e]: the admissible completions from block p on, after a state that ends
     # in 0 iff e, capped above ``limit`` so that a refused n costs no big ints (every
@@ -164,7 +158,7 @@ def _walk(
             for word, e, arcs, words in level
             for w, drop, zero, arc, factor in rows[e]
         ]
-    return level, ones
+    return level, "1" * ones
 
 
 def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
@@ -249,7 +243,7 @@ def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
     """
     if not 0 <= start < len(g.vertices):
         raise ValueError(f"unknown vertex id {start}")
-    blocks, _ = _blocks(g.n)
+    blocks, _ = decompose(minimal_expansion(g.n))
     word, lower, at = g.vertices[start], [], 0
     for p, block in enumerate(blocks):
         # the one state whose word, less a final 0 dropped before a long state, starts here

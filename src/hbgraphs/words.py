@@ -4,6 +4,11 @@ A word is represented as a plain ``str`` of the characters ``0``, ``1``,
 ``2``, most significant digit first.  The empty string is the (unique)
 expansion of 0.  A word is a *hyperbinary expansion* when it is empty or
 its leading digit is nonzero.
+
+A block is a word too: ``decompose`` cuts a minimal expansion into the
+block words 1^t 2 and 2^t of the paper's structure theorem.  ``BLOCKS``
+is the one copy of the block grammar; ``stern`` cuts its leaves with it,
+and ``graphs`` and ``blocks`` take their block words from ``decompose``.
 """
 
 from __future__ import annotations
@@ -132,6 +137,18 @@ def length_class(w: str) -> LengthClass:
     if len(w) == bin_len - 1:
         return LengthClass.SHORT
     raise ValueError(f"impossible expansion length for {w!r}")
+
+
+def decompose(w: str) -> tuple[tuple[str, ...], int]:
+    """(block words, count of trailing 1s) of a minimal expansion (digits in {1,2}).
+
+    The block 1^t 2 is type 1 and 2^t type 2; the word is their
+    concatenation followed by the trailing 1s.
+    """
+    if "0" in validate_word(w):
+        raise ValueError(f"not a minimal expansion (contains 0): {w!r}")
+    core = w.rstrip("1")
+    return tuple(BLOCKS.findall(core)), len(w) - len(core)
 
 
 def render(w: str) -> str:

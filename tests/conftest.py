@@ -102,8 +102,8 @@ def oracle_factors(word: str, blocks) -> tuple[str, ...]:
         return ()
     if len(blocks) == 1:
         return (word,)
-    rest_word = "".join(b.word for b in blocks[1:])
-    first, rest = _oracle_split(word, oracle_value(blocks[0].word), oracle_value(rest_word))
+    rest_word = "".join(blocks[1:])
+    first, rest = _oracle_split(word, oracle_value(blocks[0]), oracle_value(rest_word))
     return (first,) + oracle_factors(rest, blocks[1:])
 
 
@@ -134,7 +134,7 @@ def oracle_decompose(w: str) -> tuple[tuple[tuple[int, int], ...], int]:
 
 def oracle_places(pg) -> dict:
     """Each arc's 1-based place: the one factor that differs between its ends."""
-    factors = [oracle_factors(w, pg.decomposition.blocks) for w in pg.graph.vertices]
+    factors = [oracle_factors(w, pg.blocks) for w in pg.graph.vertices]
     place = {}
     for arc in pg.graph.arcs:
         fx, fy = factors[arc.tail], factors[arc.head]

@@ -12,8 +12,6 @@ from conftest import (
     oracle_places,
 )
 from hbgraphs.blocks import (
-    Block,
-    BlockKind,
     decompose,
     embed,
     is_checking_path,
@@ -33,27 +31,10 @@ def arc(g, tail, head):
     return g.arc(g.index[tail], g.index[head])
 
 
-def test_block_words():
-    assert Block(BlockKind.TYPE1, 3).word == "1112"
-    assert Block(BlockKind.TYPE2, 2).word == "22"
-    assert Block(BlockKind.TYPE1, 1).word_length == 2
-    assert Block(BlockKind.TYPE2, 4).word_length == 4
-    with pytest.raises(ValueError):
-        Block(BlockKind.TYPE1, 0)
-
-
 def test_decompose_examples():
-    dec = decompose("12122")
-    assert [(b.kind, b.t) for b in dec.blocks] == [
-        (BlockKind.TYPE1, 1),
-        (BlockKind.TYPE1, 1),
-        (BlockKind.TYPE2, 1),
-    ]
-    assert dec.trailing_ones == 0
-    assert decompose("1").blocks == ()
-    assert decompose("1").trailing_ones == 1
-    dec = decompose("122")
-    assert [(b.kind, b.t) for b in dec.blocks] == [(BlockKind.TYPE1, 1), (BlockKind.TYPE2, 1)]
+    assert decompose("12122") == (("12", "12", "2"), 0)
+    assert decompose("1") == ((), 1)
+    assert decompose("122") == (("12", "2"), 0)
     assert value("12") == 4 and value("2") == 2
 
 
@@ -65,32 +46,32 @@ def test_decompose_rejects_zero_digit():
 @given(st.integers(0, 10**5))
 def test_decompose_roundtrip(n):
     w = minimal_expansion(n)
-    dec = decompose(w)
-    assert dec.word == w
-    assert (dec.trailing_ones == 0) == (n % 2 == 0)
-    for first, second in zip(dec.blocks, dec.blocks[1:]):
-        assert not (first.kind is BlockKind.TYPE2 and second.kind is BlockKind.TYPE2)
+    blocks, ones = decompose(w)
+    assert "".join(blocks) + "1" * ones == w
+    assert (ones == 0) == (n % 2 == 0)
+    for first, second in zip(blocks, blocks[1:]):
+        assert not (first[0] == "2" and second[0] == "2")
 
 
 def test_decompose_matches_scan_oracle():
     for n in range(2**15):
         w = minimal_expansion(n)
-        dec = decompose(w)
-        blocks = tuple((b.kind.value, b.t) for b in dec.blocks)
-        assert (blocks, dec.trailing_ones) == oracle_decompose(w), n
+        words, ones = decompose(w)
+        blocks = tuple((1, len(b) - 1) if b[0] == "1" else (2, len(b)) for b in words)
+        assert (blocks, ones) == oracle_decompose(w), n
 
 
 def test_block_path_graphs():
-    g = build_graph(Block(BlockKind.TYPE1, 1).value)
+    g = build_graph(value("12"))
     order = path_order(g)
     assert [g.vertices[v] for v in order] == ["12", "20", "100"]
     labels = [g.arc(order[i], order[i + 1]).label for i in range(len(order) - 1)]
     assert labels == [Label.DOUBLE, Label.SINGLE]
 
-    g = build_graph(Block(BlockKind.TYPE2, 1).value)
+    g = build_graph(value("2"))
     assert [g.vertices[v] for v in path_order(g)] == ["2", "10"]
 
-    g = build_graph(Block(BlockKind.TYPE2, 3).value)
+    g = build_graph(value("222"))
     order = path_order(g)
     assert [g.vertices[v] for v in order] == ["222", "1022", "1102", "1110"]
     assert all(a.label == Label.SINGLE for a in g.arcs)
@@ -98,12 +79,12 @@ def test_block_path_graphs():
 
 def test_block_path_graph_shape():
     for t in range(1, 6):
-        g1 = build_graph(Block(BlockKind.TYPE1, t).value)
+        g1 = build_graph(value("1" * t + "2"))
         chain = path_order(g1)
         assert len(chain) == t + 2
         labels = [g1.arc(chain[i], chain[i + 1]).label for i in range(t + 1)]
         assert labels == [Label.DOUBLE] * t + [Label.SINGLE]
-        g2 = build_graph(Block(BlockKind.TYPE2, t).value)
+        g2 = build_graph(value("2" * t))
         assert len(path_order(g2)) == t + 1
         assert all(a.label == Label.SINGLE for a in g2.arcs)
 
@@ -123,7 +104,7 @@ def test_embed_a10():
 
 def test_embed_edge_cases():
     pg = cached_embed(0)
-    assert pg.decomposition.blocks == ()
+    assert pg.blocks == ()
     assert pg.factors == ((),)
     pg20 = cached_embed(20)
     assert len(pg20.factors) == 8
@@ -135,7 +116,7 @@ def test_embed_edge_cases():
 
 def assert_embed_matches_oracle(n):
     pg = embed(n)
-    blocks = pg.decomposition.blocks
+    blocks = pg.blocks
     assert pg.factors == tuple(oracle_factors(w, blocks) for w in pg.graph.vertices), n
     assert pg.place == oracle_places(pg), n
     assert export_dot(pg.graph, pg.place) == oracle_export_dot(pg.graph, pg.place), n
@@ -189,6 +170,9 @@ def test_place_preserving_through_path():
         place_preserving_through_path(pg, [e2, e1])
     with pytest.raises(ValueError):
         place_preserving_through_path(pg, [])
+    for start in (-1, -5, len(g.vertices)):
+        with pytest.raises(ValueError, match="unknown vertex id"):
+            place_preserving_through_path(pg, [], start=start)
 
 
 def test_checking_path_fixtures():
@@ -261,15 +245,15 @@ def _factor_steps(pg, vid):
 @pytest.mark.parametrize("n", range(0, 200, 2))
 def test_constraints_never_violated(n):
     pg = cached_embed(n)
-    blocks = pg.decomposition.blocks
+    blocks = pg.blocks
     lasts = [len(path_order(bg)) - 1 for bg in pg.block_graphs]
     for vid in range(len(pg.graph.vertices)):
         steps = _factor_steps(pg, vid)
         for i in range(len(blocks) - 1):
-            k1, k2 = blocks[i].kind, blocks[i + 1].kind
-            if k1 is BlockKind.TYPE1 and k2 is BlockKind.TYPE2:
+            k1, k2 = blocks[i][0], blocks[i + 1][0]  # "1" for type 1, "2" for type 2
+            if k1 == "1" and k2 == "2":
                 assert not (steps[i] == 0 and steps[i + 1] >= 1)
-            elif k1 is BlockKind.TYPE1 and k2 is BlockKind.TYPE1:
+            elif k1 == "1" and k2 == "1":
                 assert not (steps[i] == 0 and steps[i + 1] == lasts[i + 1])
             else:  # TYPE2 then TYPE1
                 assert not (steps[i] < lasts[i] and steps[i + 1] == lasts[i + 1])
@@ -278,9 +262,9 @@ def test_constraints_never_violated(n):
 @pytest.mark.parametrize("n", range(2, 200, 2))
 def test_descendant_factorization(n):
     pg = cached_embed(n)
-    blocks = pg.decomposition.blocks
-    rest = "".join(b.word for b in blocks[1:])
-    start_word = binary_expansion(blocks[0].value) + rest
+    blocks = pg.blocks
+    rest = "".join(blocks[1:])
+    start_word = binary_expansion(value(blocks[0])) + rest
     g = pg.graph
     from hbgraphs.graphs import descendants_subgraph
 

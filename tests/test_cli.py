@@ -7,6 +7,7 @@ from decimal import Decimal
 
 import hbgraphs
 
+from conftest import oracle_decompose
 from hbgraphs import cli
 from hbgraphs.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -19,6 +20,7 @@ from hbgraphs.cli import (
     run,
 )
 from hbgraphs.stern import b_matrix
+from hbgraphs.words import minimal_expansion
 
 
 def invoke(*argv):
@@ -82,6 +84,16 @@ def test_decompose():
     assert status == EXIT_OK
     assert out == "T1 t=1\nT1 t=1\nT2 t=1\ntail=1^0\n"
     assert invoke("decompose", "--n", "21")[1] == "T1 t=1\nT2 t=1\ntail=1^1\n"
+
+
+def test_decompose_matches_scan_oracle():
+    parser = cli.build_parser()  # once: building it costs more than a decomposition
+    for n in (*range(2**12), int("10" * 3000, 2), int("1" * 5000, 2)):
+        blocks, ones = oracle_decompose(minimal_expansion(n))
+        expected = "".join(f"T{kind} t={t}\n" for kind, t in blocks) + f"tail=1^{ones}\n"
+        out = io.StringIO()
+        assert cli._cmd_decompose(parser.parse_args(["decompose", "--n", bin(n)]), out) == EXIT_OK
+        assert out.getvalue() == expected, n
 
 
 def test_iso():

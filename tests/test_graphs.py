@@ -241,7 +241,7 @@ def assert_generated_matches_closure(n, starts):
     if n % 2 == 0:
         pg = embed(n)
         assert pg.graph == g, n
-        blocks = pg.decomposition.blocks
+        blocks = pg.blocks
         assert pg.factors == tuple(oracle_factors(w, blocks) for w in g.vertices), n
         assert pg.place == oracle_places(pg), n
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_graph, oracle_labeled_iso
-from hbgraphs.graphs import counts
+from hbgraphs.graphs import build_graph, counts
 from hbgraphs.iso import (
     BudgetExceeded,
     IsoWitness,
@@ -15,6 +15,7 @@ from hbgraphs.iso import (
     labeled_iso,
     verify_witness,
 )
+from hbgraphs.stern import b_and_a
 
 
 def test_labeled_iso_examples():
@@ -33,6 +34,23 @@ def test_labeled_iso_examples():
 def test_a10_vs_a12_is_a_genuine_distinction():
     # same (b, a) profile, so the refusal is structural, not a count check
     assert counts(cached_graph(10)) == counts(cached_graph(12)) == (5, 5, 1)
+
+
+def test_even_pairs_with_equal_counts_refuted_without_search():
+    # the paper's theorem (even m != n never have A(m) = A(n)) on its hard cases, the
+    # pairs that (b, a) cannot tell apart; budget 0 admits no search node, so each
+    # refusal comes from the signature filter, independently of iso_closed_form
+    by_counts = defaultdict(list)
+    for n in range(0, 2**12, 2):
+        by_counts[b_and_a(n)].append(n)
+    pairs = 0
+    for group in by_counts.values():
+        gs = [build_graph(n) for n in group] if len(group) > 1 else []
+        for i, g1 in enumerate(gs):
+            for g2 in gs[i + 1 :]:
+                assert labeled_iso(g1, g2, budget=0) is None, (g1.n, g2.n)
+                pairs += 1
+    assert pairs == 3547
 
 
 def test_budget():

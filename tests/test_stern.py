@@ -193,7 +193,7 @@ def test_c_matrix_agrees(n):
 @settings(max_examples=80, deadline=None)
 def test_expensive_steps_count_blocks(n):
     core, _ = even_core(n)
-    blocks = decompose(minimal_expansion(core)).blocks
+    blocks, _ = decompose(minimal_expansion(core))
     assert b_algorithm1(n)[1] == len(blocks)
 
 
@@ -252,7 +252,7 @@ def test_product_tree_matches_linear_folds(bits):
     for n in _shaped(bits, random.Random(bits)):
         _check_against_linear_folds(n)
         core, _ = even_core(n)
-        assert b_algorithm1(n)[1] == len(decompose(minimal_expansion(core)).blocks)
+        assert b_algorithm1(n)[1] == len(decompose(minimal_expansion(core))[0])
         if n % 2 == 0:
             # a long expansion starts with 1: it is one of n - 2^(bits-1), zero-padded
             shorts = oracle_b_matrix(n) - oracle_b_matrix(n - (1 << (bits - 1)))
