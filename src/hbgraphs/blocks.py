@@ -10,15 +10,19 @@ place-preserving maps and checking paths.
 Every expansion is one tuple of block states, its factors, and every arc
 steps one of them: ``graphs`` generates A(n) in these coordinates, so
 ``embed`` reads the factors and each arc's place (the stepped coordinate)
-off the generator and finds no cuts in any word.
+off the generator and finds no cuts in any word.  The places are one more
+column beside the graph's arc columns; ``PlacedGraph.place`` is a
+read-only mapping over it.  The checking-path functions work on ``Arc``
+objects, which they get from ``HbGraph.out_arcs``, ``in_arcs`` and ``arc``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import DEFAULT_LIMIT, Arc, HbGraph, _graph, _walk, build_graph
+from .graphs import DEFAULT_LIMIT, Arc, ArcColumn, HbGraph, _graph, _walk, build_graph
 from .words import decompose, minimal_expansion, value
 
 
@@ -38,7 +42,7 @@ class PlacedGraph:
     graph: HbGraph
     blocks: tuple[str, ...]  # the block words of n's minimal expansion
     factors: tuple[tuple[str, ...], ...]  # per-vertex factor tuple, untruncated
-    place: dict[Arc, int]  # 1-based block index of each arc
+    place: Mapping[Arc, int]  # 1-based block index of each arc, an ArcColumn
 
     @cached_property
     def block_graphs(self) -> tuple[HbGraph, ...]:
@@ -54,13 +58,12 @@ def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
     if n % 2:
         raise ValueError(f"embed requires an even n, got {n}")
     level, _ = _walk(n, limit, factors=True)
-    g = _graph(n, level, "")
-    places = [place for _, _, steps, _ in level for *_, place in steps]
+    g, places = _graph(n, level, "")
     return PlacedGraph(
         graph=g,
         blocks=decompose(minimal_expansion(n))[0],
         factors=tuple(factors for *_, factors in level),
-        place=dict(zip(g.arcs, places)),
+        place=ArcColumn(g, places),
     )
 
 
@@ -95,12 +98,12 @@ def place_preserving_map(pg: PlacedGraph, e: Arc) -> dict[Arc, Arc]:
     return mapping
 
 
-def _check_path(g: HbGraph, path: list[Arc] | tuple[Arc, ...]) -> None:
+def _check_path(pg: PlacedGraph, path: list[Arc] | tuple[Arc, ...]) -> None:
     for prev, nxt in zip(path, path[1:]):
         if prev.head != nxt.tail:
             raise ValueError("arcs do not form a directed path")
     for arc in path:
-        if not 0 <= arc.tail < len(g.vertices) or g.arc(arc.tail, arc.head) != arc:
+        if arc not in pg.place:
             raise ValueError(f"arc {arc} not in graph")
 
 
@@ -113,7 +116,7 @@ def place_preserving_through_path(
     on the out-arcs of ``start``.
     """
     g = pg.graph
-    _check_path(g, path)
+    _check_path(pg, path)
     if not path:
         if start is None:
             raise ValueError("empty path requires a start vertex")
@@ -129,7 +132,7 @@ def place_preserving_through_path(
 
 def is_checking_path(pg: PlacedGraph, path: list[Arc] | tuple[Arc, ...]) -> bool:
     """True iff each arc avoids the image of the map through its predecessor."""
-    _check_path(pg.graph, path)
+    _check_path(pg, path)
     for prev, nxt in zip(path, path[1:]):
         if nxt in place_preserving_map(pg, prev).values():
             return False

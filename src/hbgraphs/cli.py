@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import graphs, iso, stern
-from .graphs import DEFAULT_LIMIT, SizeLimitError
+from .graphs import DEFAULT_LIMIT, DIGITS_PER_VERTEX, SizeLimitError
 from .iso import DEFAULT_BUDGET, BudgetExceeded
 from .words import decompose, minimal_expansion, render
 
@@ -33,6 +33,8 @@ _B_ALGOS = {
     "alg1": lambda n: stern.b_algorithm1(n)[0],
     "blockfold": stern.b_block_formula,
 }
+_LIMIT_HELP = ("most vertices of A(n); n is also refused when b(n) times its bit length"
+               f" (the longest word) exceeds {DIGITS_PER_VERTEX} * limit digits")
 
 
 #: longest decimal input, Python's default int-string limit: it bounds the work of ``eval``
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="export A(n)")
     p.add_argument("--n", type=nonneg_int, required=True)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument("--limit", type=nonneg_int, default=DEFAULT_LIMIT)
+    p.add_argument("--limit", type=nonneg_int, default=DEFAULT_LIMIT, help=_LIMIT_HELP)
 
     p = sub.add_parser("decompose", help="block decomposition of the minimal expansion")
     p.add_argument("--n", type=nonneg_int, required=True)
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structural", action="store_true",
                    help="run the backtracking search and print the witness")
     p.add_argument("--limit", type=nonneg_int, default=DEFAULT_LIMIT,
-                   help="most vertices per graph built by --structural")
+                   help=f"{_LIMIT_HELP}, per graph built by --structural")
     p.add_argument("--budget", type=nonneg_int, default=DEFAULT_BUDGET,
                    help="most search nodes expanded by --structural")
 

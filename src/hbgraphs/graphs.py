@@ -10,23 +10,33 @@ states, whose lexicographic order is the shortlex order of the words, and
 an arc steps one coordinate, to the vertex a fixed stride of ids on (the
 count of completions after the stepped state).  So the vertices come out
 in id order and the arcs in (tail, position) order, with no closure over
-words, no sort and no table of words; the vertex count is known, and
-checked against the limit, before anything is built.
+words, no sort and no table of words; the vertex count and a bound on the
+digits of the words are known, and checked against the limit, before
+anything is built.
+
+``HbGraph`` keeps the arcs as aligned columns, which the exports,
+``counts`` and ``iso`` read without making one object per arc.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import add, itemgetter, sub
 
 from .words import decompose, minimal_expansion, render, validate_expansion
 
 DEFAULT_LIMIT = 10**6
+#: digits allowed per vertex of the limit: the words of H(n) may hold at most 64 * limit
+DIGITS_PER_VERTEX = 64
 
 
 class SizeLimitError(Exception):
-    """Raised when H(n) would exceed the requested vertex limit."""
+    """Raised when H(n) would exceed the vertex limit, or its words 64 digits per vertex of it."""
 
 
 class Label:
@@ -117,9 +127,12 @@ def _walk(
     r places from the end of the core word, r fixed by p and x_p.
 
     Returns one (core word, ends in 0, arc steps, state words) per vertex,
-    the state words only with ``factors``, and n's trailing 1s.  Raises
+    each arc step (stride, label, r, place) one tuple shared by all the
+    vertices that take it, the state words only with ``factors``, and n's
+    trailing 1s.  Raises
     SizeLimitError, before any state word is made, when there are more
-    than ``limit`` tuples.
+    than ``limit`` tuples, or when they times n's bit length (the longest
+    word) exceeds ``DIGITS_PER_VERTEX * limit`` digits.
     """
     blocks, ones = decompose(minimal_expansion(n))
     lower = lower or [0] * len(blocks)
@@ -137,6 +150,10 @@ def _walk(
     counts.reverse()
     if counts[0][1] > limit:
         raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
+    bits = n.bit_length()  # the longest word's length; n itself may be too long to print
+    if counts[0][1] * bits > DIGITS_PER_VERTEX * limit:
+        raise SizeLimitError(f"{counts[0][1]} words of up to {bits} digits may exceed"
+                             f" {DIGITS_PER_VERTEX} * limit {limit} digits")
     level = [("", True, (), ())]
     width = sum(map(len, blocks))  # of the blocks after p
     for p, (block, lo) in enumerate(zip(blocks, lower)):
@@ -169,9 +186,18 @@ def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
 
 @dataclass(frozen=True)
 class HbGraph:
+    """A(n), its arcs as aligned columns in (tail, position) order: arc i is tails[i] -> heads[i].
+
+    ``Arc`` objects are all made at once, on the first read of ``arcs``,
+    ``out_arcs``, ``in_arcs`` or ``arc``.
+    """
+
     n: int
     vertices: tuple[str, ...]
-    arcs: tuple[Arc, ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    labels: tuple[str, ...]
+    positions: tuple[int, ...]
     source: int
     sink: int
 
@@ -180,27 +206,70 @@ class HbGraph:
         return {w: i for i, w in enumerate(self.vertices)}
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[Arc, ...], ...], tuple[tuple[Arc, ...], ...]]:
-        """(out-rows, in-rows): each vertex's arcs as tail and as head, in ``arcs`` order."""
-        outs: list[list[Arc]] = [[] for _ in self.vertices]
-        ins: list[list[Arc]] = [[] for _ in self.vertices]
-        for a in self.arcs:
-            outs[a.tail].append(a)
-            ins[a.head].append(a)
-        return tuple(map(tuple, outs)), tuple(map(tuple, ins))
+    def arcs(self) -> tuple[Arc, ...]:
+        return tuple(map(Arc, self.tails, self.heads, self.labels, self.positions))
+
+    @cached_property
+    def out_offsets(self) -> list[int]:
+        """The arcs out of v are those with out_offsets[v] <= index < out_offsets[v + 1]."""
+        return [bisect_left(self.tails, v) for v in range(len(self.vertices) + 1)]
+
+    @cached_property
+    def out_heads(self) -> list[tuple[int, ...]]:
+        """Each vertex's run of ``heads``, prebuilt: ``find`` scans it faster than a range."""
+        off = self.out_offsets
+        return [self.heads[off[v] : off[v + 1]] for v in range(len(self.vertices))]
+
+    @cached_property
+    def in_rows(self) -> list[list[int]]:
+        """The indices of each vertex's in-arcs, ascending."""
+        rows: list[list[int]] = [[] for _ in self.vertices]
+        for i, head in enumerate(self.heads):
+            rows[head].append(i)
+        return rows
+
+    def find(self, tail: int, head: int) -> int | None:
+        """The index of the arc from vertex ``tail`` to ``head``, or None; ids are not checked."""
+        row = self.out_heads[tail]
+        return self.out_offsets[tail] + row.index(head) if head in row else None
+
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < len(self.vertices):
+            raise ValueError(f"unknown vertex id {v}")
+        return v
 
     def out_arcs(self, v: int) -> tuple[Arc, ...]:
-        return self._adjacency[0][v]
+        off = self.out_offsets
+        return self.arcs[off[self._vertex(v)] : off[v + 1]]
 
     def in_arcs(self, v: int) -> tuple[Arc, ...]:
-        return self._adjacency[1][v]
+        return tuple(map(self.arcs.__getitem__, self.in_rows[self._vertex(v)]))
 
     def arc(self, tail: int, head: int) -> Arc | None:
         """The arc from ``tail`` to ``head``, or None: at most one joins an ordered pair."""
-        for a in self._adjacency[0][tail]:
-            if a.head == head:
-                return a
-        return None
+        i = self.find(self._vertex(tail), self._vertex(head))
+        return None if i is None else self.arcs[i]
+
+
+class ArcColumn(Mapping):
+    """A read-only Mapping[Arc, value] over one more arc column of ``graph``; no hashing."""
+
+    def __init__(self, graph: HbGraph, values: Sequence):
+        self.graph, self.values = graph, values
+
+    def __getitem__(self, arc):
+        g = self.graph
+        known = isinstance(arc, Arc) and 0 <= arc.tail < len(g.vertices)
+        i = g.find(arc.tail, arc.head) if known else None
+        if i is None or (g.labels[i], g.positions[i]) != (arc.label, arc.position):
+            raise KeyError(arc)
+        return self.values[i]
+
+    def __iter__(self):
+        return iter(self.graph.arcs)
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
@@ -210,27 +279,39 @@ def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
     order of the tuples, and each vertex's arcs as coordinate steps in
     ascending place and so in ascending position: head = tail + the
     stride of the step.  Raises SizeLimitError before building anything
-    when A(n) has more than ``limit`` vertices.
+    when A(n) has more than ``limit`` vertices, or more than 64 digits
+    per vertex of the limit.
     """
-    return _graph(n, *_walk(n, limit))
+    return _graph(n, *_walk(n, limit))[0]
 
 
-def _graph(n: int, level: list, ones: str) -> HbGraph:
-    """The graph on the vertices ``_walk`` returned; the last is the binary expansion."""
-    ids = list(range(len(level)))  # the arcs share these int objects, not one per head
-    arcs = tuple(
-        Arc(v, ids[v + stride], label, len(word) - r)
-        for v, (word, _, steps, _) in zip(ids, level)
-        for stride, label, r, _ in steps
-    )
-    vertices = tuple(word + ones for word, *_ in level)
-    return HbGraph(n=n, vertices=vertices, arcs=arcs, source=0, sink=len(vertices) - 1)
+def _graph(n: int, level: list, ones: str) -> tuple[HbGraph, tuple[int, ...]]:
+    """The graph on the vertices ``_walk`` returned, and each arc's place, as columns.
+
+    Each column is one field of every arc step, in tail order, read off
+    by C-level iterators: no per-arc Python code runs.  The last vertex
+    is the binary expansion.
+    """
+    words, _, steps, _ = zip(*level)
+    per_vertex = list(map(len, steps))
+
+    def field(k: int):
+        return map(itemgetter(k), chain.from_iterable(steps))
+
+    ids = list(range(len(words)))  # the columns share these int objects, not one per arc
+    tails = tuple(chain.from_iterable(map(repeat, ids, per_vertex)))
+    heads = tuple(map(ids.__getitem__, map(add, tails, field(0))))
+    lengths = chain.from_iterable(map(repeat, map(len, words), per_vertex))
+    positions = tuple(map(sub, lengths, field(2)))
+    vertices = tuple(word + ones for word in words)
+    g = HbGraph(n, vertices, tails, heads, tuple(field(1)), positions, 0, len(vertices) - 1)
+    return g, tuple(field(3))
 
 
 def counts(g: HbGraph) -> tuple[int, int, int]:
     """(b, a, v): vertex count, arc count, cyclomatic number a - b + 1."""
     b = len(g.vertices)
-    a = len(g.arcs)
+    a = len(g.tails)
     return (b, a, a - b + 1)
 
 
@@ -253,17 +334,24 @@ def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
         lower.append(s)
         # the 0 was dropped iff the digit in its place is the long next state's leading 1
         at += len(w) - (zero and word[at + len(w) - 1] == "1")
-    return _graph(g.n, *_walk(g.n, len(g.vertices), lower))
+    # a limit that a subgraph of g always meets: at most b(g) vertices of at most
+    # n's bit length digits each
+    limit = len(g.vertices) * max(1, g.n.bit_length())
+    return _graph(g.n, *_walk(g.n, limit, lower))[0]
 
 
-def export_dot(g: HbGraph, place: dict[Arc, int] | None = None) -> str:
-    """Deterministic DOT rendering; optional per-arc ``place`` attributes."""
+def export_dot(g: HbGraph, place: Mapping[Arc, int] | None = None) -> str:
+    """Deterministic DOT rendering; optional per-arc ``place``, read by index if an ArcColumn."""
     names = [render(w) for w in g.vertices]
-    arc_lines = (
-        f'  "{names[a.tail]}" -> "{names[a.head]}" [label="{_DOT_LABEL[a.label]}"'
-        + ("];" if place is None else f" place={place[a]}];")
-        for a in g.arcs
-    )
+    columns = zip(g.tails, g.heads, g.labels)
+    if place is None:
+        arc_lines = (f'  "{names[t]}" -> "{names[h]}" [label="{_DOT_LABEL[x]}"];'
+                     for t, h, x in columns)
+    else:
+        places = place.values if isinstance(place, ArcColumn) and place.graph is g else (
+            [place[a] for a in g.arcs])
+        arc_lines = (f'  "{names[t]}" -> "{names[h]}" [label="{_DOT_LABEL[x]}" place={p}];'
+                     for (t, h, x), p in zip(columns, places))
     # one list of lines; the closing "" gives the final newline without a copy of the text
     lines = [f"digraph A{g.n} {{", *(f'  "{name}";' for name in names), *arc_lines, "}", ""]
     return "\n".join(lines)
@@ -275,11 +363,11 @@ def export_json(g: HbGraph) -> str:
     The bytes are those of ``json.dumps`` with ``separators=(",", ":")`` on
     {"n", "vertices", "arcs"}, each arc an object {"tail", "head", "label",
     "position"}; the arcs hold only ints and the two label names, which
-    need no escaping, so they are written directly.
+    need no escaping, so they are written directly from the columns.
     """
     vertices = json.dumps(g.vertices, separators=(",", ":"))
     arcs = ",".join(
-        f'{{"tail":{a.tail},"head":{a.head},"label":"{a.label}","position":{a.position}}}'
-        for a in g.arcs
+        f'{{"tail":{t},"head":{h},"label":"{x}","position":{p}}}'
+        for t, h, x, p in zip(g.tails, g.heads, g.labels, g.positions)
     )
     return f'{{"n":{g.n},"vertices":{vertices},"arcs":[{arcs}]}}'

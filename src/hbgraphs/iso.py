@@ -6,15 +6,18 @@ The search is anchored source-to-source and pruned by per-label degree
 and weight-level invariants.  Its setup is linear in the arc count a:
 one pass over each graph's arcs gives every vertex signature, the level
 included, g2's vertices are bucketed by signature in a dict, and one
-breadth-first pass gives the search order.  The graphs are read through
-``HbGraph.out_arcs``, ``in_arcs`` and ``arc`` (a scan of the tail's short
-out-row), so no table of arcs by vertex pair is built.
+breadth-first pass gives the search order.  The graphs are read as arc
+columns, and the arc joining a pair is found by ``HbGraph.find``, a scan
+of the tail's short out-row, so no table of arcs by vertex pair and no
+``Arc`` object is built.  Each vertex's arcs to the vertices before it in
+the search order are listed once, before the search starts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import HbGraph, Label, build_graph
 from .words import even_core
@@ -41,11 +44,12 @@ def verify_witness(g1: HbGraph, g2: HbGraph, witness: IsoWitness) -> bool:
     m = witness.mapping
     if len(m) != len(g1.vertices) or sorted(m) != list(range(len(g2.vertices))):
         return False
-    if len(g1.arcs) != len(g2.arcs):
+    if len(g1.tails) != len(g2.tails):
         return False
-    for a in g1.arcs:
-        img = g2.arc(m[a.tail], m[a.head])
-        if img is None or img.label != a.label:
+    find2, labels2 = g2.find, g2.labels
+    for tail, head, label in zip(g1.tails, g1.heads, g1.labels):
+        i = find2(m[tail], m[head])
+        if i is None or labels2[i] != label:
             return False
     return True
 
@@ -64,20 +68,21 @@ def _signatures(g: HbGraph) -> list[tuple[int, int, int]]:
     outs = [0] * len(g.vertices)
     ins = [0] * len(g.vertices)
     level = [0] * len(g.vertices)
-    for a in reversed(g.arcs):
-        c = code[a.label]
-        outs[a.tail] += c
-        ins[a.head] += c
-        level[a.tail] = level[a.head] + 1
+    for tail, head, label in zip(reversed(g.tails), reversed(g.heads), reversed(g.labels)):
+        c = code[label]
+        outs[tail] += c
+        ins[head] += c
+        level[tail] = level[head] + 1
     return list(zip(level, outs, ins))
 
 
 def _search_order(g: HbGraph) -> list[int]:
     """g's vertices breadth first from the source, over out- then in-arcs."""
+    out_heads, in_rows, tails = g.out_heads, g.in_rows, g.tails
     order = [g.source]
     placed = {g.source}
     for v in order:
-        for u in [a.head for a in g.out_arcs(v)] + [a.tail for a in g.in_arcs(v)]:
+        for u in chain(out_heads[v], map(tails.__getitem__, in_rows[v])):
             if u not in placed:
                 order.append(u)
                 placed.add(u)
@@ -111,22 +116,32 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
     if candidates is None:
         return None
     order = _search_order(g1)
+    rank = [0] * len(order)
+    for i, v in enumerate(order):
+        rank[v] = i
+    # the arcs between order[i] and earlier vertices, whose images are set when it is
+    # tried: ahead[i] those it is the tail of, behind[i] the head of, as (other end, label)
+    ahead: list[list[tuple[int, str]]] = [[] for _ in order]
+    behind: list[list[tuple[int, str]]] = [[] for _ in order]
+    for tail, head, label in zip(g1.tails, g1.heads, g1.labels):
+        if rank[head] < rank[tail]:
+            ahead[rank[tail]].append((head, label))
+        else:
+            behind[rank[head]].append((tail, label))
     mapping: dict[int, int] = {}
     used: set[int] = set()
     expansions = 0
-    out1, in1, arc2 = g1.out_arcs, g1.in_arcs, g2.arc  # bound once, used on every search node
+    find2, labels2 = g2.find, g2.labels  # bound once, used on every search node
 
-    def consistent(v: int, w: int) -> bool:
-        for arc in out1(v):
-            if arc.head in mapping:
-                img = arc2(w, mapping[arc.head])
-                if img is None or img.label != arc.label:
-                    return False
-        for arc in in1(v):
-            if arc.tail in mapping:
-                img = arc2(mapping[arc.tail], w)
-                if img is None or img.label != arc.label:
-                    return False
+    def consistent(i: int, w: int) -> bool:
+        for u, label in ahead[i]:
+            j = find2(w, mapping[u])
+            if j is None or labels2[j] != label:
+                return False
+        for u, label in behind[i]:
+            j = find2(mapping[u], w)
+            if j is None or labels2[j] != label:
+                return False
         return True
 
     # depth-first over order; untried[i] holds the candidates left for order[i]
@@ -142,7 +157,7 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
             expansions += 1
             if expansions > budget:
                 raise BudgetExceeded(f"isomorphism search exceeded budget {budget}")
-            if consistent(v, w):
+            if consistent(i, w):
                 mapping[v] = w
                 used.add(w)
                 i += 1

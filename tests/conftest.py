@@ -21,7 +21,9 @@ graph's out-arcs and re-indexes the induced subgraph, without the
 coordinate bounds of ``graphs.descendants_subgraph``.  The closure oracle
 builds A(n), or the descendants of any expansion, by applying the single
 step reductions breadth first from a seed word and sorting the words it
-finds, without the block states of ``graphs.build_graph``.
+finds, without the block states of ``graphs.build_graph``.  Both oracles
+make their arcs as ``Arc`` objects and store them in ``HbGraph``'s
+columns through ``graph_from_arcs``.
 """
 
 import json
@@ -213,6 +215,12 @@ def cached_embed(n: int):
     return embed(n)
 
 
+def graph_from_arcs(n: int, vertices, arcs, source: int, sink: int) -> HbGraph:
+    """The HbGraph whose arc columns hold ``arcs``, given in (tail, position) order."""
+    columns = [tuple(getattr(a, f) for a in arcs) for f in ("tail", "head", "label", "position")]
+    return HbGraph(n, tuple(vertices), *columns, source, sink)
+
+
 def oracle_descendants(g, start: int):
     """Induced subgraph of g on ``start`` and its descendants, by a depth-first walk."""
     reach = {start}
@@ -231,13 +239,7 @@ def oracle_descendants(g, start: int):
         if a.tail in reach and a.head in reach
     )
     # the original sink is reachable from every vertex
-    return HbGraph(
-        n=g.n,
-        vertices=tuple(verts),
-        arcs=arcs,
-        source=index[g.vertices[start]],
-        sink=index[g.vertices[g.sink]],
-    )
+    return graph_from_arcs(g.n, verts, arcs, index[g.vertices[start]], index[g.vertices[g.sink]])
 
 
 def oracle_value(w: str) -> int:
@@ -407,10 +409,4 @@ def oracle_closure_graph(n: int, seed: str, limit: int) -> HbGraph:
         arcs += [Arc(r, rank[cid], label, pos) for cid, label, pos in children[i]]
         children[i] = None  # the arcs reuse the memory of the freed child records
     # the binary expansion is reachable from every expansion of n
-    return HbGraph(
-        n=n,
-        vertices=tuple(verts),
-        arcs=tuple(arcs),
-        source=rank[0],
-        sink=rank[ids[binary_expansion(n)]],
-    )
+    return graph_from_arcs(n, verts, arcs, rank[0], rank[ids[binary_expansion(n)]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from hbgraphs.blocks import (
     place_preserving_map,
     place_preserving_through_path,
 )
-from hbgraphs.graphs import Label, build_graph, counts, export_dot
+from hbgraphs.graphs import Arc, Label, build_graph, counts, export_dot
 from hbgraphs.iso import labeled_iso
 from hbgraphs.stern import b_matrix
 from hbgraphs.words import binary_expansion, minimal_expansion, value
@@ -141,6 +143,24 @@ def test_place_map_examples():
     assert place_map(pg, arc(g, "122", "202")) == 1
     assert place_map(pg, arc(g, "202", "210")) == 2
     assert place_map(pg, arc(g, "202", "1002")) == 1
+
+
+def test_place_view():
+    for n in (0, 10, 20, 2708):
+        pg = embed(n)
+        assert len(pg.place) == len(pg.graph.arcs), n
+        assert dict(pg.place) == oracle_places(pg), n
+        assert export_dot(pg.graph, dict(pg.place)) == export_dot(pg.graph, pg.place), n
+    pg = cached_embed(10)
+    e = arc(pg.graph, "202", "1002")
+    wrong = [dataclasses.replace(e, label=Label.DOUBLE), dataclasses.replace(e, position=1),
+             Arc(e.tail, 99, e.label, e.position), Arc(-1, e.head, e.label, e.position)]
+    for x in wrong:
+        assert x not in pg.place, x
+        with pytest.raises(ValueError, match="unknown arc"):
+            place_map(pg, x)
+        with pytest.raises(ValueError, match="unknown arc"):
+            place_preserving_map(pg, x)
 
 
 def test_place_preserving_map_examples():

@@ -5,6 +5,9 @@ import sys
 import time
 from decimal import Decimal
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import hbgraphs
 
 from conftest import oracle_decompose
@@ -153,6 +156,19 @@ def test_huge_graph_is_refused_before_any_vertex_is_built():
         assert (status, out, err) == (EXIT_LIMIT, "", message), argv
 
 
+def test_long_words_are_refused_before_any_word_is_made():
+    # one block 1^99999 2: b(n) = 100001 is under the default limit, but its
+    # words would take about 10^10 digits
+    n = "0b" + "1" * 100000 + "0"
+    for argv in (("graph", "--n", n), ("iso", "--m", n, "--n", "10", "--structural")):
+        start = time.perf_counter()
+        status, out, err = invoke(*argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (status, out) == (EXIT_LIMIT, ""), argv
+        assert err == ("aborted: 100001 words of up to 100001 digits may exceed"
+                       " 64 * limit 1000000 digits\n"), argv
+
+
 def test_closed_stdout_exits_quietly():
     # the reader stops after one line, like ``hbgraphs table --max 100000 | head -1``
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)))
@@ -232,3 +248,50 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch):
     assert status == EXIT_INTERNAL
     assert out == ""
     assert err == "internal error: RuntimeError('boom\\nsecond line')\n"
+
+
+_NUMBER = st.integers(0, 300).map(str) | st.integers(0, 2**40).map(bin)
+_SMALL = st.integers(0, 200).map(str)
+_MALFORMED = st.sampled_from(["-1", "x", "0b2", "0b", "", "1e3", "0x10", "--n"])
+#: per subcommand, its required and its optional options, each with a strategy
+#: for its value (None: a flag); --limit is required here to keep every graph small
+_COMMANDS = {
+    "eval": ({"--fn": st.sampled_from("bcvaz"), "--n": _NUMBER},
+             {"--algo": st.sampled_from(["rec", "mat", "matblk", "alg1", "blockfold", "x"])}),
+    "graph": ({"--n": _NUMBER, "--limit": _SMALL},
+              {"--format": st.sampled_from(["dot", "json", "xml"])}),
+    "decompose": ({"--n": _NUMBER}, {}),
+    "iso": ({"--m": _NUMBER, "--n": _NUMBER, "--limit": _SMALL},
+            {"--structural": None, "--budget": _SMALL}),
+    # at most one worker: no process pool is started
+    "verify": ({}, {"--max": st.integers(0, 40).map(str), "--workers": st.sampled_from("01")}),
+    "table": ({"--max": st.integers(0, 40).map(str)}, {}),
+    "bogus": ({"--n": _NUMBER}, {}),
+}
+
+
+@st.composite
+def cli_arguments(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    names = list(required)
+    if optional:
+        names += draw(st.lists(st.sampled_from(sorted(optional)), max_size=3))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        strategy = required.get(name, optional.get(name))
+        argv.append(name)
+        if strategy is not None:
+            # one value in sixteen is left out and one is malformed
+            kind = draw(st.integers(0, 15))
+            if kind:
+                argv.append(draw(_MALFORMED if kind == 1 else strategy))
+    return argv
+
+
+@given(cli_arguments())
+@settings(max_examples=300, deadline=None)
+def test_cli_argument_sweep_sees_only_documented_exit_codes(argv):
+    status, _, err = invoke(*argv)
+    assert status in (EXIT_OK, EXIT_DOMAIN, EXIT_LIMIT, EXIT_COUNTEREXAMPLE), (argv, err)
+    assert "internal error" not in err, argv

@@ -25,6 +25,7 @@ from hbgraphs.graphs import (
     export_json,
     single_step_reductions,
 )
+from hbgraphs.iso import labeled_iso, verify_witness
 from hbgraphs.stern import b_matrix
 from hbgraphs.words import minimal_expansion, weight
 
@@ -64,6 +65,19 @@ def test_limit_counts_the_first_vertex():
             build(7, limit=0)
     assert build_graph(7, limit=1).vertices == ("111",)
     assert enumerate_expansions(7, limit=1) == ["111"]
+
+
+def test_digit_bound_of_the_limit():
+    # n = 2^200: 201 expansions of up to 201 digits, 40401 digits in all
+    n = 2**200
+    assert len(build_graph(n, limit=632).vertices) == 201  # 64 * 632 = 40448 digits
+    for build in (build_graph, enumerate_expansions):
+        with pytest.raises(SizeLimitError, match="digits"):
+            build(n, limit=631)  # 64 * 631 = 40384 digits
+    # a subgraph of a built graph is never refused, though the whole
+    # graph is over 64 digits per vertex of its own vertex count
+    g = build_graph(n, limit=632)
+    assert descendants_subgraph(g, 0) == g
 
 
 def test_build_graph_matches_arc_oracle():
@@ -151,6 +165,33 @@ def check_adjacency(g):
     for a in g.arcs:
         assert g.arc(a.tail, a.head) is a, (g.n, a)
         assert g.arc(a.head, a.tail) is None, (g.n, a)
+
+
+def test_adjacency_rejects_unknown_vertex_ids():
+    g = build_graph(10)
+    b = len(g.vertices)
+    for v in (-1, -2, b):
+        for lookup in (g.out_arcs, g.in_arcs, lambda v: g.arc(v, 0), lambda v: g.arc(0, v)):
+            with pytest.raises(ValueError, match="unknown vertex id"):
+                lookup(v)
+    with pytest.raises(ValueError, match="unknown vertex id"):
+        g.arc(-2, 4)
+
+
+def test_library_paths_build_no_arc_objects():
+    """Only ``arcs``, ``out_arcs``, ``in_arcs`` and ``arc`` make ``Arc`` objects."""
+    pg = embed(2708)
+    g1, g2 = build_graph(2708), build_graph(5417)
+    export_json(pg.graph)
+    export_dot(pg.graph)
+    export_dot(pg.graph, pg.place)
+    witness = labeled_iso(g1, g2)
+    assert witness is not None and verify_witness(g1, g2, witness)
+    assert labeled_iso(g1, build_graph(3434)) is None
+    assert counts(g1) == counts(pg.graph)
+    descendants_subgraph(g1, 1)
+    for g in (pg.graph, g1, g2):
+        assert "arcs" not in g.__dict__
 
 
 def test_adjacency_matches_arcs():
