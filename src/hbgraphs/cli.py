@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 from . import graphs, iso, stern
 from .graphs import DEFAULT_LIMIT, DIGITS_PER_VERTEX, SizeLimitError
@@ -197,10 +198,11 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    print("n,b,a,v", file=out)
-    for n in range(args.max + 1):
-        b, arcs = stern.b_and_a(n)
-        print(f"{n},{b},{arcs},{arcs - b + 1}", file=out)
+    out.write("n,b,a,v\n")
+    rows = enumerate(stern.b_and_a_range(0, args.max))
+    while text := "".join(f"{n},{b},{arcs},{arcs - b + 1}\n"
+                          for n, (b, arcs) in islice(rows, 4096)):
+        out.write(text)
     return EXIT_OK
 
 

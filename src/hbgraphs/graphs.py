@@ -148,9 +148,9 @@ def _walk(
             count[1] += after[zero]
         counts.append(tuple(min(c, limit + 1) for c in count))
     counts.reverse()
-    if counts[0][1] > limit:
-        raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
     bits = n.bit_length()  # the longest word's length; n itself may be too long to print
+    if counts[0][1] > limit:
+        raise SizeLimitError(f"|H(n)| exceeds limit {limit} for n of {bits} bits")
     if counts[0][1] * bits > DIGITS_PER_VERTEX * limit:
         raise SizeLimitError(f"{counts[0][1]} words of up to {bits} digits may exceed"
                              f" {DIGITS_PER_VERTEX} * limit {limit} digits")

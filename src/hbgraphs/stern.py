@@ -4,9 +4,11 @@ b(n) = |H(n)| is computed by the classical recursion, two 2x2 matrix
 products over the binary digits (digit-by-digit and run-by-run), an
 iterative single-pass scan, and a fold over the block decomposition of
 the minimal expansion.  Also: b(n) with the arc count a(n) in one digit
-pass, the cyclomatic number v(n), and Stern's diatomic sequence
-c(n) = b(n - 1) with its own matrix pair.  All arithmetic is plain Python
-ints (arbitrary precision), and no evaluator keeps state between calls.
+pass (``b_and_a``, for one n), the same pair for every n of a range at
+O(1) additions per n (``b_and_a_range``, for tables and level sets), the
+cyclomatic number v(n), and Stern's diatomic sequence c(n) = b(n - 1)
+with its own matrix pair.  All arithmetic is plain Python ints
+(arbitrary precision), and no evaluator keeps state between calls.
 
 The matrix evaluators (``b_matrix``, ``b_matrix_blocks``, ``b_algorithm1``,
 ``b_block_formula``, ``c_matrix``) are digit folds: products of small
@@ -25,6 +27,8 @@ independent check.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
+from itertools import islice
 
 from .words import BLOCKS, even_core, minimal_expansion
 
@@ -39,6 +43,7 @@ _LEAF = 256
 # (brute-forced likewise); Fib(258) < 2^178 leaves room for any c < 2^79.
 _LANE = _LEAF + 2
 _RUNS = re.compile("0+|1+")
+_CHUNK = 4096  # n per pass of b_and_a_range
 
 
 def _product(mats: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
@@ -253,6 +258,34 @@ def b_and_a(n: int) -> tuple[int, int]:
     return b, arcs
 
 
+def b_and_a_range(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(b(n), a(n)) for n = lo ... hi in order: the rules of ``b_and_a``, run level by level.
+
+    Level k of a chunk [start, end] of ``_CHUNK`` n holds the columns
+    (b, a, T) at x = ((start + 1) >> k) - 1 ... end >> k: the halves r and
+    r - 1 of every x on level k - 1.  A loop comes down from the top level,
+    [-1, 0], at O(1) additions per x and two levels held, so n may have any length.
+    """
+    if lo < 0:
+        raise ValueError("n must be nonnegative")
+    for start in range(lo, hi + 1, _CHUNK):
+        end = min(start + _CHUNK - 1, hi)
+        bs, arcs, ts = [0, 1], [0, 0], [0, 0]  # the top level, x = -1, 0
+        for k in range((end + 1).bit_length() - 1, -1, -1):
+            low, high, top = ((start + 1) >> k) - 1, end >> k, ((start + 1) >> k + 1) - 1
+            # rows r - top above: r and r - 1 for the even x = 2r, r for the odd x = 2r + 1
+            even, e0, e1 = low & 1, ((low + 1) >> 1) - top, (high >> 1) - top + 1
+            o0, o1 = (low >> 1) - top, ((high + 1) >> 1) - top
+            b1 = bs[e0 - 1 : e1 - 1]  # b(r - 1), which is T(2r)
+            nb, na, nt = ([0] * (high - low + 1) for _ in range(3))  # T(2r + 1) = 0
+            nb[even::2], nt[even::2] = [p + q for p, q in zip(bs[e0:e1], b1)], b1
+            halves = zip(arcs[e0:e1], arcs[e0 - 1 :], b1, ts[e0 - 1 :])
+            na[even::2] = [p + q + b - t for p, q, b, t in halves]
+            nb[1 - even :: 2], na[1 - even :: 2] = bs[o0:o1], arcs[o0:o1]
+            bs, arcs, ts = nb, na, nt
+        yield from zip(bs, arcs)
+
+
 def v(n: int) -> int:
     """Cyclomatic number of A(n): a(n) - b(n) + 1."""
     b, arcs = b_and_a(n)
@@ -293,9 +326,10 @@ def c_matrix(n: int) -> int:
 
 def v_level_set_even(level: int, max_n: int) -> list[int]:
     """All even n <= max_n with v(n) == level, from the recursion."""
-    return [n for n in range(0, max_n + 1, 2) if v(n) == level]
+    rows = islice(enumerate(b_and_a_range(0, max_n)), 0, None, 2)
+    return [n for n, (b, arcs) in rows if arcs - b + 1 == level]
 
 
 def v1_all(max_n: int) -> list[int]:
     """All n <= max_n with v(n) == 1 (the set {(12 +- 1) 2^t - 1})."""
-    return [n for n in range(max_n + 1) if v(n) == 1]
+    return [n for n, (b, arcs) in enumerate(b_and_a_range(0, max_n)) if arcs - b + 1 == 1]

@@ -5,6 +5,7 @@ import sys
 import time
 from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from hbgraphs.cli import (
     plan_verify,
     run,
 )
-from hbgraphs.stern import b_matrix
+from hbgraphs.stern import b_and_a, b_matrix
 from hbgraphs.words import minimal_expansion
 
 
@@ -148,12 +149,21 @@ def test_graph_limit_exit_code():
 def test_huge_graph_is_refused_before_any_vertex_is_built():
     # binary (10)^60: b(n) is about 10^25, so the count alone must refuse it
     n = "0b" + "10" * 60
-    message = f"aborted: |H({int(n, 2)})| exceeds limit 1000000\n"
+    message = "aborted: |H(n)| exceeds limit 1000000 for n of 120 bits\n"
     for argv in (("graph", "--n", n), ("iso", "--m", n, "--n", "10", "--structural")):
         start = time.perf_counter()
         status, out, err = invoke(*argv)
         assert time.perf_counter() - start < 1.0, argv
         assert (status, out, err) == (EXIT_LIMIT, "", message), argv
+
+
+def test_refusal_of_an_n_too_long_to_print_names_its_bit_length():
+    # 16 000 bits: about 4 800 decimal digits, past the int-string limit of this process
+    n = "0b" + "10" * 8000
+    for argv in (("graph", "--n", n), ("iso", "--m", n, "--n", "10", "--structural")):
+        status, out, err = invoke(*argv)
+        assert (status, out, err) == (
+            EXIT_LIMIT, "", "aborted: |H(n)| exceeds limit 1000000 for n of 16000 bits\n"), argv
 
 
 def test_long_words_are_refused_before_any_word_is_made():
@@ -186,6 +196,29 @@ def test_table():
     status, out, _ = invoke("table", "--max", "4")
     assert status == EXIT_OK
     assert out.splitlines() == ["n,b,a,v", "0,1,0,0", "1,1,0,0", "2,2,1,0", "3,1,0,0", "4,3,2,0"]
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 4095, 4096, 4097, 20000])
+def test_table_matches_b_and_a_per_n(top):
+    status, out, err = invoke("table", "--max", str(top))
+    rows = "".join(f"{n},{b},{arcs},{arcs - b + 1}\n"
+                   for n in range(top + 1) for b, arcs in [b_and_a(n)])
+    assert (status, out, err) == (EXIT_OK, "n,b,a,v\n" + rows, "")
+
+
+def test_table_of_a_3001_bit_max_starts_at_once():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hbgraphs.cli", "table", "--max", "0b1" + "0" * 3000],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    lines = [proc.stdout.readline() for _ in range(6)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert lines == [b"n,b,a,v\n", b"0,1,0,0\n", b"1,1,0,0\n", b"2,2,1,0\n", b"3,1,0,0\n",
+                     b"4,3,2,0\n"]
+    assert err == b""
 
 
 def test_verify_ok():

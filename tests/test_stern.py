@@ -15,6 +15,7 @@ from hbgraphs.stern import (
     _product,
     a,
     b_and_a,
+    b_and_a_range,
     b_algorithm1,
     b_block_formula,
     b_matrix,
@@ -130,6 +131,42 @@ def test_v_and_a_match_stack_recursion():
         assert b_and_a(n) == (b, cyclomatic + b - 1), n
         assert v(n) == cyclomatic, n
         assert a(n) == cyclomatic + b - 1, n
+
+
+def test_range_matches_b_and_a_below_2_pow_14():
+    every = [b_and_a(n) for n in range(1 << 14)]
+    assert list(b_and_a_range(0, (1 << 14) - 1)) == every
+    # spans that start and end off the chunk boundaries, of every length down to one
+    for lo, hi in ((1, 4095), (4095, 4096), (4095, 4095), (4096, 4096), (4097, 8191),
+                   (3000, 9001), (5, 5), (0, 0), (1, 1), (2, 3), (8191, 12289), (16383, 16383)):
+        assert list(b_and_a_range(lo, hi)) == every[lo : hi + 1], (lo, hi)
+    assert list(b_and_a_range(7, 6)) == [] and list(b_and_a_range(0, -1)) == []
+    with pytest.raises(ValueError):
+        list(b_and_a_range(-1, 3))
+
+
+def test_range_memory_does_not_grow_with_the_range():
+    tracemalloc.start()
+    try:
+        for _ in b_and_a_range(0, 200_000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("base", [2**64, 2**3000])
+def test_range_matches_b_and_a_on_deep_halvings(base):
+    # 3000 levels of halving: a recursive walk would exceed Python's recursion limit
+    lo, hi = base - 4100, base + 4100
+    assert list(b_and_a_range(lo, hi)) == [b_and_a(n) for n in range(lo, hi + 1)]
+
+
+@given(st.integers(0, 2**2000 - 1), st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_range_property(lo, span):
+    assert list(b_and_a_range(lo, lo + span)) == [b_and_a(n) for n in range(lo, lo + span + 1)]
 
 
 def test_v_and_a_match_stack_recursion_4096_bits():
