@@ -63,7 +63,7 @@ def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
         graph=g,
         blocks=decompose(minimal_expansion(n))[0],
         factors=tuple(factors for *_, factors in level),
-        place=ArcColumn(g, places),
+        place=ArcColumn(g, tuple(places)),
     )
 
 

@@ -199,9 +199,9 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_table(args, out) -> int:
     out.write("n,b,a,v\n")
-    rows = enumerate(stern.b_and_a_range(0, args.max))
+    rows = zip(range(args.max + 1), stern.b_and_a_rows())  # --max may pass sys.maxsize
     while text := "".join(f"{n},{b},{arcs},{arcs - b + 1}\n"
-                          for n, (b, arcs) in islice(rows, 4096)):
+                          for n, (b, arcs, _) in islice(rows, 4096)):
         out.write(text)
     return EXIT_OK
 
@@ -217,6 +217,8 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10 builds before 3.10.7 lack it
+        sys.set_int_max_str_digits(0)  # answers such as b(n) may exceed 4300 digits
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()
@@ -240,8 +242,6 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    if hasattr(sys, "set_int_max_str_digits"):  # 3.10 builds before 3.10.7 lack it
-        sys.set_int_max_str_digits(0)  # answers such as b(n) may exceed 4300 digits
     try:
         status = run()
         sys.stdout.flush()

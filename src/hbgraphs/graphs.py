@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -285,12 +285,13 @@ def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
     return _graph(n, *_walk(n, limit))[0]
 
 
-def _graph(n: int, level: list, ones: str) -> tuple[HbGraph, tuple[int, ...]]:
-    """The graph on the vertices ``_walk`` returned, and each arc's place, as columns.
+def _graph(n: int, level: list, ones: str) -> tuple[HbGraph, Iterator[int]]:
+    """The graph on the vertices ``_walk`` returned, as columns, and each arc's place.
 
     Each column is one field of every arc step, in tail order, read off
-    by C-level iterators: no per-arc Python code runs.  The last vertex
-    is the binary expansion.
+    by C-level iterators: no per-arc Python code runs.  The places are an
+    iterator, so a caller that drops them never builds their column.  The
+    last vertex is the binary expansion.
     """
     words, _, steps, _ = zip(*level)
     per_vertex = list(map(len, steps))
@@ -305,7 +306,7 @@ def _graph(n: int, level: list, ones: str) -> tuple[HbGraph, tuple[int, ...]]:
     positions = tuple(map(sub, lengths, field(2)))
     vertices = tuple(word + ones for word in words)
     g = HbGraph(n, vertices, tails, heads, tuple(field(1)), positions, 0, len(vertices) - 1)
-    return g, tuple(field(3))
+    return g, field(3)
 
 
 def counts(g: HbGraph) -> tuple[int, int, int]:

@@ -4,11 +4,12 @@ b(n) = |H(n)| is computed by the classical recursion, two 2x2 matrix
 products over the binary digits (digit-by-digit and run-by-run), an
 iterative single-pass scan, and a fold over the block decomposition of
 the minimal expansion.  Also: b(n) with the arc count a(n) in one digit
-pass (``b_and_a``, for one n), the same pair for every n of a range at
-O(1) additions per n (``b_and_a_range``, for tables and level sets), the
-cyclomatic number v(n), and Stern's diatomic sequence c(n) = b(n - 1)
-with its own matrix pair.  All arithmetic is plain Python ints
-(arbitrary precision), and no evaluator keeps state between calls.
+pass (``b_and_a``, for one n), the same pair as one endless stream over
+n = 0, 1, 2, ..., each row from the rows at n's halves at O(1) additions
+(``b_and_a_rows``, for tables and level sets), the cyclomatic number
+v(n), and Stern's diatomic sequence c(n) = b(n - 1) with its own matrix
+pair.  All arithmetic is plain Python ints (arbitrary precision), and no
+evaluator keeps state between calls.
 
 The matrix evaluators (``b_matrix``, ``b_matrix_blocks``, ``b_algorithm1``,
 ``b_block_formula``, ``c_matrix``) are digit folds: products of small
@@ -43,7 +44,6 @@ _LEAF = 256
 # (brute-forced likewise); Fib(258) < 2^178 leaves room for any c < 2^79.
 _LANE = _LEAF + 2
 _RUNS = re.compile("0+|1+")
-_CHUNK = 4096  # n per pass of b_and_a_range
 
 
 def _product(mats: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
@@ -258,32 +258,21 @@ def b_and_a(n: int) -> tuple[int, int]:
     return b, arcs
 
 
-def b_and_a_range(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """(b(n), a(n)) for n = lo ... hi in order: the rules of ``b_and_a``, run level by level.
+def b_and_a_rows() -> Iterator[tuple[int, int, int]]:
+    """(b(n), a(n), T(n)) for n = 0, 1, 2, ...: the rules of ``b_and_a``, read off n's halves.
 
-    Level k of a chunk [start, end] of ``_CHUNK`` n holds the columns
-    (b, a, T) at x = ((start + 1) >> k) - 1 ... end >> k: the halves r and
-    r - 1 of every x on level k - 1.  A loop comes down from the top level,
-    [-1, 0], at O(1) additions per x and two levels held, so n may have any length.
+    Rows 2r and 2r + 1 come from rows r - 1 and r of a second stream of
+    the same rows, which starts only at n = 2; the k-th nested stream
+    starts near n = 2^k, so O(log n) generators are alive at a time.
     """
-    if lo < 0:
-        raise ValueError("n must be nonnegative")
-    for start in range(lo, hi + 1, _CHUNK):
-        end = min(start + _CHUNK - 1, hi)
-        bs, arcs, ts = [0, 1], [0, 0], [0, 0]  # the top level, x = -1, 0
-        for k in range((end + 1).bit_length() - 1, -1, -1):
-            low, high, top = ((start + 1) >> k) - 1, end >> k, ((start + 1) >> k + 1) - 1
-            # rows r - top above: r and r - 1 for the even x = 2r, r for the odd x = 2r + 1
-            even, e0, e1 = low & 1, ((low + 1) >> 1) - top, (high >> 1) - top + 1
-            o0, o1 = (low >> 1) - top, ((high + 1) >> 1) - top
-            b1 = bs[e0 - 1 : e1 - 1]  # b(r - 1), which is T(2r)
-            nb, na, nt = ([0] * (high - low + 1) for _ in range(3))  # T(2r + 1) = 0
-            nb[even::2], nt[even::2] = [p + q for p, q in zip(bs[e0:e1], b1)], b1
-            halves = zip(arcs[e0:e1], arcs[e0 - 1 :], b1, ts[e0 - 1 :])
-            na[even::2] = [p + q + b - t for p, q, b, t in halves]
-            nb[1 - even :: 2], na[1 - even :: 2] = bs[o0:o1], arcs[o0:o1]
-            bs, arcs, ts = nb, na, nt
-        yield from zip(bs, arcs)
+    yield 1, 0, 0  # n = 0
+    yield 1, 0, 0  # n = 1
+    halves = b_and_a_rows()
+    pb, pa, pt = next(halves)  # row r - 1 = 0
+    for b, arcs, t in halves:  # row r = 1, 2, ...
+        yield b + pb, arcs + pa + pb - pt, pb  # n = 2r, T(2r) = b(r - 1)
+        yield b, arcs, 0  # n = 2r + 1
+        pb, pa, pt = b, arcs, t
 
 
 def v(n: int) -> int:
@@ -325,11 +314,12 @@ def c_matrix(n: int) -> int:
 
 
 def v_level_set_even(level: int, max_n: int) -> list[int]:
-    """All even n <= max_n with v(n) == level, from the recursion."""
-    rows = islice(enumerate(b_and_a_range(0, max_n)), 0, None, 2)
-    return [n for n, (b, arcs) in rows if arcs - b + 1 == level]
+    """All even n <= max_n with v(n) == level, read off the rows of ``b_and_a_rows``."""
+    rows = islice(zip(range(max_n + 1), b_and_a_rows()), 0, None, 2)
+    return [n for n, (b, arcs, _) in rows if arcs - b + 1 == level]
 
 
 def v1_all(max_n: int) -> list[int]:
     """All n <= max_n with v(n) == 1 (the set {(12 +- 1) 2^t - 1})."""
-    return [n for n, (b, arcs) in enumerate(b_and_a_range(0, max_n)) if arcs - b + 1 == 1]
+    rows = zip(range(max_n + 1), b_and_a_rows())
+    return [n for n, (b, arcs, _) in rows if arcs - b + 1 == 1]

@@ -60,6 +60,11 @@ def test_eval_answer_over_4300_digits():
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     # Decimal converts exactly and is not held to this process's int-string limit
     assert proc.stdout == f"{Decimal(b_matrix(n))}\n"
+    # in-process, run() lifts the limit itself: restore the default an earlier call lifted
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(4300)
+    status, out, err = invoke("eval", "--fn", "b", "--n", "0b" + "10" * 20000, "--algo", "mat")
+    assert (status, out, err) == (EXIT_OK, proc.stdout, "")
 
 
 def test_eval_rejects_long_decimal_input(capsys):
