@@ -25,7 +25,7 @@ from bisect import bisect_left
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, itemgetter, sub
 
 from .words import decompose, minimal_expansion, render, validate_expansion
@@ -81,40 +81,31 @@ def single_step_reductions(w: str) -> list[tuple[str, str, int]]:
     return list(_children(validate_expansion(w)))
 
 
-def _flags(block: str, s: int) -> tuple[bool, bool]:
-    """(long, ends in 0) of state s of a block; every block has len(block) + 1 states.
-
-    A state is long when its word is longer than the block's.
-    """
-    if block[0] == "1":
-        return s == len(block), s > 0
-    return s > 0, s == len(block)
-
-
 def _block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple | None]]:
     """The path of one block's expansions, in closed form, from the block word on.
 
-    Each state is (word, long, ends in 0, step), ``step`` the (label, local
-    position) of the arc to the next state, None for the last.  The leading
-    ``2y -> 10y`` step rewrites the 0 before the block: local position -1,
-    or 0 for the first block.
+    Each state is (word, long, ends in 0, step), a state long when its word
+    is longer than the block's, and ``step`` the (label, local position) of
+    the arc to the next state, None for the last.  The leading ``2y -> 10y``
+    step rewrites the 0 before the block: local position -1, or 0 for the
+    first block.
     """
     lead = (Label.SINGLE, 0 if first else -1)
     if block[0] == "1":  # 1^t 2: 1^(t-i) 2 0^i for i = 0..t, then 1 0^(t+1)
         t = len(block) - 1
         words = [block[i:] + "0" * i for i in range(t + 1)] + ["1" + "0" * (t + 1)]
         steps = [(Label.DOUBLE, t - i - 1) for i in range(t)] + [lead, None]
+        flags = [(False, False)] + [(False, True)] * t + [(True, True)]
     else:  # 2^t: 2^t, then 1^i 0 2^(t-i) for i = 1..t
         t = len(block)
         words = [block] + ["1" * i + "0" + block[i:] for i in range(1, t + 1)]
         steps = [lead] + [(Label.SINGLE, i) for i in range(1, t)] + [None]
-    return [(w, *_flags(block, s), step) for s, (w, step) in enumerate(zip(words, steps))]
+        flags = [(False, False)] + [(True, False)] * (t - 1) + [(True, True)]
+    return [(w, *flag, step) for w, flag, step in zip(words, flags, steps)]
 
 
-def _walk(
-    n: int, limit: int, lower: list[int] | None = None, factors: bool = False
-) -> tuple[list[tuple], str]:
-    """The admissible tuples of block states at or above ``lower``, in id order.
+def _walk(n: int, limit: int, factors: bool = False) -> tuple[list[tuple], str]:
+    """The admissible tuples of block states, in id order.
 
     A vertex is a tuple x_1 ... x_k of block states, admissible when every
     long x_p (p >= 2) follows an x_(p-1) that ends in 0; its word joins
@@ -135,18 +126,16 @@ def _walk(
     word) exceeds ``DIGITS_PER_VERTEX * limit`` digits.
     """
     blocks, ones = decompose(minimal_expansion(n))
-    lower = lower or [0] * len(blocks)
     # counts[p][e]: the admissible completions from block p on, after a state that ends
-    # in 0 iff e, capped above ``limit`` so that a refused n costs no big ints (every
-    # count in use is at most the vertex count)
+    # in 0 iff e, by the block matrix of ``stern._block_product`` (h after a state that
+    # ends in 0, k after one that does not), capped above ``limit`` so that a refused n
+    # costs no big ints (every count in use is at most the vertex count)
     counts = [(1, 1)]
-    for block, lo in zip(reversed(blocks), reversed(lower)):
-        after, count = counts[-1], [0, 0]
-        for s in range(lo, len(block) + 1):
-            long, zero = _flags(block, s)
-            count[0] += 0 if long else after[zero]
-            count[1] += after[zero]
-        counts.append(tuple(min(c, limit + 1) for c in count))
+    for block in reversed(blocks):
+        k, h = counts[-1]
+        a = len(block)
+        h, k = (a * h + k, (a - 1) * h + k) if block[0] == "1" else (h + a * k, k)
+        counts.append((min(k, limit + 1), min(h, limit + 1)))
     counts.reverse()
     bits = n.bit_length()  # the longest word's length; n itself may be too long to print
     if counts[0][1] > limit:
@@ -156,12 +145,11 @@ def _walk(
                              f" {DIGITS_PER_VERTEX} * limit {limit} digits")
     level = [("", True, (), ())]
     width = sum(map(len, blocks))  # of the blocks after p
-    for p, (block, lo) in enumerate(zip(blocks, lower)):
+    for p, block in enumerate(blocks):
         width -= len(block)
         states = _block_states(block, p == 0)
         rows = ([], [])  # rows[e]: the states, and their arcs, after one that ends in 0 iff e
-        for s in range(lo, len(states)):
-            w, long, zero, step = states[s]
+        for s, (w, long, zero, step) in enumerate(states):
             for e in (0, 1) if not long else (1,):
                 arc = ()
                 if step and (e or not states[s + 1][1]):
@@ -187,6 +175,14 @@ def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
 @dataclass(frozen=True)
 class HbGraph:
     """A(n), its arcs as aligned columns in (tail, position) order: arc i is tails[i] -> heads[i].
+
+    Ids are a topological order: a reduction makes its word shortlex-greater,
+    so every arc has tail < head, the source is 0 and the sink b - 1.
+    ``iso._signatures``, ``iso.labeled_iso`` and ``descendants_subgraph``
+    rely on it.  On a hand-built graph that breaks it, the levels and the
+    descendants may be wrong, and the search skips the backward arcs, so it
+    can only accept too much: ``labeled_iso`` then raises when
+    ``verify_witness`` rejects the map, and never returns a wrong witness.
 
     ``Arc`` objects are all made at once, on the first read of ``arcs``,
     ``out_arcs``, ``in_arcs`` or ``arc``.
@@ -319,26 +315,24 @@ def counts(g: HbGraph) -> tuple[int, int, int]:
 def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
     """Induced subgraph on ``start`` and everything reachable from it.
 
-    Every arc steps one block coordinate up, and every admissible tuple at
-    or above ``start``'s coordinatewise is reached from it, so this is the
-    graph of the tuples whose coordinates are bounded below by ``start``'s.
+    The arcs are in tail order and each head lies above its tail, so one
+    forward pass over the arcs marks every vertex reachable from ``start``.
+    The marked vertices keep their order, and the arcs out of them (which
+    end in marked vertices) keep theirs.
     """
     if not 0 <= start < len(g.vertices):
         raise ValueError(f"unknown vertex id {start}")
-    blocks, _ = decompose(minimal_expansion(g.n))
-    word, lower, at = g.vertices[start], [], 0
-    for p, block in enumerate(blocks):
-        # the one state whose word, less a final 0 dropped before a long state, starts here
-        for s, (w, _, zero, _) in enumerate(_block_states(block, p == 0)):
-            if word.startswith(w[:-1] if zero else w, at):
-                break
-        lower.append(s)
-        # the 0 was dropped iff the digit in its place is the long next state's leading 1
-        at += len(w) - (zero and word[at + len(w) - 1] == "1")
-    # a limit that a subgraph of g always meets: at most b(g) vertices of at most
-    # n's bit length digits each
-    limit = len(g.vertices) * max(1, g.n.bit_length())
-    return _graph(g.n, *_walk(g.n, limit, lower))[0]
+    reach = [False] * len(g.vertices)
+    reach[start] = True
+    for tail, head in zip(g.tails, g.heads):
+        if reach[tail]:
+            reach[head] = True
+    rank = list(accumulate(reach, initial=0))  # the new id of each marked vertex
+    kept = list(map(reach.__getitem__, g.tails))
+    tails, heads = (tuple(map(rank.__getitem__, compress(c, kept))) for c in (g.tails, g.heads))
+    vertices = tuple(compress(g.vertices, reach))
+    return HbGraph(g.n, vertices, tails, heads, tuple(compress(g.labels, kept)),
+                   tuple(compress(g.positions, kept)), 0, len(vertices) - 1)
 
 
 def export_dot(g: HbGraph, place: Mapping[Arc, int] | None = None) -> str:

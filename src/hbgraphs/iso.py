@@ -5,19 +5,18 @@ arithmetic closed form (m and n are related by repeated x -> 2x + 1).
 The search is anchored source-to-source and pruned by per-label degree
 and weight-level invariants.  Its setup is linear in the arc count a:
 one pass over each graph's arcs gives every vertex signature, the level
-included, g2's vertices are bucketed by signature in a dict, and one
-breadth-first pass gives the search order.  The graphs are read as arc
-columns, and the arc joining a pair is found by ``HbGraph.find``, a scan
-of the tail's short out-row, so no table of arcs by vertex pair and no
-``Arc`` object is built.  Each vertex's arcs to the vertices before it in
-the search order are listed once, before the search starts.
+included, and g2's vertices are bucketed by signature in a dict.  Vertex
+ids are a topological order, so the search matches g1's vertices in id
+order and checks each one's in-arcs, listed once before it starts.  The
+graphs are read as arc columns, and the arc joining a pair is found by
+``HbGraph.find``, a scan of the tail's short out-row, so no table of arcs
+by vertex pair and no ``Arc`` object is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .graphs import HbGraph, Label, build_graph
 from .words import even_core
@@ -76,21 +75,6 @@ def _signatures(g: HbGraph) -> list[tuple[int, int, int]]:
     return list(zip(level, outs, ins))
 
 
-def _search_order(g: HbGraph) -> list[int]:
-    """g's vertices breadth first from the source, over out- then in-arcs."""
-    out_heads, in_rows, tails = g.out_heads, g.in_rows, g.tails
-    order = [g.source]
-    placed = {g.source}
-    for v in order:
-        for u in chain(out_heads[v], map(tails.__getitem__, in_rows[v])):
-            if u not in placed:
-                order.append(u)
-                placed.add(u)
-    if len(order) < len(g.vertices):
-        raise AssertionError("graph is not connected")
-    return order
-
-
 def _candidates(g1: HbGraph, g2: HbGraph) -> list[list[int]] | None:
     """Each g1 vertex's g2 vertices of equal signature, ascending; None if the signatures differ."""
     sigs1 = _signatures(g1)
@@ -108,67 +92,56 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
 
     Returns the first witness in deterministic search order, or None.
     Raises BudgetExceeded if the search expands more than ``budget`` nodes.
-    Each g1 vertex tries the g2 vertices of its signature in ascending id
-    order, and the vertices are matched in ``_search_order``, so each one
-    after the source is adjacent to an earlier one.
+    The g1 vertices are matched in id order, a topological order, so every
+    vertex after the source has all its in-arcs from matched vertices, and
+    a search node checks only those.  Each g1 vertex tries the g2 vertices
+    of its signature in ascending id order.  Graphs with equal columns, as
+    every isomorphic pair of A-graphs has, are matched by the identity in
+    b search nodes: the smaller ids of each bucket are already used.
     """
     candidates = _candidates(g1, g2)
     if candidates is None:
         return None
-    order = _search_order(g1)
-    rank = [0] * len(order)
-    for i, v in enumerate(order):
-        rank[v] = i
-    # the arcs between order[i] and earlier vertices, whose images are set when it is
-    # tried: ahead[i] those it is the tail of, behind[i] the head of, as (other end, label)
-    ahead: list[list[tuple[int, str]]] = [[] for _ in order]
-    behind: list[list[tuple[int, str]]] = [[] for _ in order]
+    # each vertex's in-arcs as (tail, label), listed once; a backward arc, only in a
+    # hand-built graph, is left to verify_witness
+    behind: list[list[tuple[int, str]]] = [[] for _ in candidates]
     for tail, head, label in zip(g1.tails, g1.heads, g1.labels):
-        if rank[head] < rank[tail]:
-            ahead[rank[tail]].append((head, label))
-        else:
-            behind[rank[head]].append((tail, label))
-    mapping: dict[int, int] = {}
+        if tail < head:
+            behind[head].append((tail, label))
+    mapping: list[int] = []
     used: set[int] = set()
     expansions = 0
     find2, labels2 = g2.find, g2.labels  # bound once, used on every search node
 
-    def consistent(i: int, w: int) -> bool:
-        for u, label in ahead[i]:
-            j = find2(w, mapping[u])
-            if j is None or labels2[j] != label:
-                return False
-        for u, label in behind[i]:
+    def consistent(v: int, w: int) -> bool:
+        for u, label in behind[v]:
             j = find2(mapping[u], w)
             if j is None or labels2[j] != label:
                 return False
         return True
 
-    # depth-first over order; untried[i] holds the candidates left for order[i]
+    # depth-first in id order; untried[v] holds the candidates left for v = len(mapping)
     untried = []
-    i = 0
-    while i < len(order):
-        if len(untried) == i:
-            untried.append(iter(candidates[order[i]]))
-        v = order[i]
-        for w in untried[i]:
+    while len(mapping) < len(candidates):
+        v = len(mapping)
+        if len(untried) == v:
+            untried.append(iter(candidates[v]))
+        for w in untried[v]:
             if w in used:
                 continue
             expansions += 1
             if expansions > budget:
                 raise BudgetExceeded(f"isomorphism search exceeded budget {budget}")
-            if consistent(i, w):
-                mapping[v] = w
+            if consistent(v, w):
+                mapping.append(w)
                 used.add(w)
-                i += 1
                 break
         else:
             untried.pop()
-            if i == 0:
+            if not mapping:
                 return None
-            i -= 1
-            used.discard(mapping.pop(order[i]))
-    witness = IsoWitness(tuple(mapping[v] for v in range(len(order))))
+            used.discard(mapping.pop())
+    witness = IsoWitness(tuple(mapping))
     if not verify_witness(g1, g2, witness):
         raise AssertionError("search produced an invalid witness")
     return witness

@@ -13,12 +13,13 @@ c oracles fold one vector through the digit matrices a digit at a time,
 without the leaves and product tree of ``stern``.  The value oracle folds
 a word a digit at a time, without the two parses of ``words.value``.  The
 isomorphism oracle filters candidates by comparing every pair of vertex
-signatures and orders the search by repeated passes, without the buckets
-and single breadth-first pass of ``iso.labeled_iso``.  The export oracles
-build a dict per arc and encode the document with ``json.dumps``, and
-render both ends of every DOT arc.  The descendants oracle walks a built
-graph's out-arcs and re-indexes the induced subgraph, without the
-coordinate bounds of ``graphs.descendants_subgraph``.  The closure oracle
+signatures and checks every arc to a matched vertex through ``Arc``
+objects, without the buckets and in-arc lists of ``iso.labeled_iso``.
+The export oracles build a dict per arc and encode the document with
+``json.dumps``, and render both ends of every DOT arc.  The descendants
+oracle walks a built graph's out-arcs and re-indexes the induced
+subgraph by sorting its words, without the forward pass over the columns
+of ``graphs.descendants_subgraph``.  The closure oracle
 builds A(n), or the descendants of any expansion, by applying the single
 step reductions breadth first from a seed word and sorting the words it
 finds, without the block states of ``graphs.build_graph``.  Both oracles
@@ -254,8 +255,8 @@ def oracle_labeled_iso(g1, g2) -> tuple[tuple | None, int]:
     """(mapping or None, search nodes expanded) of the depth-first search.
 
     Candidates are every g2 vertex whose signature equals the g1 vertex's,
-    found by comparing all pairs; the search order grows by whole passes
-    over the vertices placed so far.  The depth-first loop is the library's.
+    found by comparing all pairs; the vertices are matched in id order.
+    The depth-first loop is the library's.
     """
     n1, n2 = len(g1.vertices), len(g2.vertices)
     if n1 != n2 or len(g1.arcs) != len(g2.arcs):
@@ -270,19 +271,7 @@ def oracle_labeled_iso(g1, g2) -> tuple[tuple | None, int]:
     sigs2 = [signature(g2, v) for v in range(n2)]
     if sorted(sigs1) != sorted(sigs2):
         return None, 0
-    order = [g1.source]
-    placed = {g1.source}
-    while len(order) < n1:
-        progressed = False
-        for v in list(order):
-            for arc in g1.out_arcs(v) + g1.in_arcs(v):
-                for u in (arc.head, arc.tail):
-                    if u not in placed:
-                        order.append(u)
-                        placed.add(u)
-                        progressed = True
-        if not progressed:
-            raise AssertionError("graph is not connected")
+    order = range(n1)
     candidates = [[w for w in range(n2) if sigs2[w] == sigs1[v]] for v in range(n1)]
 
     def consistent(v, w):

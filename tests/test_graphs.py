@@ -157,12 +157,17 @@ def test_descendants_subgraph_matches_oracle():
 
 
 def check_adjacency(g):
-    """Rows against a filter of ``g.arcs``; ``arc`` against every arc and some non-arcs."""
+    """Rows against a filter of ``g.arcs``; ``arc`` against every arc and some non-arcs.
+
+    Also the id order: every arc has tail < head, the source is 0 and the sink b - 1.
+    """
+    assert (g.source, g.sink) == (0, len(g.vertices) - 1), g.n
     for v in range(len(g.vertices)):
         assert g.out_arcs(v) == tuple(a for a in g.arcs if a.tail == v), (g.n, v)
         assert g.in_arcs(v) == tuple(a for a in g.arcs if a.head == v), (g.n, v)
         assert g.arc(v, v) is None, (g.n, v)
     for a in g.arcs:
+        assert a.tail < a.head, (g.n, a)
         assert g.arc(a.tail, a.head) is a, (g.n, a)
         assert g.arc(a.head, a.tail) is None, (g.n, a)
 

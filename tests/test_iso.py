@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_graph, oracle_labeled_iso
-from hbgraphs.graphs import build_graph, counts
+from conftest import cached_graph, graph_from_arcs, oracle_labeled_iso
+from hbgraphs.graphs import Arc, build_graph, counts
 from hbgraphs.iso import (
     BudgetExceeded,
     IsoWitness,
@@ -56,6 +56,38 @@ def test_even_pairs_with_equal_counts_refuted_without_search():
 def test_budget():
     with pytest.raises(BudgetExceeded):
         labeled_iso(cached_graph(42), cached_graph(42), budget=2)
+
+
+def test_isomorphic_pairs_match_by_identity_in_b_nodes():
+    # n -> 2^t n + 2^t - 1 appends 1^t to every word, so the arc columns are equal: the
+    # search in id order takes the identity, one node per vertex
+    for n in range(0, 2000, 2):
+        g1 = build_graph(n)
+        b = len(g1.vertices)
+        for t in (1, 2):
+            witness = labeled_iso(g1, build_graph(2**t * n + 2**t - 1), budget=b)
+            assert witness is not None and witness.mapping == tuple(range(b)), (n, t)
+
+
+def test_identity_at_b_10946_within_b_nodes():
+    g1, g2 = build_graph(699050), build_graph(1398101)
+    b = len(g1.vertices)
+    assert b == 10946
+    witness = labeled_iso(g1, g2, budget=b)
+    assert witness is not None and witness.mapping == tuple(range(b))
+
+
+def test_backward_arcs_raise_rather_than_give_a_wrong_witness():
+    # A(44) with ids 4 and 8 swapped has the backward arcs 7 -> 4 and 8 -> 5, which the
+    # search does not check: it accepts a map that verify_witness then rejects
+    g = cached_graph(44)
+    swap = list(range(len(g.vertices)))
+    swap[4], swap[8] = 8, 4
+    arcs = sorted((Arc(swap[a.tail], swap[a.head], a.label, a.position) for a in g.arcs),
+                  key=lambda a: (a.tail, a.position))
+    h = graph_from_arcs(44, [g.vertices[v] for v in swap], arcs, g.source, g.sink)
+    with pytest.raises(AssertionError, match="invalid witness"):
+        labeled_iso(h, g)
 
 
 def test_iso_closed_form_examples():
