@@ -8,21 +8,22 @@ product of the path graphs of its blocks, which yields the place map,
 place-preserving maps and checking paths.
 
 Every expansion is one tuple of block states, its factors, and every arc
-steps one of them: ``graphs`` generates A(n) in these coordinates, so
-``embed`` reads the factors and each arc's place (the stepped coordinate)
-off the generator and finds no cuts in any word.  The places are one more
-column beside the graph's arc columns; ``PlacedGraph.place`` is a
-read-only mapping over it.  The checking-path functions work on ``Arc``
-objects, which they get from ``HbGraph.out_arcs``, ``in_arcs`` and ``arc``.
+steps one of them, its place: ``graphs`` generates A(n) in these
+coordinates, and ``embed`` is ``build_graph`` keeping the places as one
+more arc column (``PlacedGraph.place``, a read-only mapping over it).  The
+factors follow from the places, so no word is cut.  The checking-path
+functions work on ``Arc`` objects, which they get from
+``HbGraph.out_arcs``, ``in_arcs`` and ``arc``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
-from .graphs import DEFAULT_LIMIT, Arc, ArcColumn, HbGraph, _graph, _walk, build_graph
+from .graphs import (DEFAULT_LIMIT, Arc, ArcColumn, HbGraph, _block_states, _graph, _walk,
+                     build_graph)
 from .words import decompose, minimal_expansion, value
 
 
@@ -41,8 +42,23 @@ def path_order(g: HbGraph) -> list[int]:
 class PlacedGraph:
     graph: HbGraph
     blocks: tuple[str, ...]  # the block words of n's minimal expansion
-    factors: tuple[tuple[str, ...], ...]  # per-vertex factor tuple, untruncated
-    place: Mapping[Arc, int]  # 1-based block index of each arc, an ArcColumn
+    place: ArcColumn  # 1-based block index of each arc
+
+    @cached_property
+    def factors(self) -> tuple[tuple[str, ...], ...]:
+        """Each vertex's block states, untruncated, built from the places on first read.
+
+        The source's are the block words; a head's first in-arc steps its tail's at its place.
+        """
+        g = self.graph
+        steps = [dict(pairwise(w for w, *_ in _block_states(block, p == 0)))
+                 for p, block in enumerate(self.blocks)]
+        factors = [self.blocks] + [None] * (len(g.vertices) - 1)
+        for tail, head, p in zip(g.tails, g.heads, self.place.column):
+            if factors[head] is None:
+                f = factors[tail]
+                factors[head] = (*f[: p - 1], steps[p - 1][f[p - 1]], *f[p:])
+        return tuple(factors)
 
     @cached_property
     def block_graphs(self) -> tuple[HbGraph, ...]:
@@ -52,19 +68,13 @@ class PlacedGraph:
 def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
     """Build A(n) together with its embedding into the product of block paths.
 
-    The graph is generated in product coordinates, so a vertex's factors
-    are its block states and an arc's place is the coordinate it steps.
+    This is ``build_graph`` keeping each arc's place, the coordinate it
+    steps; ``PlacedGraph.factors`` is built from the places when first read.
     """
     if n % 2:
         raise ValueError(f"embed requires an even n, got {n}")
-    level, _ = _walk(n, limit, factors=True)
-    g, places = _graph(n, level, "")
-    return PlacedGraph(
-        graph=g,
-        blocks=decompose(minimal_expansion(n))[0],
-        factors=tuple(factors for *_, factors in level),
-        place=ArcColumn(g, tuple(places)),
-    )
+    g, places = _graph(n, *_walk(n, limit))
+    return PlacedGraph(g, decompose(minimal_expansion(n))[0], ArcColumn(g, tuple(places)))
 
 
 def place_map(pg: PlacedGraph, arc: Arc) -> int:

@@ -104,7 +104,7 @@ def _block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple 
     return [(w, *flag, step) for w, flag, step in zip(words, flags, steps)]
 
 
-def _walk(n: int, limit: int, factors: bool = False) -> tuple[list[tuple], str]:
+def _walk(n: int, limit: int) -> tuple[list[tuple], str]:
     """The admissible tuples of block states, in id order.
 
     A vertex is a tuple x_1 ... x_k of block states, admissible when every
@@ -117,13 +117,12 @@ def _walk(n: int, limit: int, factors: bool = False) -> tuple[list[tuple], str]:
     whether x_p ends in 0); its place is p, and it rewrites the digit
     r places from the end of the core word, r fixed by p and x_p.
 
-    Returns one (core word, ends in 0, arc steps, state words) per vertex,
-    each arc step (stride, label, r, place) one tuple shared by all the
-    vertices that take it, the state words only with ``factors``, and n's
-    trailing 1s.  Raises
-    SizeLimitError, before any state word is made, when there are more
-    than ``limit`` tuples, or when they times n's bit length (the longest
-    word) exceeds ``DIGITS_PER_VERTEX * limit`` digits.
+    Returns one (core word, ends in 0, arc steps) per vertex, each arc
+    step (stride, label, r, place) one tuple shared by all the vertices
+    that take it, and n's trailing 1s; the tuples of states are not kept.
+    Raises SizeLimitError, before any state word is made, when there are
+    more than ``limit`` tuples, or when they times n's bit length (the
+    longest word) exceeds ``DIGITS_PER_VERTEX * limit`` digits.
     """
     blocks, ones = decompose(minimal_expansion(n))
     # counts[p][e]: the admissible completions from block p on, after a state that ends
@@ -143,7 +142,7 @@ def _walk(n: int, limit: int, factors: bool = False) -> tuple[list[tuple], str]:
     if counts[0][1] * bits > DIGITS_PER_VERTEX * limit:
         raise SizeLimitError(f"{counts[0][1]} words of up to {bits} digits may exceed"
                              f" {DIGITS_PER_VERTEX} * limit {limit} digits")
-    level = [("", True, (), ())]
+    level = [("", True, ())]
     width = sum(map(len, blocks))  # of the blocks after p
     for p, block in enumerate(blocks):
         width -= len(block)
@@ -157,11 +156,11 @@ def _walk(n: int, limit: int, factors: bool = False) -> tuple[list[tuple], str]:
                     # drops comes back as the extra digit of the long x_(p+1)
                     label, local = step
                     arc = ((counts[p + 1][zero], label, width + len(w) - local, p + 1),)
-                rows[e].append((w, long and p > 0, zero, arc, (w,) if factors else ()))
+                rows[e].append((w, long and p > 0, zero, arc))
         level = [
-            (word[:-1] + w if drop else word + w, zero, arcs + arc, words + factor)
-            for word, e, arcs, words in level
-            for w, drop, zero, arc, factor in rows[e]
+            (word[:-1] + w if drop else word + w, zero, arcs + arc)
+            for word, e, arcs in level
+            for w, drop, zero, arc in rows[e]
         ]
     return level, "1" * ones
 
@@ -169,7 +168,7 @@ def _walk(n: int, limit: int, factors: bool = False) -> tuple[list[tuple], str]:
 def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
     """H(n) in shortlex order: the words of the admissible tuples of block states."""
     level, ones = _walk(n, limit)
-    return [word + ones for word, *_ in level]
+    return [word + ones for word, _, _ in level]
 
 
 @dataclass(frozen=True)
@@ -178,11 +177,9 @@ class HbGraph:
 
     Ids are a topological order: a reduction makes its word shortlex-greater,
     so every arc has tail < head, the source is 0 and the sink b - 1.
-    ``iso._signatures``, ``iso.labeled_iso`` and ``descendants_subgraph``
-    rely on it.  On a hand-built graph that breaks it, the levels and the
-    descendants may be wrong, and the search skips the backward arcs, so it
-    can only accept too much: ``labeled_iso`` then raises when
-    ``verify_witness`` rejects the map, and never returns a wrong witness.
+    ``iso.labeled_iso`` raises ValueError on a hand-built graph whose ids
+    are not (``tails`` not ascending, or an arc with tail >= head);
+    ``descendants_subgraph`` assumes they are and checks nothing.
 
     ``Arc`` objects are all made at once, on the first read of ``arcs``,
     ``out_arcs``, ``in_arcs`` or ``arc``.
@@ -250,8 +247,8 @@ class HbGraph:
 class ArcColumn(Mapping):
     """A read-only Mapping[Arc, value] over one more arc column of ``graph``; no hashing."""
 
-    def __init__(self, graph: HbGraph, values: Sequence):
-        self.graph, self.values = graph, values
+    def __init__(self, graph: HbGraph, column: Sequence):
+        self.graph, self.column = graph, column
 
     def __getitem__(self, arc):
         g = self.graph
@@ -259,13 +256,13 @@ class ArcColumn(Mapping):
         i = g.find(arc.tail, arc.head) if known else None
         if i is None or (g.labels[i], g.positions[i]) != (arc.label, arc.position):
             raise KeyError(arc)
-        return self.values[i]
+        return self.column[i]
 
     def __iter__(self):
         return iter(self.graph.arcs)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.column)
 
 
 def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
@@ -289,7 +286,7 @@ def _graph(n: int, level: list, ones: str) -> tuple[HbGraph, Iterator[int]]:
     iterator, so a caller that drops them never builds their column.  The
     last vertex is the binary expansion.
     """
-    words, _, steps, _ = zip(*level)
+    words, _, steps = zip(*level)
     per_vertex = list(map(len, steps))
 
     def field(k: int):
@@ -343,7 +340,7 @@ def export_dot(g: HbGraph, place: Mapping[Arc, int] | None = None) -> str:
         arc_lines = (f'  "{names[t]}" -> "{names[h]}" [label="{_DOT_LABEL[x]}"];'
                      for t, h, x in columns)
     else:
-        places = place.values if isinstance(place, ArcColumn) and place.graph is g else (
+        places = place.column if isinstance(place, ArcColumn) and place.graph is g else (
             [place[a] for a in g.arcs])
         arc_lines = (f'  "{names[t]}" -> "{names[h]}" [label="{_DOT_LABEL[x]}" place={p}];'
                      for (t, h, x), p in zip(columns, places))

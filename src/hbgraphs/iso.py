@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import lt
 
 from .graphs import HbGraph, Label, build_graph
 from .words import even_core
@@ -58,11 +59,13 @@ def _signatures(g: HbGraph) -> list[tuple[int, int, int]]:
 
     The level is the weight above the sink's, an invariant because weight
     drops by 1 along every arc: a tail's level is its head's plus 1.  Heads
-    have higher (shortlex) ids than tails and the arcs are in tail order, so
-    in reverse each head's level is final before a tail reads it.  Each arc
-    adds 1 to the degree keys of its ends, and a DOUBLE arc also adds 2^32,
-    so a key packs (DOUBLE count, degree) into one int.
+    have higher ids than tails and the arcs are in tail order (else this
+    raises ValueError), so in reverse each head's level is final before a
+    tail reads it.  Each arc adds 1 to the degree keys of its ends, and a
+    DOUBLE arc also adds 2^32, so a key packs (DOUBLE count, degree) into one int.
     """
+    if list(g.tails) != sorted(g.tails) or not all(map(lt, g.tails, g.heads)):
+        raise ValueError("vertex ids are not a topological order: tails must ascend, below heads")
     code = {Label.SINGLE: 1, Label.DOUBLE: 1 | 1 << 32}
     outs = [0] * len(g.vertices)
     ins = [0] * len(g.vertices)
@@ -91,7 +94,8 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
     """Find an edge-labeled directed-graph isomorphism g1 -> g2, if any.
 
     Returns the first witness in deterministic search order, or None.
-    Raises BudgetExceeded if the search expands more than ``budget`` nodes.
+    Raises BudgetExceeded if the search expands more than ``budget`` nodes, and
+    ValueError, before it starts, when either graph's ids are not a topological order.
     The g1 vertices are matched in id order, a topological order, so every
     vertex after the source has all its in-arcs from matched vertices, and
     a search node checks only those.  Each g1 vertex tries the g2 vertices
@@ -102,12 +106,9 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
     candidates = _candidates(g1, g2)
     if candidates is None:
         return None
-    # each vertex's in-arcs as (tail, label), listed once; a backward arc, only in a
-    # hand-built graph, is left to verify_witness
-    behind: list[list[tuple[int, str]]] = [[] for _ in candidates]
+    behind: list[list[tuple[int, str]]] = [[] for _ in candidates]  # in-arcs as (tail, label)
     for tail, head, label in zip(g1.tails, g1.heads, g1.labels):
-        if tail < head:
-            behind[head].append((tail, label))
+        behind[head].append((tail, label))
     mapping: list[int] = []
     used: set[int] = set()
     expansions = 0

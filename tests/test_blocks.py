@@ -163,6 +163,21 @@ def test_place_view():
             place_preserving_map(pg, x)
 
 
+def test_place_view_values():
+    # ArcColumn keeps its column under its own name, so Mapping.values() still works
+    for n in (0, 10, 2708):
+        pg = embed(n)
+        assert list(pg.place.values()) == [pg.place[a] for a in pg.graph.arcs], n
+
+
+def test_factors_built_on_first_read():
+    for n in (0, 10, 2708):
+        pg = embed(n)
+        assert "factors" not in vars(pg), n
+        assert pg.factors == tuple(oracle_factors(w, pg.blocks) for w in pg.graph.vertices), n
+        assert "factors" in vars(pg), n
+
+
 def test_place_preserving_map_examples():
     pg = cached_embed(10)
     g = pg.graph

@@ -1,3 +1,4 @@
+import random
 from collections import defaultdict
 
 import pytest
@@ -77,17 +78,45 @@ def test_identity_at_b_10946_within_b_nodes():
     assert witness is not None and witness.mapping == tuple(range(b))
 
 
+def relabeled(g, perm):
+    """g with vertex v renamed perm[v], its arcs re-sorted into (tail, position) order."""
+    arcs = sorted((Arc(perm[a.tail], perm[a.head], a.label, a.position) for a in g.arcs),
+                  key=lambda a: (a.tail, a.position))
+    words = [None] * len(perm)
+    for v, w in enumerate(g.vertices):
+        words[perm[v]] = w
+    return graph_from_arcs(g.n, words, arcs, perm[g.source], perm[g.sink])
+
+
 def test_backward_arcs_raise_rather_than_give_a_wrong_witness():
-    # A(44) with ids 4 and 8 swapped has the backward arcs 7 -> 4 and 8 -> 5, which the
-    # search does not check: it accepts a map that verify_witness then rejects
+    # A(44) with ids 4 and 8 swapped has the backward arcs 7 -> 4 and 8 -> 5: its ids are
+    # not a topological order, which the levels and the search rely on
     g = cached_graph(44)
     swap = list(range(len(g.vertices)))
     swap[4], swap[8] = 8, 4
-    arcs = sorted((Arc(swap[a.tail], swap[a.head], a.label, a.position) for a in g.arcs),
-                  key=lambda a: (a.tail, a.position))
-    h = graph_from_arcs(44, [g.vertices[v] for v in swap], arcs, g.source, g.sink)
-    with pytest.raises(AssertionError, match="invalid witness"):
-        labeled_iso(h, g)
+    h = relabeled(g, swap)
+    for pair in ((h, g), (g, h)):
+        with pytest.raises(ValueError, match="topological order"):
+            labeled_iso(*pair)
+
+
+def test_random_relabelings_raise_or_give_a_witness():
+    # a relabeled copy of A(n) is refused when its ids are not a topological order, and
+    # otherwise matched: never None, which would deny an isomorphism
+    rng = random.Random(2024)
+    matched = 0
+    for _ in range(200):
+        g = cached_graph(rng.randrange(200))
+        perm = list(range(len(g.vertices)))
+        rng.shuffle(perm)
+        h = relabeled(g, perm)
+        try:
+            witness = labeled_iso(h, g)
+        except ValueError:
+            continue
+        assert witness is not None and verify_witness(h, g, witness), (g.n, perm)
+        matched += 1
+    assert matched > 0
 
 
 def test_iso_closed_form_examples():
