@@ -116,9 +116,10 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_graph(args, out) -> int:
+    """Write ``export_dot(g)``, or ``export_json(g)`` and a newline, 4096 arcs per write."""
     g = graphs.build_graph(args.n, args.limit)
-    text = graphs.export_dot(g) if args.format == "dot" else graphs.export_json(g) + "\n"
-    out.write(text)
+    out.writelines(graphs.export_chunks(g, args.format, size=4096))
+    out.write("\n" if args.format == "json" else "")
     return EXIT_OK
 
 
@@ -136,9 +137,9 @@ def _cmd_iso(args, out) -> int:
         g2 = graphs.build_graph(args.n, args.limit)
         witness = iso.labeled_iso(g1, g2, budget=args.budget)
         print("isomorphic" if witness else "not isomorphic", file=out)
-        if witness:
-            for v, w in enumerate(witness.mapping):
-                print(f"{render(g1.vertices[v])} -> {render(g2.vertices[w])}", file=out)
+        pairs = zip(g1.vertices, map(g2.vertices.__getitem__, witness.mapping if witness else ()))
+        while text := "".join(f"{render(v)} -> {render(w)}\n" for v, w in islice(pairs, 4096)):
+            out.write(text)
     else:
         print("isomorphic" if iso.iso_closed_form(args.m, args.n) else "not isomorphic",
               file=out)

@@ -25,8 +25,8 @@ from bisect import bisect_left
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
-from operator import add, itemgetter, sub
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, getitem, itemgetter, lt, sub
 
 from .words import decompose, minimal_expansion, render, validate_expansion
 
@@ -42,10 +42,6 @@ class SizeLimitError(Exception):
 class Label:
     SINGLE = "single"  # ->   patterns x02y -> x10y and 2y -> 10y
     DOUBLE = "double"  # ->>  pattern  x12y -> x20y
-
-
-#: one-letter codes used in DOT output
-_DOT_LABEL = {Label.SINGLE: "s", Label.DOUBLE: "d"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,9 +173,8 @@ class HbGraph:
 
     Ids are a topological order: a reduction makes its word shortlex-greater,
     so every arc has tail < head, the source is 0 and the sink b - 1.
-    ``iso.labeled_iso`` raises ValueError on a hand-built graph whose ids
-    are not (``tails`` not ascending, or an arc with tail >= head);
-    ``descendants_subgraph`` assumes they are and checks nothing.
+    ``iso.labeled_iso`` and ``descendants_subgraph`` rely on it, and raise
+    ValueError (``check_topological``) on a hand-built graph whose ids are not.
 
     ``Arc`` objects are all made at once, on the first read of ``arcs``,
     ``out_arcs``, ``in_arcs`` or ``arc``.
@@ -304,21 +299,27 @@ def _graph(n: int, level: list, ones: str) -> tuple[HbGraph, Iterator[int]]:
 
 def counts(g: HbGraph) -> tuple[int, int, int]:
     """(b, a, v): vertex count, arc count, cyclomatic number a - b + 1."""
-    b = len(g.vertices)
-    a = len(g.tails)
+    b, a = len(g.vertices), len(g.tails)
     return (b, a, a - b + 1)
+
+
+def check_topological(g: HbGraph) -> None:
+    """Raise ValueError unless ``tails`` ascend and every arc has tail < head."""
+    if list(g.tails) != sorted(g.tails) or not all(map(lt, g.tails, g.heads)):
+        raise ValueError("vertex ids are not a topological order: tails must ascend, below heads")
 
 
 def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
     """Induced subgraph on ``start`` and everything reachable from it.
 
-    The arcs are in tail order and each head lies above its tail, so one
-    forward pass over the arcs marks every vertex reachable from ``start``.
-    The marked vertices keep their order, and the arcs out of them (which
-    end in marked vertices) keep theirs.
+    The arcs are in tail order and each head lies above its tail (else
+    ValueError), so one forward pass over the arcs marks every vertex
+    reachable from ``start``.  The marked vertices keep their order, and
+    the arcs out of them (which end in marked vertices) keep theirs.
     """
     if not 0 <= start < len(g.vertices):
         raise ValueError(f"unknown vertex id {start}")
+    check_topological(g)
     reach = [False] * len(g.vertices)
     reach[start] = True
     for tail, head in zip(g.tails, g.heads):
@@ -332,21 +333,46 @@ def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
                    tuple(compress(g.positions, kept)), 0, len(vertices) - 1)
 
 
+def export_chunks(g: HbGraph, fmt: str = "dot", place: Mapping[Arc, int] | None = None,
+                  size: int = 0) -> Iterator[str]:
+    """The text of ``export_dot(g, place)``, or of ``export_json(g)`` for ``fmt`` "json", in chunks.
+
+    An arc is three strings made up front: its tail's prefix, its head's name
+    or id, and its end by label and place or position.  A chunk of ``size``
+    arcs (0: all) is one join of a list filled from maps over the columns by
+    extended-slice assignment, so no per-arc Python code runs.
+    """
+    if fmt == "dot":
+        heads = list(map(render, g.vertices))
+        tails = [f'  "{x}" -> "' for x in heads]
+        start = f'digraph A{g.n} {{\n  "' + '";\n  "'.join(heads) + '";\n'
+        stop, label = "}\n", {Label.SINGLE: "s", Label.DOUBLE: "d"}.__getitem__
+        values, end = (g.labels, '" [label="{}"];\n') if place is None else (
+            place.column if isinstance(place, ArcColumn) and place.graph is g else
+            [place[a] for a in g.arcs], '" [label="{}" place={}];\n')
+    else:
+        heads = list(map(str, range(len(g.vertices))))
+        tails = [f',{{"tail":{v},"head":' for v in heads]
+        vertices = json.dumps(g.vertices, separators=(",", ":"))
+        start, stop, label = f'{{"n":{g.n},"vertices":{vertices},"arcs":[', "]}", str
+        values, end = g.positions, ',"label":"{}","position":{}}}'
+    ends = {x: {v: end.format(label(x), v) for v in set(values)} for x in set(g.labels)}
+    columns = (map(tails.__getitem__, g.tails), map(heads.__getitem__, g.heads),
+               map(getitem, map(ends.__getitem__, g.labels), values))
+    count, size = len(g.tails), size or len(g.tails) or 1
+    for lo in range(0, count or 1, size):  # an arcless graph gets one chunk
+        pieces = [""] * (3 * min(size, count - lo) + 2)
+        for k, column in enumerate(columns, 1):
+            pieces[k:-1:3] = islice(column, size)
+        if lo == 0:
+            pieces[:2] = start, pieces[1].lstrip(",")  # the first arc drops JSON's comma
+        pieces[-1] = stop if lo + size >= count else ""
+        yield "".join(pieces)
+
+
 def export_dot(g: HbGraph, place: Mapping[Arc, int] | None = None) -> str:
     """Deterministic DOT rendering; optional per-arc ``place``, read by index if an ArcColumn."""
-    names = [render(w) for w in g.vertices]
-    columns = zip(g.tails, g.heads, g.labels)
-    if place is None:
-        arc_lines = (f'  "{names[t]}" -> "{names[h]}" [label="{_DOT_LABEL[x]}"];'
-                     for t, h, x in columns)
-    else:
-        places = place.column if isinstance(place, ArcColumn) and place.graph is g else (
-            [place[a] for a in g.arcs])
-        arc_lines = (f'  "{names[t]}" -> "{names[h]}" [label="{_DOT_LABEL[x]}" place={p}];'
-                     for (t, h, x), p in zip(columns, places))
-    # one list of lines; the closing "" gives the final newline without a copy of the text
-    lines = [f"digraph A{g.n} {{", *(f'  "{name}";' for name in names), *arc_lines, "}", ""]
-    return "\n".join(lines)
+    return next(export_chunks(g, "dot", place))
 
 
 def export_json(g: HbGraph) -> str:
@@ -355,11 +381,6 @@ def export_json(g: HbGraph) -> str:
     The bytes are those of ``json.dumps`` with ``separators=(",", ":")`` on
     {"n", "vertices", "arcs"}, each arc an object {"tail", "head", "label",
     "position"}; the arcs hold only ints and the two label names, which
-    need no escaping, so they are written directly from the columns.
+    need no escaping, so ``export_chunks`` joins them from the columns.
     """
-    vertices = json.dumps(g.vertices, separators=(",", ":"))
-    arcs = ",".join(
-        f'{{"tail":{t},"head":{h},"label":"{x}","position":{p}}}'
-        for t, h, x, p in zip(g.tails, g.heads, g.labels, g.positions)
-    )
-    return f'{{"n":{g.n},"vertices":{vertices},"arcs":[{arcs}]}}'
+    return next(export_chunks(g, "json"))

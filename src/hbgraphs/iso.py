@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import lt
 
-from .graphs import HbGraph, Label, build_graph
+from .graphs import HbGraph, Label, build_graph, check_topological
 from .words import even_core
 
 DEFAULT_BUDGET = 10**7
@@ -64,8 +63,7 @@ def _signatures(g: HbGraph) -> list[tuple[int, int, int]]:
     tail reads it.  Each arc adds 1 to the degree keys of its ends, and a
     DOUBLE arc also adds 2^32, so a key packs (DOUBLE count, degree) into one int.
     """
-    if list(g.tails) != sorted(g.tails) or not all(map(lt, g.tails, g.heads)):
-        raise ValueError("vertex ids are not a topological order: tails must ascend, below heads")
+    check_topological(g)
     code = {Label.SINGLE: 1, Label.DOUBLE: 1 | 1 << 32}
     outs = [0] * len(g.vertices)
     ins = [0] * len(g.vertices)

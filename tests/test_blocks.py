@@ -23,7 +23,7 @@ from hbgraphs.blocks import (
     place_preserving_map,
     place_preserving_through_path,
 )
-from hbgraphs.graphs import Arc, Label, build_graph, counts, export_dot
+from hbgraphs.graphs import Arc, Label, build_graph, counts, export_chunks, export_dot
 from hbgraphs.iso import labeled_iso
 from hbgraphs.stern import b_matrix
 from hbgraphs.words import binary_expansion, minimal_expansion, value
@@ -135,6 +135,15 @@ def test_embed_matches_split_oracle_random(half):
     n = 2 * half
     assume(b_matrix(n) <= 2000)
     assert_embed_matches_oracle(n)
+
+
+def test_placed_export_chunks_join_to_export_dot():
+    for n in range(0, 1025, 2):
+        pg = cached_embed(n)
+        dot = export_dot(pg.graph, pg.place)
+        for place in (pg.place, dict(pg.place)):
+            for size in (1, 1 + n % 89):
+                assert "".join(export_chunks(pg.graph, "dot", place, size)) == dot, (n, size)
 
 
 def test_place_map_examples():

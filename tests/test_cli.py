@@ -23,6 +23,7 @@ from hbgraphs.cli import (
     plan_verify,
     run,
 )
+from hbgraphs.graphs import build_graph, export_dot, export_json
 from hbgraphs.stern import b_and_a, b_matrix
 from hbgraphs.words import minimal_expansion
 
@@ -147,6 +148,14 @@ def test_graph_formats():
     assert doc["n"] == 10 and len(doc["vertices"]) == 5 and len(doc["arcs"]) == 5
 
 
+@pytest.mark.parametrize("n", [0, 3, 10, 2708, 2254256])
+def test_graph_writes_the_exports(n):
+    # A(2254256) has 40 247 arcs: the text goes out in ten chunks of at most 4096 arcs
+    g = build_graph(n)
+    assert invoke("graph", "--n", str(n)) == (EXIT_OK, export_dot(g), "")
+    assert invoke("graph", "--n", str(n), "--format", "json") == (EXIT_OK, export_json(g) + "\n", "")
+
+
 def test_graph_limit_exit_code():
     for n, limit in (("42", "3"), ("7", "0")):
         status, out, err = invoke("graph", "--n", n, "--limit", limit)
@@ -193,6 +202,21 @@ def test_closed_stdout_exits_quietly():
     proc = subprocess.Popen([sys.executable, "-m", "hbgraphs.cli", "table", "--max", "100000"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"n,b,a,v\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert err == b""
+
+
+def test_closed_stdout_mid_graph_exits_quietly():
+    # A(2254256) as DOT is about 640 KB, far more than a pipe holds: the reader leaves
+    # while ``graph`` is still writing its chunks
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "hbgraphs.cli", "graph", "--n", "2254256",
+                             "--format", "dot"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"digraph A2254256 {\n"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -21,6 +21,7 @@ from hbgraphs.graphs import (
     counts,
     descendants_subgraph,
     enumerate_expansions,
+    export_chunks,
     export_dot,
     export_json,
     single_step_reductions,
@@ -235,6 +236,39 @@ def test_exports_match_oracles():
         g = build_graph(n)
         assert export_json(g) == oracle_export_json(g), n
         assert export_dot(g) == oracle_export_dot(g), n
+
+
+def test_export_chunks_join_to_the_exports():
+    for n in range(2049):
+        g = cached_graph(n)
+        dot, text = export_dot(g), export_json(g)
+        for size in (1, 1 + n % 97):
+            assert "".join(export_chunks(g, "json", size=size)) == text, (n, size)
+            assert "".join(export_chunks(g, "dot", size=size)) == dot, (n, size)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_export_chunks_of_an_arcless_graph(n):
+    g = cached_graph(n)
+    assert not g.tails
+    for size in (0, 1, 4096):
+        assert list(export_chunks(g, "json", size=size)) == [export_json(g)], (n, size)
+        assert list(export_chunks(g, "dot", size=size)) == [export_dot(g)], (n, size)
+
+
+def test_export_chunks_at_one_chunk_boundary():
+    g = cached_graph(2708)
+    count = len(g.tails)  # 644
+    for fmt, whole in (("json", export_json(g)), ("dot", export_dot(g))):
+        assert list(export_chunks(g, fmt)) == [whole], fmt
+        for size, chunks in ((count + 1, 1), (count, 1), (count - 1, 2), (count // 2, 2),
+                             (count // 2 - 1, 3)):
+            got = list(export_chunks(g, fmt, size=size))
+            assert len(got) == chunks and "".join(got) == whole, (fmt, size)
+        # a boundary splits the text between whole arcs: the second chunk starts with one
+        first, second = export_chunks(g, fmt, size=count - 1)
+        assert second.startswith(',{"tail":' if fmt == "json" else '  "'), fmt
+        assert first.endswith("}" if fmt == "json" else ";\n"), fmt
 
 
 @given(st.integers(0, 2048))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_graph, graph_from_arcs, oracle_labeled_iso
-from hbgraphs.graphs import Arc, build_graph, counts
+from hbgraphs.graphs import Arc, build_graph, counts, descendants_subgraph
 from hbgraphs.iso import (
     BudgetExceeded,
     IsoWitness,
@@ -117,6 +117,32 @@ def test_random_relabelings_raise_or_give_a_witness():
         assert witness is not None and verify_witness(h, g, witness), (g.n, perm)
         matched += 1
     assert matched > 0
+
+
+def test_descendants_of_a_relabeled_copy_raise_or_match():
+    # a relabeled copy whose ids are not a topological order is refused; otherwise its
+    # descendants are those of the same word in A(n)
+    g = cached_graph(44)
+    swap = list(range(len(g.vertices)))
+    swap[4], swap[8] = 8, 4
+    with pytest.raises(ValueError, match="topological order"):
+        descendants_subgraph(relabeled(g, swap), 0)
+    rng = random.Random(2025)
+    kept = 0
+    for _ in range(200):
+        g = cached_graph(rng.randrange(2, 200))
+        perm = list(range(len(g.vertices)))
+        rng.shuffle(perm)
+        h = relabeled(g, perm)
+        start = rng.randrange(len(h.vertices))
+        try:
+            sub = descendants_subgraph(h, start)
+        except ValueError:
+            continue
+        expected = descendants_subgraph(g, g.index[h.vertices[start]])
+        assert set(sub.vertices) == set(expected.vertices), (g.n, perm, start)
+        kept += 1
+    assert kept > 0
 
 
 def test_iso_closed_form_examples():
