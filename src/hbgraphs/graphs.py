@@ -26,7 +26,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, getitem, itemgetter, lt, sub
+from operator import add, getitem, itemgetter, le, lt, sub
 
 from .words import decompose, minimal_expansion, render, validate_expansion
 
@@ -173,6 +173,7 @@ class HbGraph:
 
     Ids are a topological order: a reduction makes its word shortlex-greater,
     so every arc has tail < head, the source is 0 and the sink b - 1.
+    ``out_offsets`` (and so ``find``, ``out_arcs``, ``arc``, ``ArcColumn``),
     ``iso.labeled_iso`` and ``descendants_subgraph`` rely on it, and raise
     ValueError (``check_topological``) on a hand-built graph whose ids are not.
 
@@ -199,14 +200,9 @@ class HbGraph:
 
     @cached_property
     def out_offsets(self) -> list[int]:
-        """The arcs out of v are those with out_offsets[v] <= index < out_offsets[v + 1]."""
+        """The arcs out of v are out_offsets[v] <= i < out_offsets[v + 1]: bisects of ``tails``."""
+        check_topological(self)  # unsorted tails bisect to wrong runs, not to an error
         return [bisect_left(self.tails, v) for v in range(len(self.vertices) + 1)]
-
-    @cached_property
-    def out_heads(self) -> list[tuple[int, ...]]:
-        """Each vertex's run of ``heads``, prebuilt: ``find`` scans it faster than a range."""
-        off = self.out_offsets
-        return [self.heads[off[v] : off[v + 1]] for v in range(len(self.vertices))]
 
     @cached_property
     def in_rows(self) -> list[list[int]]:
@@ -217,9 +213,12 @@ class HbGraph:
         return rows
 
     def find(self, tail: int, head: int) -> int | None:
-        """The index of the arc from vertex ``tail`` to ``head``, or None; ids are not checked."""
-        row = self.out_heads[tail]
-        return self.out_offsets[tail] + row.index(head) if head in row else None
+        """The index of the arc ``tail`` -> ``head``, or None, from the tail's run of ``heads``."""
+        off = self.out_offsets
+        try:
+            return self.heads.index(head, off[tail], off[tail + 1])
+        except ValueError:
+            return None
 
     def _vertex(self, v: int) -> int:
         if not 0 <= v < len(self.vertices):
@@ -304,9 +303,11 @@ def counts(g: HbGraph) -> tuple[int, int, int]:
 
 
 def check_topological(g: HbGraph) -> None:
-    """Raise ValueError unless ``tails`` ascend and every arc has tail < head."""
-    if list(g.tails) != sorted(g.tails) or not all(map(lt, g.tails, g.heads)):
-        raise ValueError("vertex ids are not a topological order: tails must ascend, below heads")
+    """Raise ValueError unless ids are in 0..b-1, tails ascend and every arc has tail < head."""
+    t, h = g.tails, g.heads  # one C-level pass per test; neighbours compared, no copy sorted
+    if t and not (t[0] >= 0 and max(h) < len(g.vertices) and all(map(le, t, islice(t, 1, None)))
+                  and all(map(lt, t, h))):
+        raise ValueError("vertex ids are not a topological order of 0..b-1")
 
 
 def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:

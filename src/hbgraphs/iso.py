@@ -7,10 +7,10 @@ and weight-level invariants.  Its setup is linear in the arc count a:
 one pass over each graph's arcs gives every vertex signature, the level
 included, and g2's vertices are bucketed by signature in a dict.  Vertex
 ids are a topological order, so the search matches g1's vertices in id
-order and checks each one's in-arcs, listed once before it starts.  The
+order and checks each one's in-arcs, read from g1's ``in_rows``.  The
 graphs are read as arc columns, and the arc joining a pair is found by
-``HbGraph.find``, a scan of the tail's short out-row, so no table of arcs
-by vertex pair and no ``Arc`` object is built.
+``HbGraph.find``, a scan of the tail's run of ``heads``, so no copy of the
+adjacency, no table of arcs by vertex pair and no ``Arc`` object is built.
 """
 
 from __future__ import annotations
@@ -95,27 +95,25 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
     Raises BudgetExceeded if the search expands more than ``budget`` nodes, and
     ValueError, before it starts, when either graph's ids are not a topological order.
     The g1 vertices are matched in id order, a topological order, so every
-    vertex after the source has all its in-arcs from matched vertices, and
-    a search node checks only those.  Each g1 vertex tries the g2 vertices
-    of its signature in ascending id order.  Graphs with equal columns, as
-    every isomorphic pair of A-graphs has, are matched by the identity in
-    b search nodes: the smaller ids of each bucket are already used.
+    vertex after the source has all its in-arcs (``g1.in_rows``) from matched
+    vertices, and a search node checks only those.  Each g1 vertex tries the
+    g2 vertices of its signature in ascending id order.  Graphs with equal
+    columns, as every isomorphic pair of A-graphs has, are matched by the
+    identity in b search nodes: the smaller ids of each bucket are already used.
     """
     candidates = _candidates(g1, g2)
     if candidates is None:
         return None
-    behind: list[list[tuple[int, str]]] = [[] for _ in candidates]  # in-arcs as (tail, label)
-    for tail, head, label in zip(g1.tails, g1.heads, g1.labels):
-        behind[head].append((tail, label))
     mapping: list[int] = []
     used: set[int] = set()
     expansions = 0
     find2, labels2 = g2.find, g2.labels  # bound once, used on every search node
+    in_rows1, tails1, labels1 = g1.in_rows, g1.tails, g1.labels
 
     def consistent(v: int, w: int) -> bool:
-        for u, label in behind[v]:
-            j = find2(mapping[u], w)
-            if j is None or labels2[j] != label:
+        for i in in_rows1[v]:
+            j = find2(mapping[tails1[i]], w)
+            if j is None or labels2[j] != labels1[i]:
                 return False
         return True
 

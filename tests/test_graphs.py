@@ -161,8 +161,15 @@ def check_adjacency(g):
     """Rows against a filter of ``g.arcs``; ``arc`` against every arc and some non-arcs.
 
     Also the id order: every arc has tail < head, the source is 0 and the sink b - 1.
+    On at most 64 vertices, ``find`` on every ordered pair against a scan of the
+    columns: a miss must not stray into a neighbour's run of heads.
     """
     assert (g.source, g.sink) == (0, len(g.vertices) - 1), g.n
+    if len(g.vertices) <= 64:
+        scan = {pair: i for i, pair in enumerate(zip(g.tails, g.heads))}
+        for t in range(len(g.vertices)):
+            for h in range(len(g.vertices)):
+                assert g.find(t, h) == scan.get((t, h)), (g.n, t, h)
     for v in range(len(g.vertices)):
         assert g.out_arcs(v) == tuple(a for a in g.arcs if a.tail == v), (g.n, v)
         assert g.in_arcs(v) == tuple(a for a in g.arcs if a.head == v), (g.n, v)

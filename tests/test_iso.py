@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_graph, graph_from_arcs, oracle_labeled_iso
-from hbgraphs.graphs import Arc, build_graph, counts, descendants_subgraph
+from hbgraphs.graphs import (
+    Arc,
+    ArcColumn,
+    HbGraph,
+    Label,
+    build_graph,
+    counts,
+    descendants_subgraph,
+)
 from hbgraphs.iso import (
     BudgetExceeded,
     IsoWitness,
@@ -117,6 +125,39 @@ def test_random_relabelings_raise_or_give_a_witness():
         assert witness is not None and verify_witness(h, g, witness), (g.n, perm)
         matched += 1
     assert matched > 0
+
+
+def single_arcs(b, tails, heads):
+    """A hand-built graph on b vertices whose arcs are tails[i] -> heads[i], all SINGLE."""
+    k = len(tails)
+    return HbGraph(0, tuple(map(str, range(b))), tails, heads, (Label.SINGLE,) * k, (0,) * k,
+                   0, b - 1)
+
+
+def test_unsorted_tails_raise_rather_than_verify_a_non_isomorphism():
+    # g3 is the path 0 -> 1 -> 2, its arcs out of tail order; g4 has both arcs out of 0.
+    # A bisect of g3's unsorted tails would put 1 -> 2 among the arcs out of 0 and pass
+    # the identity as a witness from g4 onto g3, though out-degree 2 cannot map onto a path
+    g3, g4 = single_arcs(3, (1, 0), (2, 1)), single_arcs(3, (0, 0), (1, 2))
+    place = ArcColumn(g3, (1, 1))
+    for lookup in (lambda: g3.find(0, 2), lambda: g3.out_arcs(0), lambda: g3.arc(0, 1),
+                   lambda: place[Arc(0, 1, Label.SINGLE, 0)],
+                   lambda: verify_witness(g4, g3, IsoWitness((0, 1, 2))),
+                   lambda: verify_witness(g3, g3, IsoWitness((0, 1, 2)))):
+        with pytest.raises(ValueError, match="topological order"):
+            lookup()
+    assert verify_witness(g4, g4, IsoWitness((0, 1, 2)))
+    assert labeled_iso(g4, g4) == IsoWitness((0, 1, 2))
+
+
+def test_ids_out_of_range_raise_value_error():
+    # on two vertices: a head 5, a tail -1, a head b; none may surface as an IndexError
+    for tails, heads in (((0,), (5,)), ((-1,), (1,)), ((0, 1), (1, 2))):
+        g = single_arcs(2, tails, heads)
+        with pytest.raises(ValueError, match="topological order"):
+            labeled_iso(g, g)
+        with pytest.raises(ValueError, match="topological order"):
+            descendants_subgraph(g, 0)
 
 
 def test_descendants_of_a_relabeled_copy_raise_or_match():
@@ -239,18 +280,32 @@ def test_labeled_iso_matches_oracle():
                 labeled_iso(g1, g2, budget=nodes - 1)
 
 
+def vf2_digraph(nx, g):
+    """``g`` as a networkx DiGraph whose edges carry the arc labels."""
+    d = nx.DiGraph()
+    d.add_nodes_from(range(len(g.vertices)))
+    d.add_edges_from((a.tail, a.head, {"label": a.label}) for a in g.arcs)
+    return d
+
+
 def test_labeled_iso_agrees_with_vf2():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_edge_match
 
-    def digraph(g):
-        d = nx.DiGraph()
-        d.add_nodes_from(range(len(g.vertices)))
-        d.add_edges_from((a.tail, a.head, {"label": a.label}) for a in g.arcs)
-        return d
-
     label_match = categorical_edge_match("label", None)
     for m, n in equal_count_pairs(256):
-        g1, g2 = cached_graph(m), cached_graph(n)
-        vf2 = DiGraphMatcher(digraph(g1), digraph(g2), edge_match=label_match).is_isomorphic()
-        assert (labeled_iso(g1, g2) is not None) == vf2, (m, n)
+        d1, d2 = vf2_digraph(nx, cached_graph(m)), vf2_digraph(nx, cached_graph(n))
+        vf2 = DiGraphMatcher(d1, d2, edge_match=label_match).is_isomorphic()
+        assert (labeled_iso(cached_graph(m), cached_graph(n)) is not None) == vf2, (m, n)
+
+
+def test_labeled_automorphisms_of_even_n_by_vf2():
+    # the group is trivial except for binary (10)^k, k >= 2, where it has order 2
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher, categorical_edge_match
+
+    label_match = categorical_edge_match("label", None)
+    for n in range(0, 2**10, 2):
+        d = vf2_digraph(nx, cached_graph(n))
+        count = sum(1 for _ in DiGraphMatcher(d, d, edge_match=label_match).isomorphisms_iter())
+        assert count == (2 if n in (10, 42, 170, 682) else 1), n
