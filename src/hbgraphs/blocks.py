@@ -130,8 +130,6 @@ def place_preserving_through_path(
     if not path:
         if start is None:
             raise ValueError("empty path requires a start vertex")
-        if not 0 <= start < len(g.vertices):
-            raise ValueError(f"unknown vertex id {start}")
         return {a: a for a in g.out_arcs(start)}
     current = {a: a for a in g.out_arcs(path[0].tail)}
     for e in path:

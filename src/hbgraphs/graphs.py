@@ -15,7 +15,8 @@ digits of the words are known, and checked against the limit, before
 anything is built.
 
 ``HbGraph`` keeps the arcs as aligned columns, which the exports,
-``counts`` and ``iso`` read without making one object per arc.
+``counts`` and ``iso`` read without making one object per arc.  Its ids
+are a topological order of 0..b-1, checked once, when a graph is made.
 """
 
 from __future__ import annotations
@@ -172,10 +173,9 @@ class HbGraph:
     """A(n), its arcs as aligned columns in (tail, position) order: arc i is tails[i] -> heads[i].
 
     Ids are a topological order: a reduction makes its word shortlex-greater,
-    so every arc has tail < head, the source is 0 and the sink b - 1.
-    ``out_offsets`` (and so ``find``, ``out_arcs``, ``arc``, ``ArcColumn``),
-    ``iso.labeled_iso`` and ``descendants_subgraph`` rely on it, and raise
-    ValueError (``check_topological``) on a hand-built graph whose ids are not.
+    so every arc has tail < head, the source is 0 and the sink b - 1.  Every
+    reader relies on it, so a graph whose columns differ in length, or whose
+    ids are not a topological order of 0..b-1, is refused (ValueError) when made.
 
     ``Arc`` objects are all made at once, on the first read of ``arcs``,
     ``out_arcs``, ``in_arcs`` or ``arc``.
@@ -187,8 +187,22 @@ class HbGraph:
     heads: tuple[int, ...]
     labels: tuple[str, ...]
     positions: tuple[int, ...]
-    source: int
-    sink: int
+
+    def __post_init__(self):
+        t, h = self.tails, self.heads  # one C-level pass per test; no copy sorted
+        if not len(t) == len(h) == len(self.labels) == len(self.positions):
+            raise ValueError("arc columns differ in length")
+        if t and not (t[0] >= 0 and max(h) < len(self.vertices)
+                      and all(map(le, t, islice(t, 1, None))) and all(map(lt, t, h))):
+            raise ValueError("vertex ids are not a topological order of 0..b-1")
+
+    @property
+    def source(self) -> int:
+        return 0
+
+    @property
+    def sink(self) -> int:
+        return len(self.vertices) - 1
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -200,8 +214,7 @@ class HbGraph:
 
     @cached_property
     def out_offsets(self) -> list[int]:
-        """The arcs out of v are out_offsets[v] <= i < out_offsets[v + 1]: bisects of ``tails``."""
-        check_topological(self)  # unsorted tails bisect to wrong runs, not to an error
+        """Arcs out of v: out_offsets[v] <= i < out_offsets[v + 1], bisects of the sorted tails."""
         return [bisect_left(self.tails, v) for v in range(len(self.vertices) + 1)]
 
     @cached_property
@@ -292,7 +305,7 @@ def _graph(n: int, level: list, ones: str) -> tuple[HbGraph, Iterator[int]]:
     lengths = chain.from_iterable(map(repeat, map(len, words), per_vertex))
     positions = tuple(map(sub, lengths, field(2)))
     vertices = tuple(word + ones for word in words)
-    g = HbGraph(n, vertices, tails, heads, tuple(field(1)), positions, 0, len(vertices) - 1)
+    g = HbGraph(n, vertices, tails, heads, tuple(field(1)), positions)
     return g, field(3)
 
 
@@ -302,27 +315,16 @@ def counts(g: HbGraph) -> tuple[int, int, int]:
     return (b, a, a - b + 1)
 
 
-def check_topological(g: HbGraph) -> None:
-    """Raise ValueError unless ids are in 0..b-1, tails ascend and every arc has tail < head."""
-    t, h = g.tails, g.heads  # one C-level pass per test; neighbours compared, no copy sorted
-    if t and not (t[0] >= 0 and max(h) < len(g.vertices) and all(map(le, t, islice(t, 1, None)))
-                  and all(map(lt, t, h))):
-        raise ValueError("vertex ids are not a topological order of 0..b-1")
-
-
 def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
     """Induced subgraph on ``start`` and everything reachable from it.
 
-    The arcs are in tail order and each head lies above its tail (else
-    ValueError), so one forward pass over the arcs marks every vertex
-    reachable from ``start``.  The marked vertices keep their order, and
-    the arcs out of them (which end in marked vertices) keep theirs.
+    The arcs are in tail order and each head lies above its tail, so one
+    forward pass over the arcs marks every vertex reachable from ``start``.
+    The marked vertices keep their order, and the arcs out of them (which
+    end in marked vertices) keep theirs.
     """
-    if not 0 <= start < len(g.vertices):
-        raise ValueError(f"unknown vertex id {start}")
-    check_topological(g)
     reach = [False] * len(g.vertices)
-    reach[start] = True
+    reach[g._vertex(start)] = True
     for tail, head in zip(g.tails, g.heads):
         if reach[tail]:
             reach[head] = True
@@ -331,7 +333,7 @@ def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
     tails, heads = (tuple(map(rank.__getitem__, compress(c, kept))) for c in (g.tails, g.heads))
     vertices = tuple(compress(g.vertices, reach))
     return HbGraph(g.n, vertices, tails, heads, tuple(compress(g.labels, kept)),
-                   tuple(compress(g.positions, kept)), 0, len(vertices) - 1)
+                   tuple(compress(g.positions, kept)))
 
 
 def export_chunks(g: HbGraph, fmt: str = "dot", place: Mapping[Arc, int] | None = None,

@@ -6,11 +6,12 @@ The search is anchored source-to-source and pruned by per-label degree
 and weight-level invariants.  Its setup is linear in the arc count a:
 one pass over each graph's arcs gives every vertex signature, the level
 included, and g2's vertices are bucketed by signature in a dict.  Vertex
-ids are a topological order, so the search matches g1's vertices in id
-order and checks each one's in-arcs, read from g1's ``in_rows``.  The
-graphs are read as arc columns, and the arc joining a pair is found by
-``HbGraph.find``, a scan of the tail's run of ``heads``, so no copy of the
-adjacency, no table of arcs by vertex pair and no ``Arc`` object is built.
+ids are a topological order (``HbGraph`` refuses a graph whose ids are
+not), so the search matches g1's vertices in id order and checks each
+one's in-arcs, read from g1's ``in_rows``.  The graphs are read as arc
+columns, and the arc joining a pair is found by ``HbGraph.find``, a scan
+of the tail's run of ``heads``, so no copy of the adjacency, no table of
+arcs by vertex pair and no ``Arc`` object is built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import HbGraph, Label, build_graph, check_topological
+from .graphs import HbGraph, Label, build_graph
 from .words import even_core
 
 DEFAULT_BUDGET = 10**7
@@ -58,12 +59,11 @@ def _signatures(g: HbGraph) -> list[tuple[int, int, int]]:
 
     The level is the weight above the sink's, an invariant because weight
     drops by 1 along every arc: a tail's level is its head's plus 1.  Heads
-    have higher ids than tails and the arcs are in tail order (else this
-    raises ValueError), so in reverse each head's level is final before a
-    tail reads it.  Each arc adds 1 to the degree keys of its ends, and a
-    DOUBLE arc also adds 2^32, so a key packs (DOUBLE count, degree) into one int.
+    have higher ids than tails and the arcs are in tail order, so in reverse
+    each head's level is final before a tail reads it.  Each arc adds 1 to
+    the degree keys of its ends, and a DOUBLE arc also adds 2^32, so a key
+    packs (DOUBLE count, degree) into one int.
     """
-    check_topological(g)
     code = {Label.SINGLE: 1, Label.DOUBLE: 1 | 1 << 32}
     outs = [0] * len(g.vertices)
     ins = [0] * len(g.vertices)
@@ -92,8 +92,7 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
     """Find an edge-labeled directed-graph isomorphism g1 -> g2, if any.
 
     Returns the first witness in deterministic search order, or None.
-    Raises BudgetExceeded if the search expands more than ``budget`` nodes, and
-    ValueError, before it starts, when either graph's ids are not a topological order.
+    Raises BudgetExceeded if the search expands more than ``budget`` nodes.
     The g1 vertices are matched in id order, a topological order, so every
     vertex after the source has all its in-arcs (``g1.in_rows``) from matched
     vertices, and a search node checks only those.  Each g1 vertex tries the

@@ -216,10 +216,10 @@ def cached_embed(n: int):
     return embed(n)
 
 
-def graph_from_arcs(n: int, vertices, arcs, source: int, sink: int) -> HbGraph:
+def graph_from_arcs(n: int, vertices, arcs) -> HbGraph:
     """The HbGraph whose arc columns hold ``arcs``, given in (tail, position) order."""
     columns = [tuple(getattr(a, f) for a in arcs) for f in ("tail", "head", "label", "position")]
-    return HbGraph(n, tuple(vertices), *columns, source, sink)
+    return HbGraph(n, tuple(vertices), *columns)
 
 
 def oracle_descendants(g, start: int):
@@ -239,8 +239,9 @@ def oracle_descendants(g, start: int):
         for a in g.arcs
         if a.tail in reach and a.head in reach
     )
-    # the original sink is reachable from every vertex
-    return graph_from_arcs(g.n, verts, arcs, index[g.vertices[start]], index[g.vertices[g.sink]])
+    # start is the source, and the original sink, reachable from every vertex, is the sink
+    assert (index[g.vertices[start]], index[g.vertices[g.sink]]) == (0, len(verts) - 1)
+    return graph_from_arcs(g.n, verts, arcs)
 
 
 def oracle_value(w: str) -> int:
@@ -397,5 +398,7 @@ def oracle_closure_graph(n: int, seed: str, limit: int) -> HbGraph:
         i = ids[w]
         arcs += [Arc(r, rank[cid], label, pos) for cid, label, pos in children[i]]
         children[i] = None  # the arcs reuse the memory of the freed child records
-    # the binary expansion is reachable from every expansion of n
-    return graph_from_arcs(n, verts, arcs, rank[0], rank[ids[binary_expansion(n)]])
+    # the seed is the source, and the binary expansion, reachable from every expansion of n,
+    # is the sink
+    assert (rank[0], rank[ids[binary_expansion(n)]]) == (0, len(verts) - 1)
+    return graph_from_arcs(n, verts, arcs)

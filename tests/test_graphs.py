@@ -143,8 +143,9 @@ def test_descendants_subgraph():
     whole = descendants_subgraph(g, g.source)
     assert whole.vertices == g.vertices
     assert whole.arcs == g.arcs
-    with pytest.raises(ValueError):
-        descendants_subgraph(g, 99)
+    for start in (99, -1):
+        with pytest.raises(ValueError, match="unknown vertex id"):
+            descendants_subgraph(g, start)
 
 
 def test_descendants_subgraph_matches_oracle():
