@@ -29,6 +29,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, getitem, itemgetter, le, lt, sub
 
+from .stern import _block_transfer
 from .words import decompose, minimal_expansion, render, validate_expansion
 
 DEFAULT_LIMIT = 10**6
@@ -122,16 +123,16 @@ def _walk(n: int, limit: int) -> tuple[list[tuple], str]:
     longest word) exceeds ``DIGITS_PER_VERTEX * limit`` digits.
     """
     blocks, ones = decompose(minimal_expansion(n))
-    # counts[p][e]: the admissible completions from block p on, after a state that ends
-    # in 0 iff e, by the block matrix of ``stern._block_product`` (h after a state that
-    # ends in 0, k after one that does not), capped above ``limit`` so that a refused n
-    # costs no big ints (every count in use is at most the vertex count)
+    # counts[p][e]: the admissible completions from block p on, after a state that ends in
+    # 0 iff e; no block lowers h and k <= h, so no suffix has more than the whole, and a
+    # refused n stops at the first suffix over ``limit``, before its counts grow big
     counts = [(1, 1)]
     for block in reversed(blocks):
         k, h = counts[-1]
-        a = len(block)
-        h, k = (a * h + k, (a - 1) * h + k) if block[0] == "1" else (h + a * k, k)
-        counts.append((min(k, limit + 1), min(h, limit + 1)))
+        if h > limit:
+            break
+        h, k = _block_transfer((block,), h, k)
+        counts.append((k, h))
     counts.reverse()
     bits = n.bit_length()  # the longest word's length; n itself may be too long to print
     if counts[0][1] > limit:
@@ -173,9 +174,9 @@ class HbGraph:
     """A(n), its arcs as aligned columns in (tail, position) order: arc i is tails[i] -> heads[i].
 
     Ids are a topological order: a reduction makes its word shortlex-greater,
-    so every arc has tail < head, the source is 0 and the sink b - 1.  Every
-    reader relies on it, so a graph whose columns differ in length, or whose
-    ids are not a topological order of 0..b-1, is refused (ValueError) when made.
+    so every arc has tail < head, the source is 0 and the sink b - 1.  A graph
+    whose columns differ in length, whose labels are not SINGLE or DOUBLE, or
+    whose ids are not a topological order of 0..b-1, is refused when made.
 
     ``Arc`` objects are all made at once, on the first read of ``arcs``,
     ``out_arcs``, ``in_arcs`` or ``arc``.
@@ -192,6 +193,8 @@ class HbGraph:
         t, h = self.tails, self.heads  # one C-level pass per test; no copy sorted
         if not len(t) == len(h) == len(self.labels) == len(self.positions):
             raise ValueError("arc columns differ in length")
+        if not set(self.labels) <= {Label.SINGLE, Label.DOUBLE}:
+            raise ValueError("arc labels are not SINGLE or DOUBLE")
         if t and not (t[0] >= 0 and max(h) < len(self.vertices)
                       and all(map(le, t, islice(t, 1, None))) and all(map(lt, t, h))):
             raise ValueError("vertex ids are not a topological order of 0..b-1")

@@ -21,17 +21,18 @@ one int as lanes of ``_LANE`` bits, reads the leaf's matrix off the lanes,
 and multiplies the leaf matrices as a balanced tree (``_product``).  The
 leaves cost O(bits) small-int operations, and the tree's top products are
 few and large, where Python's Karatsuba multiplication makes the whole
-subquadratic.  ``b_recursive`` keeps the classical recursion as the
-independent check.
+subquadratic.  ``b_recursive`` keeps the classical recursion, in one pass
+from n down to 0, as the independent check.  n's digits, and the check
+n >= 0, come from ``words.binary_expansion``.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import islice
 
-from .words import BLOCKS, even_core, minimal_expansion
+from .words import BLOCKS, binary_expansion, even_core, minimal_expansion
 
 _LEAF = 256
 # A product of L digit matrices of either pair has entries of absolute
@@ -66,32 +67,20 @@ def _lanes(x: int) -> tuple[int, int]:
 
 
 def b_recursive(n: int) -> int:
-    """b(0)=1, b(2n+1)=b(n), b(2n+2)=b(n+1)+b(n), on the arguments the recursion meets.
+    """b(0)=1, b(2n+1)=b(n), b(2n+2)=b(n+1)+b(n), followed from n down to 0 in one pass.
 
-    Every argument the recursion meets is (n >> k) - d with d in {0, 1},
-    and it is odd iff bit k of n differs from d.  A pass down the levels k
-    marks the d the recursion meets at each; a pass back up evaluates
-    them, keeping only the level below, which nothing above it reads
-    again.  So two levels of big ints are held at a time, not a memo of
-    all of them, whose size is quadratic in the bit length.
+    For q = n >> k it keeps b(n) = x b(q) + y b(q - 1), the two arguments
+    the recursion meets at that level.  A 1 bit (q = 2r + 1) does x += y, as
+    b(2r + 1) = b(r) and b(2r) = b(r) + b(r - 1); a 0 bit (q = 2r) does
+    y += x.  At q = 0, b(0) = 1 and b(-1) = 0 leave x: two big ints are held.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    bits = format(n, "b")[::-1] if n else ""  # bits[k] is bit k of n
-    top = len(bits)
-    need = bytearray(top + 1)  # bit d of need[k] set: the recursion meets (n >> k) - d
-    need[0] = 1
-    for k in range(top - 1):
-        for d in (0, 1):
-            if need[k] >> d & 1:  # odd: b(p) at d; even: b(p + 1) + b(p) at both
-                need[k + 1] |= 1 << d if (bits[k] == "1") != d else 3
-    below = [1, 1]  # (n >> top - 1) - d is 1 - d, and b(1) = b(0) = 1
-    for k in range(top - 2, -1, -1):
-        below = [
-            (below[d] if (bits[k] == "1") != d else below[0] + below[1]) if need[k] >> d & 1 else None
-            for d in (0, 1)
-        ]
-    return below[0]
+    x, y = 1, 0
+    for ch in reversed(binary_expansion(n)):
+        if ch == "1":
+            x += y
+        else:
+            y += x
+    return x
 
 
 def b_matrix(n: int) -> int:
@@ -101,9 +90,7 @@ def b_matrix(n: int) -> int:
     significant first: 0 adds bottom to top, 1 adds top to bottom.  A
     leaf's lanes of top and bottom are the columns of its matrix.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    bits = format(n, "b") if n else ""
+    bits = binary_expansion(n)
     mats = []
     for i in range(0, len(bits), _LEAF):
         top, bottom = 1, 1 << _LANE
@@ -126,9 +113,7 @@ def b_matrix_blocks(n: int) -> int:
     match and a small-int multiplication per run, and it takes 1.2 to 2.1
     times b_matrix's time from 64k down to 4k bits.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    bits = format(n, "b") if n else ""
+    bits = binary_expansion(n)
     mats = []
     for i in range(0, len(bits), _LEAF):
         top, bottom = 1, 1 << _LANE
@@ -151,17 +136,10 @@ def b_algorithm1(n: int) -> tuple[int, int]:
     The counters a1, a2 and expensive run across leaves; only (b, s) is
     packed, and the leaf matrices act on the column (b, s).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    bits = format(n, "b") if n else ""
-    t = len(bits) - 1
-    # d[l] is the coefficient of 2^l
-    d = bits[::-1]
-    i0 = 0
-    while i0 <= t and d[i0] == "1":
-        i0 += 1
-    if i0 > t:
-        # n == 0 or n == 2^k - 1: a single all-1s expansion
+    d = binary_expansion(n)[::-1]  # d[l] is the coefficient of 2^l
+    t = len(d) - 1
+    i0 = even_core(n)[1]  # d[:i0] are n's trailing 1s
+    if i0 > t:  # n == 0 or n == 2^k - 1: a single all-1s expansion
         return (1, 0)
     i0 += 1  # d[i0 - 1] is necessarily 0 here, nothing to do for it
     a1 = a2 = 0
@@ -195,26 +173,34 @@ def b_algorithm1(n: int) -> tuple[int, int]:
     return (b, expensive)
 
 
+def _block_transfer(blocks: Sequence[str], h: int, k: int) -> tuple[int, int]:
+    """The product, in word order, of the block matrices of ``blocks``, times the column (h, k).
+
+    A block 1^t 2 of word length a has matrix (a 1; a-1 1), a block 2^a has
+    (1 a; 0 1): from the counts of completions after a block, h after a state
+    that ends in 0 and k after one that does not, to those before it.
+    """
+    for block in reversed(blocks):
+        a = len(block)
+        if block[0] == "1":
+            h, k = a * h + k, (a - 1) * h + k
+        else:
+            h, k = h + a * k, k
+    return h, k
+
+
 def _block_product(n: int) -> tuple[int, int, int, int]:
     """The product, in word order, of the block matrices of n's even core.
 
-    A block 1^t 2 of word length a has matrix (a 1; a-1 1), a block 2^a
-    has (1 a; 0 1); trailing 1s leave b unchanged.  Each leaf is a run of
-    whole blocks ending at a ``2``: at most ``_LEAF`` digits, or one long
-    type-1 block.
+    Trailing 1s leave b unchanged.  Each leaf is a run of whole blocks
+    ending at a ``2``: at most ``_LEAF`` digits, or one long type-1 block.
     """
     word = minimal_expansion(even_core(n)[0])
     mats = []
     i = 0
     while i < len(word):
         j = word.rfind("2", i, i + _LEAF) + 1 or word.index("2", i) + 1
-        h, k = 1, 1 << _LANE
-        for block in reversed(BLOCKS.findall(word, i, j)):
-            a = len(block)
-            if block[0] == "1":
-                h, k = a * h + k, (a - 1) * h + k
-            else:
-                h, k = h + a * k, k
+        h, k = _block_transfer(BLOCKS.findall(word, i, j), 1, 1 << _LANE)
         mats.append(_lanes(h) + _lanes(k))
         i = j
     return _product(mats)
@@ -222,8 +208,6 @@ def _block_product(n: int) -> tuple[int, int, int, int]:
 
 def b_block_formula(n: int) -> int:
     """b(n) as h = row 0 of the block-matrix product times (1, 1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     h0, h1, _, _ = _block_product(n)
     return h0 + h1
 
@@ -246,10 +230,8 @@ def b_and_a(n: int) -> tuple[int, int]:
     0 at 0 and at odd x.  With a(2r+1) = a(r) and
     a(2r) = a(r) + a(r-1) + b(r-1) - T(r-1), each digit is a few additions.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     b, arcs, b1, arcs1, t1 = 1, 0, 0, 0, 0  # q = 0: b(-1), a(-1), T(-1) are 0
-    for ch in format(n, "b") if n else "":
+    for ch in binary_expansion(n):
         b_even, arcs_even = b + b1, arcs + arcs1 + b1 - t1  # b(2q), a(2q)
         if ch == "1":
             b1, arcs1, t1 = b_even, arcs_even, b1
@@ -302,7 +284,7 @@ def c_matrix(n: int) -> int:
     """
     if n < 1:
         raise ValueError("c is defined for n >= 1")
-    bits = format(n, "b")
+    bits = binary_expansion(n)
     mats = []
     for i in range(0, len(bits), _LEAF):
         x, y = 1, 1 << _LANE

@@ -62,8 +62,9 @@ def test_enumerate_limit():
 
 def test_limit_counts_the_first_vertex():
     for build in (build_graph, enumerate_expansions):
-        with pytest.raises(SizeLimitError):
-            build(7, limit=0)
+        for n in (0, 1, 7):  # one vertex, and no block to count it
+            with pytest.raises(SizeLimitError, match="exceeds limit"):
+                build(n, limit=0)
     assert build_graph(7, limit=1).vertices == ("111",)
     assert enumerate_expansions(7, limit=1) == ["111"]
 

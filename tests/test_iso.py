@@ -151,6 +151,9 @@ def test_ids_out_of_range_raise_value_error():
                                 ((0, 0), (1,), "differ in length")):
         with pytest.raises(ValueError, match=match):
             single_arcs(2, tails, heads)
+    # an arc labeled neither SINGLE nor DOUBLE, which no reader could take
+    with pytest.raises(ValueError, match="SINGLE or DOUBLE"):
+        HbGraph(0, ("0", "1"), (0,), (1,), ("x",), (0,))
 
 
 def test_descendants_of_a_relabeled_copy_raise_or_match():

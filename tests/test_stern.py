@@ -97,6 +97,12 @@ def test_a_examples():
     assert a(0) == 0
 
 
+def test_b_evaluators_refuse_negative_n():
+    for f in (b_recursive, b_matrix, b_matrix_blocks, b_algorithm1, b_block_formula, b_and_a, v, a):
+        with pytest.raises(ValueError, match="nonnegative"):
+            f(-1)
+
+
 def test_c_examples():
     assert c(1) == 1
     assert c(11) == 5
@@ -287,11 +293,14 @@ def test_product_tree_property(n):
 
 
 def test_stern_and_words_import_only_words():
-    # the counting layer sits on the digit words alone, below graphs, blocks and iso
+    # each layer imports only the layers below it: words, then stern (the counting layer,
+    # on the digit words alone), then graphs, blocks, iso and cli
     package = Path(hbgraphs.__file__).parent
-    for name in ("stern.py", "words.py"):
-        tree = ast.parse((package / name).read_text())
-        relative = {
-            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
-        }
-        assert relative <= {"words"}, (name, relative)
+    layers = ["words", "stern", "graphs", "blocks", "iso", "cli"]
+    for k, name in enumerate(layers):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        relative = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                relative |= {node.module} if node.module else {alias.name for alias in node.names}
+        assert relative <= set(layers[:k]), (name, relative)
