@@ -11,9 +11,10 @@ Every expansion is one tuple of block states, its factors, and every arc
 steps one of them, its place: ``graphs`` generates A(n) in these
 coordinates, and ``embed`` is ``build_graph`` keeping the places as one
 more arc column (``PlacedGraph.place``, a read-only mapping over it).  The
-factors follow from the places, so no word is cut.  The checking-path
-functions work on ``Arc`` objects, which they get from
-``HbGraph.out_arcs``, ``in_arcs`` and ``arc``.
+factors follow from the places, so no word is cut.  Place-preserving maps
+and checking paths run on arc indices: one finder reads each commuting square
+off ``out_offsets`` and ``heads``, and ``Arc`` objects are looked up by
+``ArcColumn.index`` on the way in and made again only for the results.
 """
 
 from __future__ import annotations
@@ -79,10 +80,23 @@ def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
 
 def place_map(pg: PlacedGraph, arc: Arc) -> int:
     """1-based index of the factor on which the arc's reduction occurs."""
-    try:
-        return pg.place[arc]
-    except KeyError:
-        raise ValueError(f"unknown arc {arc}") from None
+    return pg.place.column[pg.place.index(arc)]
+
+
+def _square(g: HbGraph, e: int) -> dict[int, int]:
+    """By index, for arc e = (x, y): each other arc (x, x') to the one (y, y') with x' -> y'."""
+    off, heads = g.out_offsets, g.heads
+    x, y = g.tails[e], heads[e]
+    run = dict(zip(heads[off[y] : off[y + 1]], range(off[y], off[y + 1])))  # y' -> (y, y')
+    square = {}
+    for j in range(off[x], off[x + 1]):
+        if j != e:  # a run's heads are distinct (no parallel arcs), so a set counts the y'
+            ends = run.keys() & heads[off[heads[j]] : off[heads[j] + 1]]
+            if len(ends) != 1:
+                raise AssertionError(f"place-preserving map through {g.arcs[e]} not well-defined"
+                                     f" at {g.arcs[j]}: {len(ends)} completions")
+            square[j] = run[ends.pop()]
+    return square
 
 
 def place_preserving_map(pg: PlacedGraph, e: Arc) -> dict[Arc, Arc]:
@@ -91,30 +105,16 @@ def place_preserving_map(pg: PlacedGraph, e: Arc) -> dict[Arc, Arc]:
     Each e_x = (x, x') maps to the unique e_y = (y, y') such that (x', y')
     is an arc; existence and uniqueness failures are raised, not repaired.
     """
-    g = pg.graph
-    if e not in pg.place:
-        raise ValueError(f"unknown arc {e}")
-    mapping: dict[Arc, Arc] = {}
-    for e_x in g.out_arcs(e.tail):
-        if e_x == e:
-            continue
-        matches = [e_y for e_y in g.out_arcs(e.head) if g.arc(e_x.head, e_y.head) is not None]
-        if len(matches) != 1:
-            raise AssertionError(
-                f"place-preserving map through {e} not well-defined at {e_x}: "
-                f"{len(matches)} completions"
-            )
-        mapping[e_x] = matches[0]
-    return mapping
+    arcs = pg.graph.arcs
+    return {arcs[j]: arcs[k] for j, k in _square(pg.graph, pg.place.index(e)).items()}
 
 
-def _check_path(pg: PlacedGraph, path: list[Arc] | tuple[Arc, ...]) -> None:
-    for prev, nxt in zip(path, path[1:]):
-        if prev.head != nxt.tail:
-            raise ValueError("arcs do not form a directed path")
-    for arc in path:
-        if arc not in pg.place:
-            raise ValueError(f"arc {arc} not in graph")
+def _indices(pg: PlacedGraph, path: list[Arc] | tuple[Arc, ...]) -> list[int]:
+    """The indices of ``path``'s arcs, which must be the graph's and form a directed path."""
+    g, path = pg.graph, list(map(pg.place.index, path))
+    if any(g.heads[i] != g.tails[j] for i, j in pairwise(path)):
+        raise ValueError("arcs do not form a directed path")
+    return path
 
 
 def place_preserving_through_path(
@@ -125,34 +125,21 @@ def place_preserving_through_path(
     For the empty path, ``start`` must be given; the result is the identity
     on the out-arcs of ``start``.
     """
-    g = pg.graph
-    _check_path(pg, path)
-    if not path:
-        if start is None:
-            raise ValueError("empty path requires a start vertex")
-        return {a: a for a in g.out_arcs(start)}
-    current = {a: a for a in g.out_arcs(path[0].tail)}
+    g, path = pg.graph, _indices(pg, path)
+    if not path and start is None:
+        raise ValueError("empty path requires a start vertex")
+    x = g.tails[path[0]] if path else g._vertex(start)
+    current = {j: j for j in range(g.out_offsets[x], g.out_offsets[x + 1])}
     for e in path:
-        alpha = place_preserving_map(pg, e)
-        current = {src: alpha[img] for src, img in current.items() if img in alpha}
-    return current
+        square = _square(g, e)
+        current = {j: square[k] for j, k in current.items() if k in square}
+    return {g.arcs[j]: g.arcs[k] for j, k in current.items()}
 
 
 def is_checking_path(pg: PlacedGraph, path: list[Arc] | tuple[Arc, ...]) -> bool:
     """True iff each arc avoids the image of the map through its predecessor."""
-    _check_path(pg, path)
-    for prev, nxt in zip(path, path[1:]):
-        if nxt in place_preserving_map(pg, prev).values():
-            return False
-    return True
-
-
-def _can_prepend(pg: PlacedGraph, e1: Arc) -> bool:
     g = pg.graph
-    for e in g.in_arcs(e1.tail):
-        if e1 not in place_preserving_map(pg, e).values():
-            return True
-    return False
+    return all(k not in _square(g, j).values() for j, k in pairwise(_indices(pg, path)))
 
 
 def maximal_checking_paths_from(pg: PlacedGraph, e1: Arc) -> list[tuple[Arc, ...]]:
@@ -162,14 +149,11 @@ def maximal_checking_paths_from(pg: PlacedGraph, e1: Arc) -> list[tuple[Arc, ...
     either end, so if some arc can be prepended to e1 there are none.
     Paths branch in ``g.out_arcs`` order, which is ascending in position.
     """
-    g = pg.graph
-    if e1 not in pg.place:
-        raise ValueError(f"unknown arc {e1}")
+    g, e1 = pg.graph, pg.place.index(e1)
+    if any(e1 not in _square(g, e).values() for e in g.in_rows[g.tails[e1]]):
+        return []
+    path: list[int] = []
     results: list[tuple[Arc, ...]] = []
-    if _can_prepend(pg, e1):
-        return results
-
-    path: list[Arc] = []
     branches = [iter([e1])]  # branches[i] yields the arcs still to try as path[i]
     while branches:
         e = next(branches[-1], None)
@@ -178,10 +162,10 @@ def maximal_checking_paths_from(pg: PlacedGraph, e1: Arc) -> list[tuple[Arc, ...
             branches.pop()
             continue
         path.append(e)
-        image = set(place_preserving_map(pg, e).values())
-        nexts = [x for x in g.out_arcs(e.head) if x not in image]
+        image, y = set(_square(g, e).values()), g.heads[e]
+        nexts = [k for k in range(g.out_offsets[y], g.out_offsets[y + 1]) if k not in image]
         if nexts:
             branches.append(iter(nexts))
         else:
-            results.append(tuple(path))
+            results.append(tuple(map(g.arcs.__getitem__, path)))
     return results

@@ -27,7 +27,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, getitem, itemgetter, le, lt, sub
+from operator import add, eq, getitem, gt, itemgetter, le, lt, sub
 
 from .stern import _block_transfer
 from .words import decompose, minimal_expansion, render, validate_expansion
@@ -171,12 +171,14 @@ def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
 
 @dataclass(frozen=True)
 class HbGraph:
-    """A(n), its arcs as aligned columns in (tail, position) order: arc i is tails[i] -> heads[i].
+    """A(n), its arcs as aligned columns: arc i is tails[i] -> heads[i].
 
     Ids are a topological order: a reduction makes its word shortlex-greater,
-    so every arc has tail < head, the source is 0 and the sink b - 1.  A graph
-    whose columns differ in length, whose labels are not SINGLE or DOUBLE, or
-    whose ids are not a topological order of 0..b-1, is refused when made.
+    so every arc has tail < head, the source is 0 and the sink b - 1.  Arcs
+    ascend strictly in (tail, -head), which in A(n) is (tail, position) order,
+    so no two join one ordered pair.  A graph whose columns differ in length,
+    whose labels are not SINGLE or DOUBLE, or whose ids or arcs break these
+    orders, is refused when made.
 
     ``Arc`` objects are all made at once, on the first read of ``arcs``,
     ``out_arcs``, ``in_arcs`` or ``arc``.
@@ -198,6 +200,8 @@ class HbGraph:
         if t and not (t[0] >= 0 and max(h) < len(self.vertices)
                       and all(map(le, t, islice(t, 1, None))) and all(map(lt, t, h))):
             raise ValueError("vertex ids are not a topological order of 0..b-1")
+        if not all(compress(map(gt, h, islice(h, 1, None)), map(eq, t, islice(t, 1, None)))):
+            raise ValueError("arcs are not strictly ascending in (tail, -head)")
 
     @property
     def source(self) -> int:
@@ -249,7 +253,7 @@ class HbGraph:
         return tuple(map(self.arcs.__getitem__, self.in_rows[self._vertex(v)]))
 
     def arc(self, tail: int, head: int) -> Arc | None:
-        """The arc from ``tail`` to ``head``, or None: at most one joins an ordered pair."""
+        """The arc from ``tail`` to ``head``, or None."""
         i = self.find(self._vertex(tail), self._vertex(head))
         return None if i is None else self.arcs[i]
 
@@ -260,13 +264,20 @@ class ArcColumn(Mapping):
     def __init__(self, graph: HbGraph, column: Sequence):
         self.graph, self.column = graph, column
 
-    def __getitem__(self, arc):
+    def index(self, arc) -> int:
+        """The index of ``arc`` in the graph's columns; ValueError if the graph has no such arc."""
         g = self.graph
         known = isinstance(arc, Arc) and 0 <= arc.tail < len(g.vertices)
         i = g.find(arc.tail, arc.head) if known else None
         if i is None or (g.labels[i], g.positions[i]) != (arc.label, arc.position):
-            raise KeyError(arc)
-        return self.column[i]
+            raise ValueError(f"unknown arc {arc}")
+        return i
+
+    def __getitem__(self, arc):
+        try:
+            return self.column[self.index(arc)]
+        except ValueError:
+            raise KeyError(arc) from None
 
     def __iter__(self):
         return iter(self.graph.arcs)
@@ -339,7 +350,7 @@ def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
                    tuple(compress(g.positions, kept)))
 
 
-def export_chunks(g: HbGraph, fmt: str = "dot", place: Mapping[Arc, int] | None = None,
+def export_chunks(g: HbGraph, fmt: str = "dot", place: ArcColumn | None = None,
                   size: int = 0) -> Iterator[str]:
     """The text of ``export_dot(g, place)``, or of ``export_json(g)`` for ``fmt`` "json", in chunks.
 
@@ -353,18 +364,22 @@ def export_chunks(g: HbGraph, fmt: str = "dot", place: Mapping[Arc, int] | None 
         tails = [f'  "{x}" -> "' for x in heads]
         start = f'digraph A{g.n} {{\n  "' + '";\n  "'.join(heads) + '";\n'
         stop, label = "}\n", {Label.SINGLE: "s", Label.DOUBLE: "d"}.__getitem__
-        values, end = (g.labels, '" [label="{}"];\n') if place is None else (
-            place.column if isinstance(place, ArcColumn) and place.graph is g else
-            [place[a] for a in g.arcs], '" [label="{}" place={}];\n')
+        if place is not None and not (isinstance(place, ArcColumn) and place.graph is g):
+            raise ValueError("place must be the graph's ArcColumn")
+        values, end = (None, '" [label="{}"];\n') if place is None else (
+            place.column, '" [label="{}" place={}];\n')
     else:
         heads = list(map(str, range(len(g.vertices))))
         tails = [f',{{"tail":{v},"head":' for v in heads]
         vertices = json.dumps(g.vertices, separators=(",", ":"))
         start, stop, label = f'{{"n":{g.n},"vertices":{vertices},"arcs":[', "]}", str
         values, end = g.positions, ',"label":"{}","position":{}}}'
-    ends = {x: {v: end.format(label(x), v) for v in set(values)} for x in set(g.labels)}
-    columns = (map(tails.__getitem__, g.tails), map(heads.__getitem__, g.heads),
-               map(getitem, map(ends.__getitem__, g.labels), values))
+    if values is None:  # the end depends on the label alone
+        ends = map({x: end.format(label(x)) for x in set(g.labels)}.__getitem__, g.labels)
+    else:
+        table = {x: {v: end.format(label(x), v) for v in set(values)} for x in set(g.labels)}
+        ends = map(getitem, map(table.__getitem__, g.labels), values)
+    columns = (map(tails.__getitem__, g.tails), map(heads.__getitem__, g.heads), ends)
     count, size = len(g.tails), size or len(g.tails) or 1
     for lo in range(0, count or 1, size):  # an arcless graph gets one chunk
         pieces = [""] * (3 * min(size, count - lo) + 2)
@@ -376,8 +391,8 @@ def export_chunks(g: HbGraph, fmt: str = "dot", place: Mapping[Arc, int] | None 
         yield "".join(pieces)
 
 
-def export_dot(g: HbGraph, place: Mapping[Arc, int] | None = None) -> str:
-    """Deterministic DOT rendering; optional per-arc ``place``, read by index if an ArcColumn."""
+def export_dot(g: HbGraph, place: ArcColumn | None = None) -> str:
+    """Deterministic DOT rendering; optional per-arc ``place``, the graph's ``ArcColumn``."""
     return next(export_chunks(g, "dot", place))
 
 

@@ -217,7 +217,7 @@ def cached_embed(n: int):
 
 
 def graph_from_arcs(n: int, vertices, arcs) -> HbGraph:
-    """The HbGraph whose arc columns hold ``arcs``, given in (tail, position) order."""
+    """The HbGraph whose arc columns hold ``arcs``, given in (tail, -head) order."""
     columns = [tuple(getattr(a, f) for a in arcs) for f in ("tail", "head", "label", "position")]
     return HbGraph(n, tuple(vertices), *columns)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +15,7 @@ from conftest import (
     oracle_places,
 )
 from hbgraphs.blocks import (
+    PlacedGraph,
     decompose,
     embed,
     is_checking_path,
@@ -23,7 +25,8 @@ from hbgraphs.blocks import (
     place_preserving_map,
     place_preserving_through_path,
 )
-from hbgraphs.graphs import Arc, Label, build_graph, counts, export_chunks, export_dot
+from hbgraphs.graphs import (Arc, ArcColumn, HbGraph, Label, build_graph, counts, export_chunks,
+                             export_dot)
 from hbgraphs.iso import labeled_iso
 from hbgraphs.stern import b_matrix
 from hbgraphs.words import binary_expansion, minimal_expansion, value
@@ -141,9 +144,8 @@ def test_placed_export_chunks_join_to_export_dot():
     for n in range(0, 1025, 2):
         pg = cached_embed(n)
         dot = export_dot(pg.graph, pg.place)
-        for place in (pg.place, dict(pg.place)):
-            for size in (1, 1 + n % 89):
-                assert "".join(export_chunks(pg.graph, "dot", place, size)) == dot, (n, size)
+        for size in (1, 1 + n % 89):
+            assert "".join(export_chunks(pg.graph, "dot", pg.place, size)) == dot, (n, size)
 
 
 def test_place_map_examples():
@@ -159,7 +161,10 @@ def test_place_view():
         pg = embed(n)
         assert len(pg.place) == len(pg.graph.arcs), n
         assert dict(pg.place) == oracle_places(pg), n
-        assert export_dot(pg.graph, dict(pg.place)) == export_dot(pg.graph, pg.place), n
+        # a place must be the graph's own column: a dict, or another graph's, is refused
+        for g, place in ((pg.graph, dict(pg.place)), (build_graph(n), pg.place)):
+            with pytest.raises(ValueError, match="ArcColumn"):
+                export_dot(g, place)
     pg = cached_embed(10)
     e = arc(pg.graph, "202", "1002")
     wrong = [dataclasses.replace(e, label=Label.DOUBLE), dataclasses.replace(e, position=1),
@@ -198,6 +203,33 @@ def test_place_preserving_map_examples():
     g20 = pg20.graph
     m = place_preserving_map(pg20, arc(g20, "1212", "2012"))
     assert m[arc(g20, "1212", "1220")] == arc(g20, "2012", "2020")
+
+
+def test_place_preserving_map_matches_place_oracle():
+    # e_x maps to the one arc out of head(e) at e_x's place, places taken from word splits
+    for n in range(0, 513, 2):
+        pg = cached_embed(n)
+        g, place = pg.graph, oracle_places(pg)
+        for e in g.arcs:
+            at = {place[a]: a for a in g.out_arcs(e.head)}
+            assert len(at) == len(g.out_arcs(e.head)), (n, e)
+            expected = {a: at[place[a]] for a in g.out_arcs(e.tail) if a != e}
+            assert place_preserving_map(pg, e) == expected, (n, e)
+
+
+@pytest.mark.parametrize("tails, heads, completions", [
+    ((0, 0, 1), (2, 1, 3), 0),  # 2 has no out-arc, so no arc 2 -> 3
+    ((0, 0, 1, 1, 2, 2), (2, 1, 4, 3, 4, 3), 2),  # 2 -> 4 and 2 -> 3 both close the square
+])
+def test_place_preserving_map_raises_without_one_completion(tails, heads, completions):
+    # hand-built, not A-graphs: the square of 0 -> 1 and 0 -> 2 has no or two completions
+    k = len(tails)
+    g = HbGraph(0, tuple("abcde"[: max(heads) + 1]), tails, heads, (Label.SINGLE,) * k,
+                tuple(range(k)))
+    pg = PlacedGraph(g, (), ArcColumn(g, (1,) * k))
+    message = re.escape(f"at {g.arc(0, 2)}: {completions} completions")
+    with pytest.raises(AssertionError, match=message):
+        place_preserving_map(pg, g.arc(0, 1))
 
 
 def test_place_preserving_through_path():

@@ -86,9 +86,9 @@ def test_identity_at_b_10946_within_b_nodes():
 
 
 def relabeled(g, perm):
-    """g with vertex v renamed perm[v], its arcs re-sorted into (tail, position) order."""
+    """g with vertex v renamed perm[v], its arcs re-sorted into (tail, -head) order."""
     arcs = sorted((Arc(perm[a.tail], perm[a.head], a.label, a.position) for a in g.arcs),
-                  key=lambda a: (a.tail, a.position))
+                  key=lambda a: (a.tail, -a.head))
     words = [None] * len(perm)
     for v, w in enumerate(g.vertices):
         words[perm[v]] = w
@@ -137,9 +137,21 @@ def test_unsorted_tails_raise_rather_than_verify_a_non_isomorphism():
     # the identity as a witness from g4 onto g3, though out-degree 2 cannot map onto a path
     with pytest.raises(ValueError, match="topological order"):
         single_arcs(3, (1, 0), (2, 1))
-    g4 = single_arcs(3, (0, 0), (1, 2))
+    g4 = single_arcs(3, (0, 0), (2, 1))
     assert verify_witness(g4, g4, IsoWitness((0, 1, 2)))
     assert labeled_iso(g4, g4) == IsoWitness((0, 1, 2))
+
+
+def test_parallel_arcs_raise_rather_than_verify_a_non_isomorphism():
+    # g1 repeats 0 -> 2 and 1 -> 3, and g2 has four distinct arcs: looked up by their ends
+    # alone, g1's arcs all match g2's under the identity, which would pass as a witness
+    with pytest.raises(ValueError, match=r"strictly ascending in \(tail, -head\)"):
+        single_arcs(4, (0, 0, 1, 1), (2, 2, 3, 3))
+    g2 = single_arcs(4, (0, 0, 1, 1), (3, 2, 3, 2))
+    assert verify_witness(g2, g2, IsoWitness((0, 1, 2, 3)))
+    # one tail's heads ascending is refused too: in (tail, -head) order they descend
+    with pytest.raises(ValueError, match="strictly ascending"):
+        single_arcs(4, (0, 0, 1, 1), (2, 3, 3, 2))
 
 
 def test_ids_out_of_range_raise_value_error():
