@@ -28,17 +28,6 @@ from .graphs import (DEFAULT_LIMIT, Arc, ArcColumn, HbGraph, _block_states, _gra
 from .words import decompose, minimal_expansion, value
 
 
-def path_order(g: HbGraph) -> list[int]:
-    """Vertex ids of a directed path graph, from source to sink."""
-    order = [g.source]
-    while outs := g.out_arcs(order[-1]):
-        (arc,) = outs
-        order.append(arc.head)
-    if len(order) != len(g.vertices):
-        raise ValueError("graph is not a directed path")
-    return order
-
-
 @dataclass(frozen=True)
 class PlacedGraph:
     graph: HbGraph

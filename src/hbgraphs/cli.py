@@ -34,6 +34,7 @@ _B_ALGOS = {
     "alg1": lambda n: stern.b_algorithm1(n)[0],
     "blockfold": stern.b_block_formula,
 }
+_FNS = {"c": stern.c, "v": stern.v, "a": stern.a}  # and "b", by --algo
 _LIMIT_HELP = ("most vertices of A(n); n is also refused when b(n) times its bit length"
                f" (the longest word) exceeds {DIGITS_PER_VERTEX} * limit digits")
 
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("eval", help="evaluate a counting function")
-    p.add_argument("--fn", choices=["b", "c", "v", "a"], required=True)
+    p.add_argument("--fn", choices=["b", *_FNS], required=True)
     p.add_argument("--n", type=nonneg_int, required=True)
     p.add_argument("--algo", choices=sorted(_B_ALGOS), default="rec",
                    help="algorithm for --fn b (ignored otherwise)")
@@ -103,15 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args, out) -> int:
-    if args.fn == "b":
-        value = _B_ALGOS[args.algo](args.n)
-    elif args.fn == "c":
-        value = stern.c(args.n)
-    elif args.fn == "v":
-        value = stern.v(args.n)
-    else:
-        value = stern.a(args.n)
-    print(value, file=out)
+    fn = _B_ALGOS[args.algo] if args.fn == "b" else _FNS[args.fn]
+    print(fn(args.n), file=out)
     return EXIT_OK
 
 

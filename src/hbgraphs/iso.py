@@ -3,8 +3,8 @@
 Two routes: a backtracking search over the graph structure, and the
 arithmetic closed form (m and n are related by repeated x -> 2x + 1).
 The search is anchored source-to-source and pruned by per-label degree
-and weight-level invariants.  Its setup is linear in the arc count a:
-one pass over each graph's arcs gives every vertex signature, the level
+and height invariants.  Its setup is linear in the arc count a: one pass
+over each graph's arcs gives every vertex signature, the height
 included, and g2's vertices are bucketed by signature in a dict.  Vertex
 ids are a topological order (``HbGraph`` refuses a graph whose ids are
 not), so the search matches g1's vertices in id order and checks each
@@ -55,37 +55,26 @@ def verify_witness(g1: HbGraph, g2: HbGraph, witness: IsoWitness) -> bool:
 
 
 def _signatures(g: HbGraph) -> list[tuple[int, int, int]]:
-    """(level, out key, in key) of every vertex, from one pass over the arcs.
+    """(height, out key, in key) of every vertex, from one pass over the arcs.
 
-    The level is the weight above the sink's, an invariant because weight
-    drops by 1 along every arc: a tail's level is its head's plus 1.  Heads
-    have higher ids than tails and the arcs are in tail order, so in reverse
-    each head's level is final before a tail reads it.  Each arc adds 1 to
-    the degree keys of its ends, and a DOUBLE arc also adds 2^32, so a key
-    packs (DOUBLE count, degree) into one int.
+    The height, the longest path's length to a vertex without out-arcs, is
+    a DAG invariant; weight drops by 1 along each arc of A(n), so there it
+    is the weight above the sink's.  Heads have higher ids than tails and
+    the arcs are in tail order, so in reverse each head's height is final
+    before a tail reads it.  Each arc adds 1 to the degree keys of its ends,
+    and a DOUBLE arc also adds 2^32: a key packs (DOUBLE count, degree).
     """
     code = {Label.SINGLE: 1, Label.DOUBLE: 1 | 1 << 32}
     outs = [0] * len(g.vertices)
     ins = [0] * len(g.vertices)
-    level = [0] * len(g.vertices)
+    height = [0] * len(g.vertices)
     for tail, head, label in zip(reversed(g.tails), reversed(g.heads), reversed(g.labels)):
         c = code[label]
         outs[tail] += c
         ins[head] += c
-        level[tail] = level[head] + 1
-    return list(zip(level, outs, ins))
-
-
-def _candidates(g1: HbGraph, g2: HbGraph) -> list[list[int]] | None:
-    """Each g1 vertex's g2 vertices of equal signature, ascending; None if the signatures differ."""
-    sigs1 = _signatures(g1)
-    sigs2 = _signatures(g2)
-    if Counter(sigs1) != Counter(sigs2):  # so do they when the vertex or arc counts differ
-        return None
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for w, sig in enumerate(sigs2):
-        buckets.setdefault(sig, []).append(w)
-    return [buckets[sig] for sig in sigs1]
+        if height[tail] <= height[head]:
+            height[tail] = height[head] + 1
+    return list(zip(height, outs, ins))
 
 
 def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
@@ -103,9 +92,13 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
     ``find`` and its label, when its head is matched; ``used`` makes the map
     injective; and equal signature multisets give equal vertex and arc counts.
     """
-    candidates = _candidates(g1, g2)
-    if candidates is None:
-        return None
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    for w, sig in enumerate(_signatures(g2)):
+        buckets.setdefault(sig, []).append(w)
+    sigs1 = _signatures(g1)
+    if Counter(sigs1) != {sig: len(ws) for sig, ws in buckets.items()}:
+        return None  # also when the vertex or arc counts differ
+    candidates = [buckets[sig] for sig in sigs1]
     mapping: list[int] = []
     used: set[int] = set()
     expansions = 0
@@ -159,7 +152,4 @@ def a10_automorphism() -> IsoWitness:
     mapping = list(range(len(g.vertices)))
     mapping[idx["210"]] = idx["1002"]
     mapping[idx["1002"]] = idx["210"]
-    witness = IsoWitness(tuple(mapping))
-    if not verify_witness(g, g, witness):
-        raise AssertionError("the 210 <-> 1002 swap is not an automorphism of A(10)")
-    return witness
+    return IsoWitness(tuple(mapping))

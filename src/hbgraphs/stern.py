@@ -16,11 +16,12 @@ The matrix evaluators (``b_matrix``, ``b_matrix_blocks``, ``b_algorithm1``,
 integer 2x2 matrices.  Folding one big vector a digit at a time costs
 O(bits) additions of O(bits)-bit numbers, O(bits^2) in all.  Instead each
 cuts its digits into leaves of at most ``_LEAF`` digits, runs its own step
-rule on a leaf with the two rows (or columns) of the identity packed into
-one int as lanes of ``_LANE`` bits, reads the leaf's matrix off the lanes,
-and multiplies the leaf matrices as a balanced tree (``_product``).  The
-leaves cost O(bits) small-int operations, and the tree's top products are
-few and large, where Python's Karatsuba multiplication makes the whole
+rule on a leaf with the two unit vectors packed into one int as lanes of
+``_LANE`` bits, keeps the lanes of its two ints, ``_lanes(x) + _lanes(y)``,
+as the leaf (transposed in a fold of a row vector, whose leaves multiply
+in reverse), and multiplies the leaves as a balanced tree (``_product``).
+The leaves cost O(bits) small-int operations, and the tree's top products
+are few and large, where Python's Karatsuba multiplication makes the whole
 subquadratic.  ``b_recursive`` keeps the classical recursion, in one pass
 from n down to 0, as the independent check.  n's digits, and the check
 n >= 0, come from ``words.binary_expansion``.
@@ -88,7 +89,7 @@ def b_matrix(n: int) -> int:
 
     The row vector (top, bottom) = (1, 0) takes the digits most
     significant first: 0 adds bottom to top, 1 adds top to bottom.  A
-    leaf's lanes of top and bottom are the columns of its matrix.
+    leaf's lanes of top and bottom are the rows of its matrix's transpose.
     """
     bits = binary_expansion(n)
     mats = []
@@ -99,9 +100,8 @@ def b_matrix(n: int) -> int:
                 top += bottom
             else:
                 bottom += top
-        (t0, t1), (u0, u1) = _lanes(top), _lanes(bottom)
-        mats.append((t0, u0, t1, u1))
-    return _product(mats)[0]
+        mats.append(_lanes(top) + _lanes(bottom))
+    return _product(mats[::-1])[0]
 
 
 def b_matrix_blocks(n: int) -> int:
@@ -122,9 +122,8 @@ def b_matrix_blocks(n: int) -> int:
                 top += len(run) * bottom
             else:
                 bottom += len(run) * top
-        (t0, t1), (u0, u1) = _lanes(top), _lanes(bottom)
-        mats.append((t0, u0, t1, u1))
-    return _product(mats)[0]
+        mats.append(_lanes(top) + _lanes(bottom))
+    return _product(mats[::-1])[0]
 
 
 def b_algorithm1(n: int) -> tuple[int, int]:
@@ -280,7 +279,7 @@ def c_matrix(n: int) -> int:
 
     c(n) is the second entry of the row vector (1, 0) C(d_t) ... C(d_0),
     the digits taken most significant first: 0 maps (x, y) to (x + y, y),
-    1 maps it to (-y, x + 2y).
+    1 maps it to (-y, x + 2y).  The leaves are transposed, as in ``b_matrix``.
     """
     if n < 1:
         raise ValueError("c is defined for n >= 1")
@@ -290,9 +289,8 @@ def c_matrix(n: int) -> int:
         x, y = 1, 1 << _LANE
         for ch in bits[i : i + _LEAF]:
             x, y = (x + y, y) if ch == "0" else (-y, x + 2 * y)
-        (x0, x1), (y0, y1) = _lanes(x), _lanes(y)
-        mats.append((x0, y0, x1, y1))
-    return _product(mats)[1]
+        mats.append(_lanes(x) + _lanes(y))
+    return _product(mats[::-1])[2]
 
 
 def v_level_set_even(level: int, max_n: int) -> list[int]:

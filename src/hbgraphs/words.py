@@ -56,19 +56,10 @@ def validate_expansion(w: str) -> str:
     return w
 
 
-def digit_planes(w: str) -> tuple[int, int]:
-    """The 1s and the 2s of a word read as two binary numbers (ones, twos).
-
-    The value of ``w`` is ones + 2 * twos.  Both are linear-time parses;
-    ``w`` is not validated.
-    """
-    return int(w.translate(_ONES_BITS) or "0", 2), int(w.translate(_TWOS_BITS) or "0", 2)
-
-
 def value(w: str) -> int:
-    """Base-2 positional value of a digit word; the empty word gives 0."""
-    ones, twos = digit_planes(validate_word(w))
-    return ones + 2 * twos
+    """Base-2 value of a digit word, its 1s plus twice its 2s read in binary; "" gives 0."""
+    validate_word(w)
+    return int(w.translate(_ONES_BITS) or "0", 2) + 2 * int(w.translate(_TWOS_BITS) or "0", 2)
 
 
 def binary_expansion(n: int) -> str:
@@ -125,18 +116,13 @@ def length_class(w: str) -> LengthClass:
     """Classify an expansion as EMPTY, SHORT or LONG.
 
     LONG means the digit count equals that of the binary expansion of the
-    value; SHORT means one less.  No other digit counts occur for valid
-    expansions, so anything else signals corrupted input.
+    value; SHORT means one less.  A k-digit expansion has a value in
+    [2^(k-1), 2^(k+1) - 2], of k or k + 1 bits, so no other count occurs.
     """
     validate_expansion(w)
     if w == "":
         return LengthClass.EMPTY
-    bin_len = value(w).bit_length()
-    if len(w) == bin_len:
-        return LengthClass.LONG
-    if len(w) == bin_len - 1:
-        return LengthClass.SHORT
-    raise ValueError(f"impossible expansion length for {w!r}")
+    return LengthClass.LONG if len(w) == value(w).bit_length() else LengthClass.SHORT
 
 
 def decompose(w: str) -> tuple[tuple[str, ...], int]:

@@ -20,7 +20,6 @@ from hbgraphs.blocks import (
     embed,
     is_checking_path,
     maximal_checking_paths_from,
-    path_order,
     place_map,
     place_preserving_map,
     place_preserving_through_path,
@@ -34,6 +33,17 @@ from hbgraphs.words import binary_expansion, minimal_expansion, value
 
 def arc(g, tail, head):
     return g.arc(g.index[tail], g.index[head])
+
+
+def path_order(g: HbGraph) -> list[int]:
+    """Vertex ids of a directed path graph, from source to sink."""
+    order = [g.source]
+    while outs := g.out_arcs(order[-1]):
+        (arc,) = outs
+        order.append(arc.head)
+    if len(order) != len(g.vertices):
+        raise ValueError("graph is not a directed path")
+    return order
 
 
 def test_decompose_examples():
