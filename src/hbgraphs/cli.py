@@ -87,11 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=nonneg_int, required=True)
     p.add_argument("--n", type=nonneg_int, required=True)
     p.add_argument("--structural", action="store_true",
-                   help="run the backtracking search and print the witness")
+                   help="compare arc columns, search if they differ, and print the witness")
     p.add_argument("--limit", type=nonneg_int, default=DEFAULT_LIMIT,
                    help=f"{_LIMIT_HELP}, per graph built by --structural")
     p.add_argument("--budget", type=nonneg_int, default=DEFAULT_BUDGET,
-                   help="most search nodes expanded by --structural")
+                   help="most search nodes of --structural (it searches only if arc columns differ)")
 
     p = sub.add_parser("verify", help="cross-check all algorithms up to a bound")
     p.add_argument("--max", type=nonneg_int, default=2048)

@@ -1,13 +1,14 @@
 """Labeled-digraph isomorphism for graphs of hyperbinary expansions.
 
-Two routes: a backtracking search over the graph structure, and the
-arithmetic closed form (m and n are related by repeated x -> 2x + 1).
-The search is anchored source-to-source and pruned by per-label degree
-and height invariants.  Its setup is linear in the arc count a: one pass
-over each graph's arcs gives every vertex signature, the height
-included, and g2's vertices are bucketed by signature in a dict.  Vertex
-ids are a topological order (``HbGraph`` refuses a graph whose ids are
-not), so the search matches g1's vertices in id order and checks each
+Two routes: the graph structure, and the arithmetic closed form (m and n
+are related by repeated x -> 2x + 1).  Graphs with equal arc columns, as
+every isomorphic pair of A-graphs has, get the identity in O(a); any other
+pair goes to a backtracking search, anchored source-to-source and pruned
+by per-label degree and height invariants.  Its setup is linear in the arc
+count a: one pass over each graph's arcs gives every vertex signature, the
+height included, and g2's vertices are bucketed by signature in a dict.
+Vertex ids are a topological order (``HbGraph`` refuses a graph whose ids
+are not), so the search matches g1's vertices in id order and checks each
 one's in-arcs, read from g1's ``in_rows``.  The graphs are read as arc
 columns, and the arc joining a pair is found by ``HbGraph.find``, a scan
 of the tail's run of ``heads``, so no copy of the adjacency, no table of
@@ -86,12 +87,16 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
     vertex after the source has all its in-arcs (``g1.in_rows``) from matched
     vertices, and a search node checks only those.  Each g1 vertex tries the
     g2 vertices of its signature in ascending id order.  Graphs with equal
-    columns, as every isomorphic pair of A-graphs has, are matched by the
-    identity in b search nodes: the smaller ids of each bucket are already used.
+    vertex counts and arc columns, as every isomorphic pair of A-graphs has,
+    get the identity in O(a), before any signature or search node; the search
+    would find it too, so ``budget`` bounds only pairs whose columns differ.
     The search is its own ``verify_witness``: every g1 arc is checked, by
     ``find`` and its label, when its head is matched; ``used`` makes the map
     injective; and equal signature multisets give equal vertex and arc counts.
     """
+    b = len(g1.vertices)
+    if b == len(g2.vertices) and (g1.tails, g1.heads, g1.labels) == (g2.tails, g2.heads, g2.labels):
+        return IsoWitness(tuple(range(b)))
     buckets: dict[tuple[int, int, int], list[int]] = {}
     for w, sig in enumerate(_signatures(g2)):
         buckets.setdefault(sig, []).append(w)

@@ -61,28 +61,60 @@ def test_even_pairs_with_equal_counts_refuted_without_search():
     assert pairs == 3547
 
 
+def columns(g):
+    return g.tails, g.heads, g.labels
+
+
 def test_budget():
+    # equal arc columns give the identity before any search node; A(42) with ids 2 and 3
+    # swapped keeps them a topological order but changes the columns, so it is searched
+    g = cached_graph(42)
+    assert labeled_iso(g, g, budget=0) == IsoWitness(tuple(range(len(g.vertices))))
+    swap = list(range(len(g.vertices)))
+    swap[2], swap[3] = 3, 2
+    h = relabeled(g, swap)
+    assert columns(h) != columns(g)
     with pytest.raises(BudgetExceeded):
-        labeled_iso(cached_graph(42), cached_graph(42), budget=2)
+        labeled_iso(g, h, budget=2)
 
 
-def test_isomorphic_pairs_match_by_identity_in_b_nodes():
-    # n -> 2^t n + 2^t - 1 appends 1^t to every word, so the arc columns are equal: the
-    # search in id order takes the identity, one node per vertex
+def test_isomorphic_pairs_match_by_identity_without_search():
+    # n -> 2^t n + 2^t - 1 appends 1^t to every word, so the arc columns are equal and
+    # the identity is read off them: budget 0 admits no search node
     for n in range(0, 2000, 2):
         g1 = build_graph(n)
         b = len(g1.vertices)
         for t in (1, 2):
-            witness = labeled_iso(g1, build_graph(2**t * n + 2**t - 1), budget=b)
+            witness = labeled_iso(g1, build_graph(2**t * n + 2**t - 1), budget=0)
             assert witness is not None and witness.mapping == tuple(range(b)), (n, t)
 
 
-def test_identity_at_b_10946_within_b_nodes():
+def test_identity_at_b_10946_without_search():
     g1, g2 = build_graph(699050), build_graph(1398101)
     b = len(g1.vertices)
     assert b == 10946
-    witness = labeled_iso(g1, g2, budget=b)
+    witness = labeled_iso(g1, g2, budget=0)
     assert witness is not None and witness.mapping == tuple(range(b))
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # b = 1597 levels of search, one per vertex, on a copy whose columns differ
+    g = cached_graph(43690)
+    h = swapped_copy(g)
+    witness = labeled_iso(g, h)
+    assert len(g.vertices) == 1597 and witness is not None and verify_witness(g, h, witness)
+
+
+def test_equal_columns_on_other_vertex_counts_or_labels_are_searched():
+    # the identity needs equal vertex counts and equal labels, not just equal tails and
+    # heads: an extra isolated vertex, or one label flipped (the DOUBLE counts differ)
+    g = cached_graph(42)
+    extra = HbGraph(g.n, (*g.vertices, "0"), g.tails, g.heads, g.labels, g.positions)
+    flip = {Label.SINGLE: Label.DOUBLE, Label.DOUBLE: Label.SINGLE}
+    flipped = HbGraph(g.n, g.vertices, g.tails, g.heads,
+                      (flip[g.labels[0]], *g.labels[1:]), g.positions)
+    for h in (extra, flipped):
+        assert labeled_iso(g, h) is None and labeled_iso(h, g) is None
 
 
 def relabeled(g, perm):
@@ -93,6 +125,19 @@ def relabeled(g, perm):
     for v, w in enumerate(g.vertices):
         words[perm[v]] = w
     return graph_from_arcs(g.n, words, arcs)
+
+
+def swapped_copy(g):
+    """g with the first two consecutive ids v, v + 1 swapped that leave the ids a
+    topological order and change the arc columns, or None if no such pair exists."""
+    for v in range(len(g.vertices) - 1):
+        if g.find(v, v + 1) is None:
+            perm = list(range(len(g.vertices)))
+            perm[v], perm[v + 1] = v + 1, v
+            h = relabeled(g, perm)
+            if columns(h) != columns(g):
+                return h
+    return None
 
 
 def test_backward_arcs_raise_rather_than_give_a_wrong_witness():
@@ -279,14 +324,27 @@ def equal_count_pairs(top: int) -> list[tuple[int, int]]:
 
 
 def test_labeled_iso_matches_oracle():
+    # a pair with equal arc columns gets the identity at budget 0, so the search's node
+    # count is pinned on a copy of its second graph with two ids swapped
+    searched = 0
     for m, n in equal_count_pairs(300):
         g1, g2 = cached_graph(m), cached_graph(n)
         expected, nodes = oracle_labeled_iso(g1, g2)
         witness = labeled_iso(g1, g2, budget=nodes)
         assert (witness and witness.mapping) == expected, (m, n)
+        if columns(g1) == columns(g2):
+            assert labeled_iso(g1, g2, budget=0).mapping == tuple(range(len(g1.vertices)))
+            g2 = swapped_copy(g2)
+            if g2 is None:
+                continue
+            expected, nodes = oracle_labeled_iso(g1, g2)
+            witness = labeled_iso(g1, g2, budget=nodes)
+            assert witness is not None and witness.mapping == expected, (m, n)
         if nodes:
             with pytest.raises(BudgetExceeded):
                 labeled_iso(g1, g2, budget=nodes - 1)
+            searched += 1
+    assert searched > 0
 
 
 def vf2_digraph(nx, g):
