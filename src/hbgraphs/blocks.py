@@ -2,10 +2,10 @@
 
 A minimal expansion of an even number factors uniquely into the block
 words 1^t 2 (type 1) and 2^t (type 2), with no two consecutive type-2
-blocks (``words.decompose``, re-exported here); odd numbers carry an
-extra tail of 1s.  A(n) embeds as an induced subgraph into the Cartesian
-product of the path graphs of its blocks, which yields the place map,
-place-preserving maps and checking paths.
+blocks (``words.decompose``); odd numbers carry an extra tail of 1s.
+A(n) embeds as an induced subgraph into the Cartesian product of the
+path graphs of its blocks, which yields the place map, place-preserving
+maps and checking paths.
 
 Every expansion is one tuple of block states, its factors, and every arc
 steps one of them, its place: ``graphs`` generates A(n) in these

@@ -9,10 +9,9 @@ blocks' path graphs (``_walk``): a vertex is an admissible tuple of block
 states, whose lexicographic order is the shortlex order of the words, and
 an arc steps one coordinate, to the vertex a fixed stride of ids on (the
 count of completions after the stepped state).  So the vertices come out
-in id order and the arcs in (tail, position) order, with no closure over
-words, no sort and no table of words; the vertex count and a bound on the
-digits of the words are known, and checked against the limit, before
-anything is built.
+in id order and the arcs in (tail, position) order; the vertex count and
+a bound on the digits of the words are known, and checked against the
+limit, before anything is built.
 
 ``HbGraph`` keeps the arcs as aligned columns, which the exports,
 ``counts`` and ``iso`` read without making one object per arc.  Its ids
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,12 +46,8 @@ class Label:
     DOUBLE = "double"  # ->>  pattern  x12y -> x20y
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
-    tail: int
-    head: int
-    label: str
-    position: int  # zero-based index of the leftmost digit modified in the tail
+# position: zero-based index of the leftmost digit modified in the tail
+Arc = namedtuple("Arc", "tail head label position")
 
 
 def _children(w: str):
@@ -192,7 +188,7 @@ class HbGraph:
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        t, h = self.tails, self.heads  # one C-level pass per test; no copy sorted
+        t, h = self.tails, self.heads  # one C-level pass per test
         if not len(t) == len(h) == len(self.labels) == len(self.positions):
             raise ValueError("arc columns differ in length")
         if not set(self.labels) <= {Label.SINGLE, Label.DOUBLE}:
@@ -259,7 +255,7 @@ class HbGraph:
 
 
 class ArcColumn(Mapping):
-    """A read-only Mapping[Arc, value] over one more arc column of ``graph``; no hashing."""
+    """A read-only Mapping[Arc, value] over one more arc column of ``graph``."""
 
     def __init__(self, graph: HbGraph, column: Sequence):
         self.graph, self.column = graph, column

@@ -11,8 +11,7 @@ Vertex ids are a topological order (``HbGraph`` refuses a graph whose ids
 are not), so the search matches g1's vertices in id order and checks each
 one's in-arcs, read from g1's ``in_rows``.  The graphs are read as arc
 columns, and the arc joining a pair is found by ``HbGraph.find``, a scan
-of the tail's run of ``heads``, so no copy of the adjacency, no table of
-arcs by vertex pair and no ``Arc`` object is built.
+of the tail's run of ``heads``; no ``Arc`` object is built.
 """
 
 from __future__ import annotations

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -16,7 +15,6 @@ from conftest import (
 )
 from hbgraphs.blocks import (
     PlacedGraph,
-    decompose,
     embed,
     is_checking_path,
     maximal_checking_paths_from,
@@ -28,7 +26,7 @@ from hbgraphs.graphs import (Arc, ArcColumn, HbGraph, Label, build_graph, counts
                              export_dot)
 from hbgraphs.iso import labeled_iso
 from hbgraphs.stern import b_matrix
-from hbgraphs.words import binary_expansion, minimal_expansion, value
+from hbgraphs.words import binary_expansion, decompose, minimal_expansion, value
 
 
 def arc(g, tail, head):
@@ -177,7 +175,7 @@ def test_place_view():
                 export_dot(g, place)
     pg = cached_embed(10)
     e = arc(pg.graph, "202", "1002")
-    wrong = [dataclasses.replace(e, label=Label.DOUBLE), dataclasses.replace(e, position=1),
+    wrong = [e._replace(label=Label.DOUBLE), e._replace(position=1),
              Arc(e.tail, 99, e.label, e.position), Arc(-1, e.head, e.label, e.position)]
     for x in wrong:
         assert x not in pg.place, x

@@ -51,6 +51,21 @@ def test_eval_binary_input():
     assert status == EXIT_OK and out == "13\n"
 
 
+def test_imports_load_only_the_modules_they_need():
+    # the package re-exports nothing, and the CLI never loads blocks, which no command runs
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)))
+    loaded = "import sys; print(sorted(m for m in sys.modules if m.startswith('hbgraphs')))"
+    for module, expected in (
+        ("hbgraphs", ["hbgraphs"]),
+        ("hbgraphs.cli", ["hbgraphs", "hbgraphs.cli", "hbgraphs.graphs", "hbgraphs.iso",
+                          "hbgraphs.stern", "hbgraphs.words"]),
+    ):
+        proc = subprocess.run([sys.executable, "-c", f"import {module}; {loaded}"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), module
+        assert proc.stdout == f"{expected}\n", module
+
+
 def test_eval_answer_over_4300_digits():
     # b(n) of this 40 000-bit n has about 8 400 decimal digits
     n = int("10" * 20000, 2)

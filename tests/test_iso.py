@@ -18,12 +18,12 @@ from hbgraphs.iso import (
     BudgetExceeded,
     IsoWitness,
     a10_automorphism,
-    even_core,
     iso_closed_form,
     labeled_iso,
     verify_witness,
 )
 from hbgraphs.stern import b_and_a
+from hbgraphs.words import even_core
 
 
 def test_labeled_iso_examples():
