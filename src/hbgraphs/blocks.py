@@ -32,7 +32,7 @@ from .words import decompose, minimal_expansion, value
 class PlacedGraph:
     graph: HbGraph
     blocks: tuple[str, ...]  # the block words of n's minimal expansion
-    place: ArcColumn  # 1-based block index of each arc
+    place: ArcColumn  # 1-based block index of each arc, as bytes: 100 blocks give b > 10^28
 
     @cached_property
     def factors(self) -> tuple[tuple[str, ...], ...]:
@@ -63,8 +63,8 @@ def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
     """
     if n % 2:
         raise ValueError(f"embed requires an even n, got {n}")
-    g, places = _graph(n, *_walk(n, limit))
-    return PlacedGraph(g, decompose(minimal_expansion(n))[0], ArcColumn(g, tuple(places)))
+    g, places = _graph(n, _walk(n, limit))
+    return PlacedGraph(g, decompose(minimal_expansion(n))[0], ArcColumn(g, bytes(places)))
 
 
 def place_map(pg: PlacedGraph, arc: Arc) -> int:

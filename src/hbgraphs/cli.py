@@ -110,9 +110,8 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_graph(args, out) -> int:
-    """Write ``export_dot(g)``, or ``export_json(g)`` and a newline, 4096 arcs per write."""
-    g = graphs.build_graph(args.n, args.limit)
-    out.writelines(graphs.export_chunks(g, args.format, size=4096))
+    """Write ``export_dot(g)``, or ``export_json(g)`` and a newline, streamed without building g."""
+    out.writelines(graphs.export_stream(args.n, args.format, args.limit, size=4096))
     out.write("\n" if args.format == "json" else "")
     return EXIT_OK
 

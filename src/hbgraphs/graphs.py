@@ -11,7 +11,10 @@ an arc steps one coordinate, to the vertex a fixed stride of ids on (the
 count of completions after the stepped state).  So the vertices come out
 in id order and the arcs in (tail, position) order; the vertex count and
 a bound on the digits of the words are known, and checked against the
-limit, before anything is built.
+limit, before anything is built.  Cut after some block, the vertices are
+each prefix tuple in turn joined to every completion in one of two
+templates, by whether it ends in 0: ``build_graph`` and ``embed`` read the
+columns off these pieces, and ``export_stream`` writes the text from them.
 
 ``HbGraph`` keeps the arcs as aligned columns, which the exports,
 ``counts`` and ``iso`` read without making one object per arc.  Its ids
@@ -23,18 +26,20 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, getitem, gt, itemgetter, le, lt, sub
 
 from .stern import _block_transfer
-from .words import decompose, minimal_expansion, render, validate_expansion
+from .words import decompose, minimal_expansion, render
 
 DEFAULT_LIMIT = 10**6
 #: digits allowed per vertex of the limit: the words of H(n) may hold at most 64 * limit
 DIGITS_PER_VERTEX = 64
+#: most completions in a template of ``_walk``, which cuts the blocks at the first suffix this small
+TEMPLATE_SIZE = 1024
 
 
 class SizeLimitError(Exception):
@@ -48,31 +53,6 @@ class Label:
 
 # position: zero-based index of the leftmost digit modified in the tail
 Arc = namedtuple("Arc", "tail head label position")
-
-
-def _children(w: str):
-    """Yield (child, label, position) for each reduction of ``w``, ascending in position.
-
-    Every reduction rewrites one ``2``; the digit before it picks the rule.
-    The leading ``2y -> 10y`` rule (the only one that lengthens the word)
-    is assigned position 0, where no other rule can apply.
-    """
-    j = w.find("2")
-    if j == 0:
-        yield "10" + w[1:], Label.SINGLE, 0
-        j = w.find("2", 1)
-    while j > 0:
-        before = w[j - 1]
-        if before == "0":
-            yield w[: j - 1] + "10" + w[j + 1 :], Label.SINGLE, j - 1
-        elif before == "1":
-            yield w[: j - 1] + "20" + w[j + 1 :], Label.DOUBLE, j - 1
-        j = w.find("2", j + 1)
-
-
-def single_step_reductions(w: str) -> list[tuple[str, str, int]]:
-    """The reductions of ``w`` as a list of (child, label, position), ascending in position."""
-    return list(_children(validate_expansion(w)))
 
 
 def _block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple | None]]:
@@ -98,22 +78,23 @@ def _block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple 
     return [(w, *flag, step) for w, flag, step in zip(words, flags, steps)]
 
 
-def _walk(n: int, limit: int) -> tuple[list[tuple], str]:
-    """The admissible tuples of block states, in id order.
+def _walk(n: int, limit: int, cut: int | None = None) -> tuple[list[tuple], dict]:
+    """A(n) as the admissible prefixes over blocks 1..cut, and templates of their completions.
 
     A vertex is a tuple x_1 ... x_k of block states, admissible when every
-    long x_p (p >= 2) follows an x_(p-1) that ends in 0; its word joins
-    the state words, each dropping its final 0 before a long state.
-    Lexicographic order of the tuples is shortlex order of the words, so
-    extending every prefix by the states of the next block in turn, level
-    by level, emits the vertices in id order.  The arc x_p -> x_p + 1 goes
-    C ids on, C the count of completions after x_p (which depends only on
-    whether x_p ends in 0); its place is p, and it rewrites the digit
-    r places from the end of the core word, r fixed by p and x_p.
+    long x_p (p >= 2) follows an x_(p-1) that ends in 0; its word joins the
+    state words, each dropping its final 0 before a long state, then n's
+    trailing 1s.  Extending every tuple by the states of the next block,
+    level by level, emits them in id order.  The arc x_p -> x_p + 1 goes C
+    ids on, C the count of completions after x_p (fixed by whether x_p ends
+    in 0); its place is p, and it rewrites the digit r places from the end.
 
-    Returns one (core word, ends in 0, arc steps) per vertex, each arc
-    step (stride, label, r, place) one tuple shared by all the vertices
-    that take it, and n's trailing 1s; the tuples of states are not kept.
+    A prefix, over blocks 1..cut, is (head, ends in 0, arc steps): its word
+    less a final 0, where template 1 starts.  A template is (words, each
+    one's arc steps), and a vertex head + word, with the prefix's steps, then
+    the word's, each (stride, label, r, place) a tuple shared by all that
+    take it.  ``cut`` defaults to the first suffix of at most
+    ``TEMPLATE_SIZE`` completions: 0 for a small A(n), one template the graph.
     Raises SizeLimitError, before any state word is made, when there are
     more than ``limit`` tuples, or when they times n's bit length (the
     longest word) exceeds ``DIGITS_PER_VERTEX * limit`` digits.
@@ -136,33 +117,50 @@ def _walk(n: int, limit: int) -> tuple[list[tuple], str]:
     if counts[0][1] * bits > DIGITS_PER_VERTEX * limit:
         raise SizeLimitError(f"{counts[0][1]} words of up to {bits} digits may exceed"
                              f" {DIGITS_PER_VERTEX} * limit {limit} digits")
-    level = [("", True, ())]
-    width = sum(map(len, blocks))  # of the blocks after p
-    for p, block in enumerate(blocks):
-        width -= len(block)
-        states = _block_states(block, p == 0)
-        rows = ([], [])  # rows[e]: the states, and their arcs, after one that ends in 0 iff e
-        for s, (w, long, zero, step) in enumerate(states):
-            for e in (0, 1) if not long else (1,):
-                arc = ()
-                if step and (e or not states[s + 1][1]):
-                    # x_p ... x_k take width + len(w) digits: a final 0 that x_p
-                    # drops comes back as the extra digit of the long x_(p+1)
-                    label, local = step
-                    arc = ((counts[p + 1][zero], label, width + len(w) - local, p + 1),)
-                rows[e].append((w, long and p > 0, zero, arc))
-        level = [
-            (word[:-1] + w if drop else word + w, zero, arcs + arc)
-            for word, e, arcs in level
-            for w, drop, zero, arc in rows[e]
-        ]
-    return level, "1" * ones
+    if cut is None:  # after the blocks whose suffixes have more than TEMPLATE_SIZE completions
+        cut = 0 if counts[0][1] <= TEMPLATE_SIZE else sum(h > TEMPLATE_SIZE for _, h in counts)
+
+    def extend(level: list, lo: int, hi: int) -> list:
+        width = sum(map(len, blocks[lo:])) + ones  # the digits from block lo on
+        for p in range(lo, hi):
+            width -= len(blocks[p])  # now the digits after block p
+            states = _block_states(blocks[p], p == 0)
+            rows = ([], [])  # rows[e]: the states, and their arcs, after one that ends in 0 iff e
+            for s, (w, long, zero, step) in enumerate(states):
+                for e in (0, 1) if not long else (1,):
+                    arc = ()
+                    if step and (e or not states[s + 1][1]):
+                        # x_p ... x_k take width + len(w) digits: a final 0 that x_p
+                        # drops comes back as the extra digit of the long x_(p+1)
+                        label, local = step
+                        arc = ((counts[p + 1][zero], label, width + len(w) - local, p + 1),)
+                    rows[e].append((w, long and p > 0, zero, arc))
+            level = [(word[:-1] + w if drop else word + w, zero, arcs + arc)
+                     for word, e, arcs in level for w, drop, zero, arc in rows[e]]
+        return level
+
+    def template(seed: tuple) -> tuple:  # the words, with n's 1s, and steps of the completions
+        words, _, steps = zip(*extend([seed], cut, len(blocks)))
+        return tuple(map(add, words, repeat("1" * ones))) if ones else words, steps
+
+    if not cut:  # one empty prefix, whose template is the whole graph
+        return [("", 1, ())], {1: template(("", 1, ()))}
+    prefixes = [(w[:-1] if e else w, e, steps) for w, e, steps in extend([("", 1, ())], 0, cut)]
+    return prefixes, {e: template(("0" if e else "", e, ())) for e in {e for _, e, _ in prefixes}}
+
+
+def _column(pieces: tuple, k: int) -> Iterator:
+    """The words (k = 0) or the arc steps (k = 1) of the vertices in id order, from the pieces."""
+    prefixes, templates = pieces
+    if len(prefixes) == 1:  # cut 0: one empty prefix, whose template is the whole graph
+        return iter(templates[1][k])
+    return chain.from_iterable(map((head, steps)[k].__add__, templates[e][k])
+                               for head, e, steps in prefixes)
 
 
 def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
     """H(n) in shortlex order: the words of the admissible tuples of block states."""
-    level, ones = _walk(n, limit)
-    return [word + ones for word, _, _ in level]
+    return list(_column(_walk(n, limit), 0))
 
 
 @dataclass(frozen=True)
@@ -261,11 +259,14 @@ class ArcColumn(Mapping):
         self.graph, self.column = graph, column
 
     def index(self, arc) -> int:
-        """The index of ``arc`` in the graph's columns; ValueError if the graph has no such arc."""
+        """The index of ``arc``, or of a tuple equal to it, in the columns; ValueError if none."""
         g = self.graph
-        known = isinstance(arc, Arc) and 0 <= arc.tail < len(g.vertices)
-        i = g.find(arc.tail, arc.head) if known else None
-        if i is None or (g.labels[i], g.positions[i]) != (arc.label, arc.position):
+        try:
+            tail, head, label, position = arc
+            i = g.find(tail, head) if 0 <= tail < len(g.vertices) else None
+        except (TypeError, ValueError):  # not four fields, or a tail that is not an id
+            i = None
+        if i is None or (g.labels[i], g.positions[i]) != (label, position):
             raise ValueError(f"unknown arc {arc}")
         return i
 
@@ -283,40 +284,33 @@ class ArcColumn(Mapping):
 
 
 def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
-    """Construct A(n) from the admissible tuples of its blocks' states.
+    """Construct A(n) from the admissible tuples of its blocks' states (``_walk``).
 
-    ``_walk`` gives the vertices in shortlex (id) order, lexicographic
-    order of the tuples, and each vertex's arcs as coordinate steps in
-    ascending place and so in ascending position: head = tail + the
-    stride of the step.  Raises SizeLimitError before building anything
-    when A(n) has more than ``limit`` vertices, or more than 64 digits
-    per vertex of the limit.
+    Raises SizeLimitError before building anything when A(n) has more than
+    ``limit`` vertices, or more than 64 digits per vertex of the limit.
     """
-    return _graph(n, *_walk(n, limit))[0]
+    return _graph(n, _walk(n, limit))[0]
 
 
-def _graph(n: int, level: list, ones: str) -> tuple[HbGraph, Iterator[int]]:
-    """The graph on the vertices ``_walk`` returned, as columns, and each arc's place.
+def _graph(n: int, pieces: tuple) -> tuple[HbGraph, Iterator[int]]:
+    """The graph on ``_walk``'s pieces, one C-level pass per column, and an iterator of places."""
+    vertices = tuple(_column(pieces, 0))
+    ids = list(range(len(vertices)))  # the columns share these int objects, not one per arc
+    tails, heads, labels, positions, places = _arcs(ids, vertices, lambda: _column(pieces, 1))
+    return HbGraph(n, vertices, tails, tuple(map(ids.__getitem__, heads)), tuple(labels),
+                   tuple(positions)), places
 
-    Each column is one field of every arc step, in tail order, read off
-    by C-level iterators: no per-arc Python code runs.  The places are an
-    iterator, so a caller that drops them never builds their column.  The
-    last vertex is the binary expansion.
-    """
-    words, _, steps = zip(*level)
-    per_vertex = list(map(len, steps))
+
+def _arcs(ids: Sequence[int], words: Sequence[str], steps) -> tuple:
+    """Tails (a tuple), tail + stride, labels, positions, places of ``ids``' arcs ``steps()``."""
+    per_vertex = list(map(len, steps()))
 
     def field(k: int):
-        return map(itemgetter(k), chain.from_iterable(steps))
+        return map(itemgetter(k), chain.from_iterable(steps()))
 
-    ids = list(range(len(words)))  # the columns share these int objects, not one per arc
     tails = tuple(chain.from_iterable(map(repeat, ids, per_vertex)))
-    heads = tuple(map(ids.__getitem__, map(add, tails, field(0))))
     lengths = chain.from_iterable(map(repeat, map(len, words), per_vertex))
-    positions = tuple(map(sub, lengths, field(2)))
-    vertices = tuple(word + ones for word in words)
-    g = HbGraph(n, vertices, tails, heads, tuple(field(1)), positions)
-    return g, field(3)
+    return tails, map(add, tails, field(0)), field(1), map(sub, lengths, field(2)), field(3)
 
 
 def counts(g: HbGraph) -> tuple[int, int, int]:
@@ -348,43 +342,90 @@ def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
 
 def export_chunks(g: HbGraph, fmt: str = "dot", place: ArcColumn | None = None,
                   size: int = 0) -> Iterator[str]:
-    """The text of ``export_dot(g, place)``, or of ``export_json(g)`` for ``fmt`` "json", in chunks.
+    """The text of ``export_dot(g, place)``, or ``export_json(g)``, in chunks of ``size`` arcs."""
+    if place is not None and not (isinstance(place, ArcColumn) and place.graph is g):
+        raise ValueError("place must be the graph's ArcColumn")
+    dot, b = fmt == "dot", len(g.vertices)
+    values = g.positions if not dot else None if place is None else place.column
+    return _text(g.n, fmt, [g.vertices],
+                 [(b, g.vertices if dot else range(b), g.tails, g.heads, g.labels, values)], size)
 
-    An arc is three strings made up front: its tail's prefix, its head's name
-    or id, and its end by label and place or position.  A chunk of ``size``
-    arcs (0: all) is one join of a list filled from maps over the columns by
-    extended-slice assignment, so no per-arc Python code runs.
-    """
-    if fmt == "dot":
-        heads = list(map(render, g.vertices))
-        tails = [f'  "{x}" -> "' for x in heads]
-        start = f'digraph A{g.n} {{\n  "' + '";\n  "'.join(heads) + '";\n'
-        stop, label = "}\n", {Label.SINGLE: "s", Label.DOUBLE: "d"}.__getitem__
-        if place is not None and not (isinstance(place, ArcColumn) and place.graph is g):
-            raise ValueError("place must be the graph's ArcColumn")
-        values, end = (None, '" [label="{}"];\n') if place is None else (
-            place.column, '" [label="{}" place={}];\n')
-    else:
-        heads = list(map(str, range(len(g.vertices))))
-        tails = [f',{{"tail":{v},"head":' for v in heads]
-        vertices = json.dumps(g.vertices, separators=(",", ":"))
-        start, stop, label = f'{{"n":{g.n},"vertices":{vertices},"arcs":[', "]}", str
-        values, end = g.positions, ',"label":"{}","position":{}}}'
-    if values is None:  # the end depends on the label alone
-        ends = map({x: end.format(label(x)) for x in set(g.labels)}.__getitem__, g.labels)
-    else:
-        table = {x: {v: end.format(label(x), v) for v in set(values)} for x in set(g.labels)}
-        ends = map(getitem, map(table.__getitem__, g.labels), values)
-    columns = (map(tails.__getitem__, g.tails), map(heads.__getitem__, g.heads), ends)
-    count, size = len(g.tails), size or len(g.tails) or 1
-    for lo in range(0, count or 1, size):  # an arcless graph gets one chunk
-        pieces = [""] * (3 * min(size, count - lo) + 2)
-        for k, column in enumerate(columns, 1):
-            pieces[k:-1:3] = islice(column, size)
-        if lo == 0:
-            pieces[:2] = start, pieces[1].lstrip(",")  # the first arc drops JSON's comma
-        pieces[-1] = stop if lo + size >= count else ""
-        yield "".join(pieces)
+
+def _text(n: int, fmt: str, names: Iterable, shares: Iterable, size: int) -> Iterator[str]:
+    """The DOT or JSON text of A(n) from shares of its vertices: the one writer of both formats.
+
+    ``names`` gives each share's words, and ``shares`` its arcs as (m, pool, tails, heads, labels,
+    values): arc i joins pool vertices tails[i] < m and heads[i], named by word (DOT) or id (JSON),
+    and ``values`` is the positions (JSON), the places or None.  A chunk of ``size`` arcs (0: a
+    share) is one join of a list filled from maps over the columns, three strings made up
+    front per arc, by extended-slice assignment, so no per-arc Python code runs."""
+    dot = fmt == "dot"
+    start, sep, middle, stop = ((f"digraph A{n} {{\n", "", "", "}\n") if dot else
+                                (f'{{"n":{n},"vertices":[', ",", '],"arcs":[', "]}"))
+    name, label = (render, {Label.SINGLE: "s", Label.DOUBLE: "d"}.get) if dot else (str, str)
+    head = None  # the last share's vertices, held back to start the first chunk of arcs
+    for i, words in enumerate(names):
+        if head is not None:
+            yield head
+        head = (sep if i else start) + ('  "' + '";\n  "'.join(map(render, words)) + '";\n' if dot
+                                        else json.dumps(words, separators=(",", ":"))[1:-1])
+    shares = iter(shares)
+    share = next(shares)
+    while share:
+        (m, pool, tails, heads, labels, values), share = share, next(shares, None)
+        heads_text = list(map(name, pool))
+        tails_text = ([f'  "{x}" -> "' for x in islice(heads_text, m)] if dot else
+                      [f',{{"tail":{x},"head":' for x in islice(heads_text, m)])
+        if values is None:  # the end depends on the label alone
+            ends = map({x: f'" [label="{label(x)}"];\n' for x in set(labels)}.__getitem__, labels)
+        else:
+            end = '" [label="{}" place={}];\n' if dot else ',"label":"{}","position":{}}}'
+            table = {x: {v: end.format(label(x), v) for v in set(values)} for x in set(labels)}
+            ends = map(getitem, map(table.__getitem__, labels), values)
+        columns = (map(tails_text.__getitem__, tails), map(heads_text.__getitem__, heads), ends)
+        step = size or len(tails) or 1
+        for lo in range(0, len(tails) or 1, step):  # an arcless share gets one chunk
+            pieces = [""] * (3 * min(step, len(tails) - lo) + 2)
+            for k, column in enumerate(columns, 1):
+                pieces[k:-1:3] = islice(column, step)
+            if head is not None:  # the first arc drops JSON's comma
+                pieces[:2], head = (head + middle, pieces[1][len(sep) :]), None
+            if share is None and lo + step >= len(tails):
+                pieces[-1] = stop
+            yield "".join(pieces)
+
+
+def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT,
+                  size: int = 0) -> Iterator[str]:
+    """``export_chunks(build_graph(n, limit), fmt, size=size)``, from pieces made at the call."""
+    return _stream(n, _walk(n, limit), fmt, size)
+
+
+def _stream(n: int, pieces: tuple, fmt: str, size: int = 0) -> Iterator[str]:
+    """``_text`` in two passes over the prefixes, a share each: the prefix and its template.
+
+    A prefix's step goes from completion j to completion j of the stepped prefix,
+    so a share's pool is its m vertices, then each stepped prefix's first m."""
+    prefixes, templates = pieces
+    firsts = list(accumulate((len(templates[e][0]) for _, e, _ in prefixes), initial=0))
+
+    def words(q: int, m: int | None = None) -> list[str]:
+        head, e, _ = prefixes[q]
+        return list(map(head.__add__, islice(templates[e][0], m)))
+
+    def shares():
+        for i, (_, e, steps) in enumerate(prefixes):
+            own, dot = words(i), fmt == "dot"
+            m = len(own)
+            local = tuple((m * q, *step[1:]) for q, step in enumerate(steps, 1))
+            tails, heads, labels, positions, _ = _arcs(
+                range(m), own, lambda: map(local.__add__, templates[e][1]))
+            qs = (i, *(bisect_left(firsts, firsts[i] + step[0]) for step in steps))  # stepped
+            pool = [words(q, m) if dot else range(firsts[q], firsts[q] + m) for q in qs]
+            yield (m, chain.from_iterable(pool), tails, list(heads), list(labels),
+                   None if dot else list(positions))
+
+    return _text(n, fmt, map(words, range(len(prefixes))), shares(), size)
 
 
 def export_dot(g: HbGraph, place: ArcColumn | None = None) -> str:

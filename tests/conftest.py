@@ -22,7 +22,9 @@ subgraph by sorting its words, without the forward pass over the columns
 of ``graphs.descendants_subgraph``.  The closure oracle
 builds A(n), or the descendants of any expansion, by applying the single
 step reductions breadth first from a seed word and sorting the words it
-finds, without the block states of ``graphs.build_graph``.  Both oracles
+finds, without the block states of ``graphs.build_graph``; its reduction
+rules (``_children``, and ``single_step_reductions`` over them) live
+here, so it shares no code with ``graphs``.  Both oracles
 make their arcs as ``Arc`` objects and store them in ``HbGraph``'s
 columns through ``graph_from_arcs``.
 """
@@ -30,8 +32,8 @@ columns through ``graph_from_arcs``.
 import json
 from functools import lru_cache
 
-from hbgraphs.graphs import Arc, HbGraph, Label, SizeLimitError, _children
-from hbgraphs.words import binary_expansion, shortlex_key
+from hbgraphs.graphs import Arc, HbGraph, Label, SizeLimitError
+from hbgraphs.words import binary_expansion, shortlex_key, validate_expansion
 
 
 @lru_cache(maxsize=None)
@@ -346,6 +348,32 @@ def oracle_export_dot(g, place=None) -> str:
         lines.append(f'  "{tail}" -> "{head}" [{attrs}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _children(w: str):
+    """Yield (child, label, position) for each reduction of ``w``, ascending in position.
+
+    These are the paper's reduction rules.  Every reduction rewrites one
+    ``2``; the digit before it picks the rule.  The leading ``2y -> 10y``
+    rule (the only one that lengthens the word) is assigned position 0,
+    where no other rule can apply.
+    """
+    j = w.find("2")
+    if j == 0:
+        yield "10" + w[1:], Label.SINGLE, 0
+        j = w.find("2", 1)
+    while j > 0:
+        before = w[j - 1]
+        if before == "0":
+            yield w[: j - 1] + "10" + w[j + 1 :], Label.SINGLE, j - 1
+        elif before == "1":
+            yield w[: j - 1] + "20" + w[j + 1 :], Label.DOUBLE, j - 1
+        j = w.find("2", j + 1)
+
+
+def single_step_reductions(w: str) -> list[tuple[str, str, int]]:
+    """The reductions of ``w`` as a list of (child, label, position), ascending in position."""
+    return list(_children(validate_expansion(w)))
 
 
 def _oracle_closure(n: int, seed: str, limit: int, children: list | None = None) -> dict[str, int]:

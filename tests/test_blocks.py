@@ -156,6 +156,22 @@ def test_placed_export_chunks_join_to_export_dot():
             assert "".join(export_chunks(pg.graph, "dot", pg.place, size)) == dot, (n, size)
 
 
+def test_place_takes_any_tuple_equal_to_an_arc():
+    # an Arc equals, and hashes as, the plain tuple of its fields: the Mapping agrees
+    pg = cached_embed(10)
+    assert pg.place.column == bytes(oracle_places(pg).values())
+    for e in pg.graph.arcs:
+        key = tuple(e)
+        assert type(key) is tuple and key == e
+        assert key in pg.place and pg.place[key] == pg.place[e] == pg.place.get(key)
+        assert place_map(pg, key) == pg.place[e] == dict(pg.place)[key]
+    for key in ((0, 1), (0, 1, Label.DOUBLE, 0, 0), (0.5, 1, Label.DOUBLE, 0),
+                ("0", 1, Label.DOUBLE, 0), (0, 1, Label.SINGLE, 0), "abcd", 5, None):
+        assert key not in pg.place and pg.place.get(key) is None, key
+        with pytest.raises(KeyError):
+            pg.place[key]
+
+
 def test_place_map_examples():
     pg = cached_embed(10)
     g = pg.graph

@@ -23,7 +23,7 @@ from hbgraphs.cli import (
     plan_verify,
     run,
 )
-from hbgraphs.graphs import build_graph, export_dot, export_json
+from hbgraphs.graphs import _walk, build_graph, export_dot, export_json
 from hbgraphs.stern import b_and_a, b_matrix
 from hbgraphs.words import minimal_expansion
 
@@ -167,12 +167,42 @@ def test_graph_formats():
     assert doc["n"] == 10 and len(doc["vertices"]) == 5 and len(doc["arcs"]) == 5
 
 
-@pytest.mark.parametrize("n", [0, 3, 10, 2708, 2254256])
+@pytest.mark.parametrize("n", [0, 3, 10, 2708, 2254256, 7378268, 14756537])
 def test_graph_writes_the_exports(n):
-    # A(2254256) has 40 247 arcs: the text goes out in ten chunks of at most 4096 arcs
+    # A(2254256) has 40 247 arcs: the text goes out in ten chunks of at most 4096 arcs;
+    # A(7378268), b = 15 368, is streamed from prefixes and templates, and so is A(14756537),
+    # whose words each end in a 1
     g = build_graph(n)
     assert invoke("graph", "--n", str(n)) == (EXIT_OK, export_dot(g), "")
     assert invoke("graph", "--n", str(n), "--format", "json") == (EXIT_OK, export_json(g) + "\n", "")
+
+
+def test_graph_writes_the_exports_below_2_11():
+    parser = cli.build_parser()  # once: building it costs more than a small graph
+    for n in range(2**11):
+        g = build_graph(n)
+        for fmt, whole in (("dot", export_dot(g)), ("json", export_json(g) + "\n")):
+            out = io.StringIO()
+            args = parser.parse_args(["graph", "--n", str(n), "--format", fmt])
+            assert (cli._cmd_graph(args, out), out.getvalue()) == (EXIT_OK, whole), (n, fmt)
+
+
+def test_streamed_graph_is_refused_before_any_output():
+    # A(7378268) has b = 15 368 vertices; each of its templates has fewer than 1 100
+    _, templates = _walk(7378268, 10**6)
+    assert max(len(words) for words, _ in templates.values()) < 1100
+    for fmt in ("dot", "json"):
+        for limit in ("15367", "1100"):
+            assert invoke("graph", "--n", "7378268", "--format", fmt, "--limit", limit) == (
+                EXIT_LIMIT, "", f"aborted: |H(n)| exceeds limit {limit} for n of 23 bits\n")
+    # b = 9737 words of up to 78 digits: within a limit of b vertices, not of its 64 * b digits
+    n = str(int("10" * 6 + "0" * 66, 2))
+    assert len(_walk(int(n), 10**6)[0]) > 1  # cut after some block
+    for fmt in ("dot", "json"):
+        assert invoke("graph", "--n", n, "--format", fmt, "--limit", "9737") == (
+            EXIT_LIMIT, "", "aborted: 9737 words of up to 78 digits may exceed"
+                            " 64 * limit 9737 digits\n")
+    assert invoke("graph", "--n", n, "--limit", "11869")[0] == EXIT_OK  # 64 * 11869 >= 78 * 9737
 
 
 def test_graph_limit_exit_code():
@@ -226,6 +256,24 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_OK
     assert err == b""
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_streamed_graph_into_a_short_reader_exits_quietly(fmt):
+    # like ``hbgraphs graph --n 699050 | head -c 100``: A(699050), b = 10 946, is streamed
+    # from its prefixes, and the reader leaves after 100 bytes
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "hbgraphs.cli", "graph", "--n", "699050",
+                             "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert err == b""
+    assert head == export_dot(build_graph(699050)).encode()[:100] if fmt == "dot" else (
+        head.startswith(b'{"n":699050,"vertices":["'))
 
 
 def test_closed_stdout_mid_graph_exits_quietly():
@@ -318,9 +366,26 @@ def test_usage_error_status():
 
 
 def test_deterministic_output():
-    first = invoke("graph", "--n", "20", "--format", "dot")
-    second = invoke("graph", "--n", "20", "--format", "dot")
-    assert first == second
+    # two processes under different hash seeds: set and dict order may differ between them,
+    # the bytes may not.  A(699050) is streamed from prefixes and templates.
+    library = ("import sys; from hbgraphs.blocks import embed; from hbgraphs.graphs import"
+               " export_dot; pg = embed(699050); sys.stdout.write(export_dot(pg.graph, pg.place))")
+    runs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)),
+                   PYTHONHASHSEED=seed)
+        for argv in (["-m", "hbgraphs.cli", "graph", "--n", "699050", "--format", "dot"],
+                     ["-m", "hbgraphs.cli", "graph", "--n", "699050", "--format", "json"],
+                     ["-c", library]):
+            proc = subprocess.run([sys.executable, *argv], capture_output=True, env=env,
+                                  timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, b""), (seed, argv)
+            runs.setdefault(tuple(argv), []).append(proc.stdout)
+    for argv, (first, second) in runs.items():
+        assert first == second, argv
+    g = build_graph(699050)
+    assert [first for first, _ in runs.values()][:2] == [export_dot(g).encode(),
+                                                        (export_json(g) + "\n").encode()]
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch):

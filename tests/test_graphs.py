@@ -12,11 +12,16 @@ from conftest import (
     oracle_export_json,
     oracle_factors,
     oracle_places,
+    single_step_reductions,
 )
 from hbgraphs.blocks import embed
 from hbgraphs.graphs import (
+    DEFAULT_LIMIT,
     Label,
     SizeLimitError,
+    _graph,
+    _stream,
+    _walk,
     build_graph,
     counts,
     descendants_subgraph,
@@ -24,11 +29,10 @@ from hbgraphs.graphs import (
     export_chunks,
     export_dot,
     export_json,
-    single_step_reductions,
 )
 from hbgraphs.iso import labeled_iso, verify_witness
 from hbgraphs.stern import b_matrix
-from hbgraphs.words import minimal_expansion, weight
+from hbgraphs.words import decompose, minimal_expansion, weight
 
 
 def arcs_as_words(g):
@@ -355,3 +359,43 @@ def test_generator_matches_closure_oracle(n, data):
 def test_generator_matches_closure_oracle_at_b_10946():
     assert b_matrix(699050) == 10946
     assert_generated_matches_closure(699050, [1, 5000, 10945])
+
+
+def pieces_at_every_cut(n):
+    """``_walk``'s pieces of A(n) with the blocks cut after none, then after each in turn."""
+    blocks, _ = decompose(minimal_expansion(n))
+    return [_walk(n, DEFAULT_LIMIT, cut) for cut in range(len(blocks) + 1)]
+
+
+# A(7378268) has b = 15 368 and its default cut after block 2; 87381 is odd: words end in 1
+@pytest.mark.parametrize("ns", [range(2**11), [7378268, 87381]], ids=["below_2^11", "larger"])
+def test_pieces_at_every_cut_match_the_closure_oracle(ns):
+    for n in ns:
+        expected = oracle_closure_graph(n, minimal_expansion(n), DEFAULT_LIMIT)
+        for cut, pieces in enumerate(pieces_at_every_cut(n)):
+            g, places = _graph(n, pieces)
+            assert g == expected, (n, cut)  # the words and the four arc columns
+            places = tuple(places)
+            if cut == 0:
+                first = places
+            assert places == first, (n, cut)
+        assert enumerate_expansions(n) == list(expected.vertices), n
+
+
+def test_stream_writes_the_exports_at_one_cut_per_n():
+    # the cuts go round with n, so each of 0..k comes up; so do the formats and, every third
+    # n, chunks of 3 arcs, whose boundaries fall inside shares
+    for n in range(2**11):
+        g, every = build_graph(n), pieces_at_every_cut(n)
+        cut, fmt, size = n % len(every), ("dot", "json")[n % 2], 3 if n % 3 == 0 else 4096
+        whole = export_dot(g) if fmt == "dot" else export_json(g)
+        assert "".join(_stream(n, every[cut], fmt, size)) == whole, (n, cut, fmt)
+
+
+@pytest.mark.parametrize("n", [7378268, 87381])
+def test_stream_at_every_cut_writes_the_exports(n):
+    g = build_graph(n)
+    whole = (export_dot(g), export_json(g))
+    for cut, pieces in enumerate(pieces_at_every_cut(n)):
+        fmt = ("dot", "json")[cut % 2]
+        assert "".join(_stream(n, pieces, fmt, 4096)) == whole[cut % 2], (n, cut, fmt)
