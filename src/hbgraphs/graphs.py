@@ -347,33 +347,34 @@ def export_chunks(g: HbGraph, fmt: str = "dot", place: ArcColumn | None = None,
         raise ValueError("place must be the graph's ArcColumn")
     dot, b = fmt == "dot", len(g.vertices)
     values = g.positions if not dot else None if place is None else place.column
-    return _text(g.n, fmt, [g.vertices],
-                 [(b, g.vertices if dot else range(b), g.tails, g.heads, g.labels, values)], size)
+    names = list(map(render, g.vertices)) if dot else g.vertices
+    return _text(g.n, fmt, [names],
+                 [(b, names if dot else range(b), g.tails, g.heads, g.labels, values)], size)
 
 
 def _text(n: int, fmt: str, names: Iterable, shares: Iterable, size: int) -> Iterator[str]:
     """The DOT or JSON text of A(n) from shares of its vertices: the one writer of both formats.
 
-    ``names`` gives each share's words, and ``shares`` its arcs as (m, pool, tails, heads, labels,
-    values): arc i joins pool vertices tails[i] < m and heads[i], named by word (DOT) or id (JSON),
-    and ``values`` is the positions (JSON), the places or None.  A chunk of ``size`` arcs (0: a
-    share) is one join of a list filled from maps over the columns, three strings made up
-    front per arc, by extended-slice assignment, so no per-arc Python code runs."""
+    ``names`` gives each share's words, rendered in DOT, and ``shares`` its arcs as (m, pool, tails,
+    heads, labels, values): arc i joins pool vertices tails[i] < m and heads[i], rendered words
+    (DOT) or ids (JSON), and ``values`` is the positions (JSON), the places or None.  A chunk of
+    ``size`` arcs (0: a share) is one join of a list filled from maps over the columns, three
+    strings made up front per arc, by extended-slice assignment, so no per-arc Python code runs."""
     dot = fmt == "dot"
     start, sep, middle, stop = ((f"digraph A{n} {{\n", "", "", "}\n") if dot else
                                 (f'{{"n":{n},"vertices":[', ",", '],"arcs":[', "]}"))
-    name, label = (render, {Label.SINGLE: "s", Label.DOUBLE: "d"}.get) if dot else (str, str)
+    label = {Label.SINGLE: "s", Label.DOUBLE: "d"}.get if dot else str
     head = None  # the last share's vertices, held back to start the first chunk of arcs
     for i, words in enumerate(names):
         if head is not None:
             yield head
-        head = (sep if i else start) + ('  "' + '";\n  "'.join(map(render, words)) + '";\n' if dot
+        head = (sep if i else start) + ('  "' + '";\n  "'.join(words) + '";\n' if dot
                                         else json.dumps(words, separators=(",", ":"))[1:-1])
     shares = iter(shares)
     share = next(shares)
     while share:
         (m, pool, tails, heads, labels, values), share = share, next(shares, None)
-        heads_text = list(map(name, pool))
+        heads_text = list(pool) if dot else list(map(str, pool))
         tails_text = ([f'  "{x}" -> "' for x in islice(heads_text, m)] if dot else
                       [f',{{"tail":{x},"head":' for x in islice(heads_text, m)])
         if values is None:  # the end depends on the label alone
@@ -407,6 +408,7 @@ def _stream(n: int, pieces: tuple, fmt: str, size: int = 0) -> Iterator[str]:
     A prefix's step goes from completion j to completion j of the stepped prefix,
     so a share's pool is its m vertices, then each stepped prefix's first m."""
     prefixes, templates = pieces
+    dot = fmt == "dot"
     firsts = list(accumulate((len(templates[e][0]) for _, e, _ in prefixes), initial=0))
 
     def words(q: int, m: int | None = None) -> list[str]:
@@ -415,17 +417,18 @@ def _stream(n: int, pieces: tuple, fmt: str, size: int = 0) -> Iterator[str]:
 
     def shares():
         for i, (_, e, steps) in enumerate(prefixes):
-            own, dot = words(i), fmt == "dot"
+            own = words(i)
             m = len(own)
             local = tuple((m * q, *step[1:]) for q, step in enumerate(steps, 1))
             tails, heads, labels, positions, _ = _arcs(
                 range(m), own, lambda: map(local.__add__, templates[e][1]))
             qs = (i, *(bisect_left(firsts, firsts[i] + step[0]) for step in steps))  # stepped
-            pool = [words(q, m) if dot else range(firsts[q], firsts[q] + m) for q in qs]
+            pool = [map(render, words(q, m)) if dot else range(firsts[q], firsts[q] + m) for q in qs]
             yield (m, chain.from_iterable(pool), tails, list(heads), list(labels),
                    None if dot else list(positions))
 
-    return _text(n, fmt, map(words, range(len(prefixes))), shares(), size)
+    names = map(words, range(len(prefixes)))
+    return _text(n, fmt, (map(render, w) for w in names) if dot else names, shares(), size)
 
 
 def export_dot(g: HbGraph, place: ArcColumn | None = None) -> str:

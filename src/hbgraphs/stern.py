@@ -15,23 +15,24 @@ The matrix evaluators (``b_matrix``, ``b_matrix_blocks``, ``b_algorithm1``,
 ``b_block_formula``, ``c_matrix``) are digit folds: products of small
 integer 2x2 matrices.  Folding one big vector a digit at a time costs
 O(bits) additions of O(bits)-bit numbers, O(bits^2) in all.  Instead each
-cuts its digits into leaves of at most ``_LEAF`` digits, runs its own step
-rule on a leaf with the two unit vectors packed into one int as lanes of
-``_LANE`` bits, keeps the lanes of its two ints, ``_lanes(x) + _lanes(y)``,
-as the leaf (transposed in a fold of a row vector, whose leaves multiply
-in reverse), and multiplies the leaves as a balanced tree (``_product``).
+cuts its digits into leaves of at most ``_LEAF`` digits, runs a step rule
+on a leaf with the two unit vectors packed into one int as lanes of
+``_LANE`` bits, keeps the lanes of its two ints as the leaf, and multiplies
+the leaves as a balanced tree (``_product``).  ``b_matrix`` and ``c_matrix``
+share ``_digit_fold``, a byte of n at a time through a table of each
+byte's matrix; the other three keep their own step rules, as checks.
 The leaves cost O(bits) small-int operations, and the tree's top products
 are few and large, where Python's Karatsuba multiplication makes the whole
 subquadratic.  ``b_recursive`` keeps the classical recursion, in one pass
 from n down to 0, as the independent check.  n's digits, and the check
-n >= 0, come from ``words.binary_expansion``.
+n >= 0, come from ``words.binary_expansion`` (``int.to_bytes`` in the kernel).
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Sequence
-from itertools import islice
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice, product
 
 from .words import BLOCKS, binary_expansion, even_core, minimal_expansion
 
@@ -40,7 +41,9 @@ _LEAF = 256
 # value at most Fib(L + 2) (brute-forced for L <= 14), and a block matrix
 # of word length a has row sums at most a + 1 <= 2^a, so a leaf's entries
 # stay below 2^(_LEAF + 1) (a leaf of one longer block: at most a + 1):
-# signed lanes of _LEAF + 2 bits never carry into each other.
+# signed lanes of _LEAF + 2 bits never carry into each other.  A byte table
+# entry is a product of 8 digit matrices (|entry| <= Fib(10) = 55), a leaf
+# _LEAF / 8 of them: the <= 7 zero digits padding n's top byte fix (1, 0).
 # Algorithm 1's leaves start from a run counter c < bits carried in from
 # the leaf before, and their entries stay below (c + 1) Fib(L + 2)
 # (brute-forced likewise); Fib(258) < 2^178 leaves room for any c < 2^79.
@@ -48,15 +51,44 @@ _LANE = _LEAF + 2
 _RUNS = re.compile("0+|1+")
 
 
+def _mul_pairs(pairs: Iterable) -> list[tuple[int, int, int, int]]:
+    """The product of each pair of 2x2 matrices (a, b, c, d)."""
+    return [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            for (a, b, c, d), (e, f, g, h) in pairs]
+
+
 def _product(mats: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
     """The product of 2x2 matrices (a, b, c, d) in list order, as a balanced tree."""
     while len(mats) > 1:
-        pairs = [
-            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            for (a, b, c, d), (e, f, g, h) in zip(mats[::2], mats[1::2])
-        ]
+        pairs = _mul_pairs(zip(mats[::2], mats[1::2]))
         mats = pairs + mats[-1:] if len(mats) % 2 else pairs
     return mats[0] if mats else (1, 0, 0, 1)
+
+
+# each byte's 8 digit matrices multiplied top digit first, by doubling 1 -> 2 -> 4 -> 8 digits, for
+# the rules (x, y) <- (a x + c y, b x + d y) of digits 0 and 1: M(0), M(1) of b, C(0), C(1) of c
+_B_BYTES, _C_BYTES = [(1, 0, 1, 1), (1, 1, 0, 1)], [(1, 0, 1, 1), (0, 1, -1, 2)]
+for _ in range(3):
+    _B_BYTES, _C_BYTES = (_mul_pairs(product(t, repeat=2)) for t in (_B_BYTES, _C_BYTES))
+
+
+def _digit_fold(n: int, table: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
+    """The row (1, 0) through n's digit matrices, top digit first, as entries [0] and [1].
+
+    A leaf takes the rows (1, 0) and (0, 1), packed as (x, y), a byte at a time; the first takes
+    (1, 0) alone, so products on the tree's left spine have a zero second row and cost half."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    data = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    mats, x, y = [], 1, 0
+    for i in range(0, len(data), _LEAF // 8):
+        for byte in data[i : i + _LEAF // 8]:
+            a, b, c, d = table[byte]
+            x, y = a * x + c * y, b * x + d * y
+        (x0, x1), (y0, y1) = _lanes(x), _lanes(y)
+        mats.append((x0, y0, x1, y1))
+        x, y = 1, 1 << _LANE
+    return _product(mats)
 
 
 def _lanes(x: int) -> tuple[int, int]:
@@ -88,31 +120,18 @@ def b_matrix(n: int) -> int:
     """Top entry of M_{d0} ... M_{dt} (1, 0)^T over the binary digits of n.
 
     The row vector (top, bottom) = (1, 0) takes the digits most
-    significant first: 0 adds bottom to top, 1 adds top to bottom.  A
-    leaf's lanes of top and bottom are the rows of its matrix's transpose.
+    significant first: 0 adds bottom to top, 1 adds top to bottom.
     """
-    bits = binary_expansion(n)
-    mats = []
-    for i in range(0, len(bits), _LEAF):
-        top, bottom = 1, 1 << _LANE
-        for ch in bits[i : i + _LEAF]:
-            if ch == "0":
-                top += bottom
-            else:
-                bottom += top
-        mats.append(_lanes(top) + _lanes(bottom))
-    return _product(mats[::-1])[0]
+    return _digit_fold(n, _B_BYTES)[0]
 
 
 def b_matrix_blocks(n: int) -> int:
     """Same product as b_matrix, grouped over maximal runs of equal bits.
 
     Uses M0^a = (1 a; 0 1) and M1^a = (1 0; a 1) applied run by run.
-    It is an independent cross-check, not a faster b_matrix: the runs of
-    a random n average two digits, so it halves the steps but pays a regex
-    match and a small-int multiplication per run, and it takes 1.2 to 2.1
-    times b_matrix's time from 64k down to 4k bits.
-    """
+    An independent cross-check, not a faster b_matrix: a random n's runs average two digits,
+    but a regex match and a small-int multiplication per run lose to b_matrix's byte steps:
+    2.3 to 3.3 times its time from 64k down to 4k bits.  Leaves are transposed, in reverse."""
     bits = binary_expansion(n)
     mats = []
     for i in range(0, len(bits), _LEAF):
@@ -279,18 +298,11 @@ def c_matrix(n: int) -> int:
 
     c(n) is the second entry of the row vector (1, 0) C(d_t) ... C(d_0),
     the digits taken most significant first: 0 maps (x, y) to (x + y, y),
-    1 maps it to (-y, x + 2y).  The leaves are transposed, as in ``b_matrix``.
+    1 maps it to (-y, x + 2y).
     """
     if n < 1:
         raise ValueError("c is defined for n >= 1")
-    bits = binary_expansion(n)
-    mats = []
-    for i in range(0, len(bits), _LEAF):
-        x, y = 1, 1 << _LANE
-        for ch in bits[i : i + _LEAF]:
-            x, y = (x + y, y) if ch == "0" else (-y, x + 2 * y)
-        mats.append(_lanes(x) + _lanes(y))
-    return _product(mats[::-1])[2]
+    return _digit_fold(n, _C_BYTES)[1]
 
 
 def v_level_set_even(level: int, max_n: int) -> list[int]:

@@ -271,8 +271,9 @@ def _check_against_linear_folds(n: int) -> None:
         assert c_matrix(n) == oracle_c_matrix(n) == oracle_b_matrix(n - 1)
 
 
-# leaves hold 256 digits: one leaf, a full leaf, one digit over, two leaves, many
-@pytest.mark.parametrize("bits", [1, 255, 256, 257, 511, 512, 513, 5000])
+# leaves hold 256 digits, 32 bytes: every pad of the top byte, one leaf, a full leaf,
+# one digit over, two leaves (first leaves of 256 - pad real digits), many
+@pytest.mark.parametrize("bits", [*range(1, 18), *range(248, 266), *range(504, 522), 5000])
 def test_product_tree_matches_linear_folds(bits):
     for n in _shaped(bits, random.Random(bits)):
         _check_against_linear_folds(n)
@@ -282,6 +283,12 @@ def test_product_tree_matches_linear_folds(bits):
             # a long expansion starts with 1: it is one of n - 2^(bits-1), zero-padded
             shorts = oracle_b_matrix(n) - oracle_b_matrix(n - (1 << (bits - 1)))
             assert short_expansion_count(n) == shorts
+
+
+def test_byte_kernel_matches_linear_folds_below_2_pow_13():
+    for n in range(1 << 13):
+        assert b_matrix(n) == oracle_b_matrix(n), n
+        assert n == 0 or c_matrix(n) == oracle_c_matrix(n), n
 
 
 @given(st.integers(0, 2**2000 - 1))
