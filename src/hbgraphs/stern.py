@@ -20,12 +20,14 @@ on a leaf with the two unit vectors packed into one int as lanes of
 ``_LANE`` bits, keeps the lanes of its two ints as the leaf, and multiplies
 the leaves as a balanced tree (``_product``).  ``b_matrix`` and ``c_matrix``
 share ``_digit_fold``, a byte of n at a time through a table of each
-byte's matrix; the other three keep their own step rules, as checks.
+byte's matrix.  ``b_algorithm1`` also reads a byte at a time, through its
+own table built from its own digit rule (``_ALG1``), and the other two keep
+their own step rules, so each stays a check on the others.
 The leaves cost O(bits) small-int operations, and the tree's top products
 are few and large, where Python's Karatsuba multiplication makes the whole
 subquadratic.  ``b_recursive`` keeps the classical recursion, in one pass
 from n down to 0, as the independent check.  n's digits, and the check
-n >= 0, come from ``words.binary_expansion`` (``int.to_bytes`` in the kernel).
+n >= 0, come from ``words`` (``int.to_bytes`` in the byte kernels).
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ _LEAF = 256
 # signed lanes of _LEAF + 2 bits never carry into each other.  A byte table
 # entry is a product of 8 digit matrices (|entry| <= Fib(10) = 55), a leaf
 # _LEAF / 8 of them: the <= 7 zero digits padding n's top byte fix (1, 0).
-# Algorithm 1's leaves start from a run counter c < bits carried in from
-# the leaf before, and their entries stay below (c + 1) Fib(L + 2)
-# (brute-forced likewise); Fib(258) < 2^178 leaves room for any c < 2^79.
+# Algorithm 1 applies each run count as it is counted, so no counter carries
+# into a leaf: a leaf is a product of at most _LEAF of b's digit matrices
+# (pad 0s included), and Fib(_LEAF + 2) < 2^178 bounds its entries.
 _LANE = _LEAF + 2
 _RUNS = re.compile("0+|1+")
 
@@ -72,6 +74,22 @@ for _ in range(3):
     _B_BYTES, _C_BYTES = (_mul_pairs(product(t, repeat=2)) for t in (_B_BYTES, _C_BYTES))
 
 
+def _alg1_byte(t: int, byte: int) -> tuple[int, int, int, int, int, int]:
+    """(p, q, r, u, e, 256 t'): Algorithm 1 on a byte, low digit first, each count applied as it is
+    counted (see b_algorithm1).  From counter state t (0: a1 = a2 = 0, 1: a1 > 0, 2: a2 > 0) it maps
+    the column (b, s) to (p b + q s, r b + u s) in e expensive steps and leaves state t'."""
+    p, q, r, u, e = 1, 0, 0, 1, 0
+    for i in range(8):
+        if byte >> i & 1:  # a 1 adds s to b: it ends an a1 run, or counts into a2
+            p, q, e, t = p + r, q + u, e + (t == 1), 0 if t == 1 else 2
+        else:  # a 0 adds b to s: it ends an a2 run, or counts into a1
+            r, u, e, t = r + p, u + q, e + (t == 2), 1
+    return p, q, r, u, e, 256 * t
+
+
+_ALG1 = [_alg1_byte(t, byte) for t in range(3) for byte in range(256)]
+
+
 def _digit_fold(n: int, table: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
     """The row (1, 0) through n's digit matrices, top digit first, as entries [0] and [1].
 
@@ -85,18 +103,16 @@ def _digit_fold(n: int, table: list[tuple[int, int, int, int]]) -> tuple[int, in
         for byte in data[i : i + _LEAF // 8]:
             a, b, c, d = table[byte]
             x, y = a * x + c * y, b * x + d * y
-        (x0, x1), (y0, y1) = _lanes(x), _lanes(y)
-        mats.append((x0, y0, x1, y1))
+        mats.append(_leaf(x, y))
         x, y = 1, 1 << _LANE
     return _product(mats)
 
 
-def _lanes(x: int) -> tuple[int, int]:
-    """The signed low and high lanes of a packed int x = low + high * 2^_LANE."""
-    low = x & ((1 << _LANE) - 1)
-    if low >> (_LANE - 1):
-        low -= 1 << _LANE
-    return low, (x - low) >> _LANE
+def _leaf(x: int, y: int) -> tuple[int, int, int, int]:
+    """The leaf (x0, y0, x1, y1) of packed ints x = x0 + x1 * 2^_LANE and y, all lanes signed."""
+    mask, half = (1 << _LANE) - 1, 1 << (_LANE - 1)
+    x0, y0 = ((x + half) & mask) - half, ((y + half) & mask) - half
+    return x0, y0, (x - x0) >> _LANE, (y - y0) >> _LANE
 
 
 def b_recursive(n: int) -> int:
@@ -131,64 +147,45 @@ def b_matrix_blocks(n: int) -> int:
     Uses M0^a = (1 a; 0 1) and M1^a = (1 0; a 1) applied run by run.
     An independent cross-check, not a faster b_matrix: a random n's runs average two digits,
     but a regex match and a small-int multiplication per run lose to b_matrix's byte steps:
-    2.3 to 3.3 times its time from 64k down to 4k bits.  Leaves are transposed, in reverse."""
+    2.3 to 3.3 times its time from 64k down to 4k bits.  Leaves are laid out as ``_digit_fold``'s,
+    the first from (1, 0) alone."""
     bits = binary_expansion(n)
-    mats = []
+    mats, top, bottom = [], 1, 0
     for i in range(0, len(bits), _LEAF):
-        top, bottom = 1, 1 << _LANE
         for run in _RUNS.findall(bits, i, i + _LEAF):
             if run[0] == "0":
                 top += len(run) * bottom
             else:
                 bottom += len(run) * top
-        mats.append(_lanes(top) + _lanes(bottom))
-    return _product(mats[::-1])[0]
+        mats.append(_leaf(top, bottom))
+        top, bottom = 1, 1 << _LANE
+    return _product(mats)[0]
 
 
 def b_algorithm1(n: int) -> tuple[int, int]:
-    """Single right-to-left scan of the binary digits of n.
+    """Single right-to-left scan of the binary digits of n, a byte at a time.
 
-    Returns (b(n), expensive_steps) where expensive_steps counts the
-    multiplicative updates (the two else clauses); it equals the number
-    of blocks in the minimal-expansion decomposition of the even core.
-    The counters a1, a2 and expensive run across leaves; only (b, s) is
-    packed, and the leaf matrices act on the column (b, s).
+    Returns (b(n), expensive_steps) where expensive_steps counts the multiplicative updates (the
+    steps that end a run); it equals the number of blocks in the minimal-expansion decomposition
+    of the even core.  The step that ends a run of a1 0s does s += a1 b, of a2 1s b += a2 s: as
+    maps on the column (b, s) these are elementary matrices E(x), and E(x) E(y) = E(x + y).
+    Nothing else touches (b, s) inside a run, so each counted 0 adds b to s at once and each
+    counted 1 adds s to b, and only the counter state t is carried from byte to byte (``_ALG1``).
+    The one count this leaves pending is an a1 run of pad 0s above n's top bit: it adds to s only,
+    which is never read.  Leaves are transposed, to keep scan order; the first takes the row (1, 1)
+    alone, so products on the tree's left spine have a zero second row.
     """
-    d = binary_expansion(n)[::-1]  # d[l] is the coefficient of 2^l
-    t = len(d) - 1
-    i0 = even_core(n)[1]  # d[:i0] are n's trailing 1s
-    if i0 > t:  # n == 0 or n == 2^k - 1: a single all-1s expansion
-        return (1, 0)
-    i0 += 1  # d[i0 - 1] is necessarily 0 here, nothing to do for it
-    a1 = a2 = 0
-    expensive = 0
-    mats = []
-    for i in range(i0, t + 1, _LEAF):
+    m = n >> even_core(n)[1] + 1  # above n's trailing 1s and the 0 after them
+    data = m.to_bytes((m.bit_length() + 7) // 8, "little")
+    mats, b, s, t, expensive = [], 1, 1, 0, 0
+    for i in range(0, len(data), _LEAF // 8):
+        for byte in data[i : i + _LEAF // 8]:
+            p, q, r, u, e, t = _ALG1[t + byte]
+            b, s = p * b + q * s, r * b + u * s
+            expensive += e
+        mats.append(_leaf(b, s))
         b, s = 1, 1 << _LANE
-        for ch in d[i : i + _LEAF]:
-            if ch == "1":
-                if a1 == 0:
-                    a2 += 1
-                else:
-                    s = a1 * b + s
-                    b = b + s
-                    a1 = 0
-                    expensive += 1
-            else:
-                if a2 == 0:
-                    a1 += 1
-                else:
-                    b = b + a2 * s
-                    a2 = 0
-                    a1 = 1
-                    expensive += 1
-        mats.append(_lanes(b) + _lanes(s))
-    m = _product(mats[::-1])
-    b, s = m[0] + m[1], m[2] + m[3]  # from (b, s) = (1, 1)
-    if a2:
-        expensive += 1
-    b = b + a2 * s
-    return (b, expensive)
+    return _product(mats)[0], expensive + (t == 512)  # t = 256 * 2: the final step ends an a2 run
 
 
 def _block_transfer(blocks: Sequence[str], h: int, k: int) -> tuple[int, int]:
@@ -207,11 +204,13 @@ def _block_transfer(blocks: Sequence[str], h: int, k: int) -> tuple[int, int]:
     return h, k
 
 
-def _block_product(n: int) -> tuple[int, int, int, int]:
-    """The product, in word order, of the block matrices of n's even core.
+def _block_product(n: int) -> tuple[int, int]:
+    """The product, in word order, of the block matrices of n's even core, times the column (1, 1).
 
     Trailing 1s leave b unchanged.  Each leaf is a run of whole blocks
     ending at a ``2``: at most ``_LEAF`` digits, or one long type-1 block.
+    Leaves are transposed and taken from the word's end, behind the row (1, 1), so products on the
+    tree's left spine have a zero second row.
     """
     word = minimal_expansion(even_core(n)[0])
     mats = []
@@ -219,15 +218,14 @@ def _block_product(n: int) -> tuple[int, int, int, int]:
     while i < len(word):
         j = word.rfind("2", i, i + _LEAF) + 1 or word.index("2", i) + 1
         h, k = _block_transfer(BLOCKS.findall(word, i, j), 1, 1 << _LANE)
-        mats.append(_lanes(h) + _lanes(k))
+        mats.append(_leaf(h, k))
         i = j
-    return _product(mats)
+    return _product([(1, 1, 0, 0), *reversed(mats)])[:2]
 
 
 def b_block_formula(n: int) -> int:
-    """b(n) as h = row 0 of the block-matrix product times (1, 1)."""
-    h0, h1, _, _ = _block_product(n)
-    return h0 + h1
+    """b(n) as h, row 0 of the block-matrix product times (1, 1)."""
+    return _block_product(n)[0]
 
 
 def short_expansion_count(n: int) -> int:
@@ -236,8 +234,7 @@ def short_expansion_count(n: int) -> int:
         raise ValueError("defined here for even n only")
     if n == 0:
         return 0
-    _, _, k0, k1 = _block_product(n)
-    return k0 + k1
+    return _block_product(n)[1]
 
 
 def b_and_a(n: int) -> tuple[int, int]:

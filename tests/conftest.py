@@ -10,7 +10,9 @@ its blocks one digit at a time, without the block pattern of ``words``.
 The (b, v) oracle runs the classical recursions on an
 explicit stack, without the digit pass of ``stern.b_and_a``.  The b and
 c oracles fold one vector through the digit matrices a digit at a time,
-without the leaves and product tree of ``stern``.  The value oracle folds
+without the leaves and product tree of ``stern``; the Algorithm 1 oracle
+scans n's digits with its two run counters, applying each count when its
+run ends, without the byte table of ``stern.b_algorithm1``.  The value oracle folds
 a word a digit at a time, without the two parses of ``words.value``.  The
 isomorphism oracle filters candidates by comparing every pair of vertex
 signatures and checks every arc to a matched vertex through ``Arc``
@@ -202,6 +204,42 @@ def oracle_c_matrix(n: int) -> int:
     for ch in format(n, "b"):
         x, y = (x + y, y) if ch == "0" else (-y, x + 2 * y)
     return y
+
+
+def oracle_algorithm1(n: int) -> tuple[int, int]:
+    """(b(n), expensive steps): Algorithm 1's right-to-left scan of n's digits, one at a time.
+
+    The counters a1 and a2 count a run of 0s or of 1s; the step that ends a
+    run applies its count in one multiplication, an expensive step.
+    """
+    d = format(n, "b")[::-1] if n else ""  # d[l] is the coefficient of 2^l
+    i0 = len(d) - len(d.lstrip("1"))  # d[:i0] are n's trailing 1s
+    if i0 == len(d):  # n == 0 or n == 2^k - 1: a single all-1s expansion
+        return (1, 0)
+    b = s = 1
+    a1 = a2 = 0
+    expensive = 0
+    for ch in d[i0 + 1 :]:  # d[i0] is 0, nothing to do for it
+        if ch == "1":
+            if a1 == 0:
+                a2 += 1
+            else:
+                s = a1 * b + s
+                b = b + s
+                a1 = 0
+                expensive += 1
+        else:
+            if a2 == 0:
+                a1 += 1
+            else:
+                b = b + a2 * s
+                a2 = 0
+                a1 = 1
+                expensive += 1
+    if a2:
+        expensive += 1
+    b = b + a2 * s
+    return (b, expensive)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hbgraphs
-from conftest import oracle_b_matrix, oracle_b_v, oracle_c_matrix, oracle_expansions
+from conftest import (
+    oracle_algorithm1,
+    oracle_b_matrix,
+    oracle_b_v,
+    oracle_c_matrix,
+    oracle_expansions,
+)
 from hbgraphs.stern import (
     _product,
     a,
@@ -266,6 +272,7 @@ def _check_against_linear_folds(n: int) -> None:
     assert b_matrix(n) == expected
     assert b_matrix_blocks(n) == expected
     assert b_algorithm1(n)[0] == expected
+    assert b_algorithm1(n) == oracle_algorithm1(n)
     assert b_block_formula(n) == expected
     if n:
         assert c_matrix(n) == oracle_c_matrix(n) == oracle_b_matrix(n - 1)
@@ -289,6 +296,29 @@ def test_byte_kernel_matches_linear_folds_below_2_pow_13():
     for n in range(1 << 13):
         assert b_matrix(n) == oracle_b_matrix(n), n
         assert n == 0 or c_matrix(n) == oracle_c_matrix(n), n
+        assert b_algorithm1(n) == oracle_algorithm1(n), n
+
+
+def _run_shapes(k: int) -> list[int]:
+    """n whose runs cross bytes and leaves: a 0x00 byte inside a zero run, a top byte 0xFF (no pad
+    0s above the last 1 run), 2^k - 1 shifted, (10)^k, (110)^k and 1^k 0^k 1^k."""
+    ones = (1 << k) - 1
+    top_ff = (0xFF << 8 * k | int("10" * 4 * k, 2)) << 1
+    return [
+        1 << k + 18 | 2,
+        top_ff,
+        top_ff | 1 << 8 * k + 9,
+        *(ones << shift for shift in (1, 2, 9, k)),
+        int("10" * k, 2),
+        int("110" * k, 2),
+        int("1" * k + "0" * k + "1" * k, 2),
+    ]
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 255, 256, 257, 1000])
+def test_long_runs_match_linear_folds(k):
+    for n in _run_shapes(k):
+        _check_against_linear_folds(n)
 
 
 @given(st.integers(0, 2**2000 - 1))
