@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 
-from .graphs import (DEFAULT_LIMIT, Arc, ArcColumn, HbGraph, _block_states, _graph, _walk,
-                     build_graph)
-from .words import decompose, minimal_expansion, value
+from .graphs import DEFAULT_LIMIT, Arc, ArcColumn, HbGraph, _block_states, _graph, _walk
+from .words import decompose, minimal_expansion
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,6 @@ class PlacedGraph:
                 factors[head] = (*f[: p - 1], steps[p - 1][f[p - 1]], *f[p:])
         return tuple(factors)
 
-    @cached_property
-    def block_graphs(self) -> tuple[HbGraph, ...]:
-        return tuple(build_graph(value(b)) for b in self.blocks)
-
 
 def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
     """Build A(n) together with its embedding into the product of block paths.
@@ -65,11 +60,6 @@ def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
         raise ValueError(f"embed requires an even n, got {n}")
     g, places = _graph(n, _walk(n, limit))
     return PlacedGraph(g, decompose(minimal_expansion(n))[0], ArcColumn(g, bytes(places)))
-
-
-def place_map(pg: PlacedGraph, arc: Arc) -> int:
-    """1-based index of the factor on which the arc's reduction occurs."""
-    return pg.place.column[pg.place.index(arc)]
 
 
 def _square(g: HbGraph, e: int) -> dict[int, int]:

@@ -19,6 +19,8 @@ columns off these pieces, and ``export_stream`` writes the text from them.
 ``HbGraph`` keeps the arcs as aligned columns, which the exports,
 ``counts`` and ``iso`` read without making one object per arc.  Its ids
 are a topological order of 0..b-1, checked once, when a graph is made.
+``export_dot``, ``export_json`` and ``export_stream`` write their text
+with one writer, ``_text``.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ class HbGraph:
     orders, is refused when made.
 
     ``Arc`` objects are all made at once, on the first read of ``arcs``,
-    ``out_arcs``, ``in_arcs`` or ``arc``.
+    ``out_arcs`` or ``arc``.
     """
 
     n: int
@@ -242,9 +244,6 @@ class HbGraph:
     def out_arcs(self, v: int) -> tuple[Arc, ...]:
         off = self.out_offsets
         return self.arcs[off[self._vertex(v)] : off[v + 1]]
-
-    def in_arcs(self, v: int) -> tuple[Arc, ...]:
-        return tuple(map(self.arcs.__getitem__, self.in_rows[self._vertex(v)]))
 
     def arc(self, tail: int, head: int) -> Arc | None:
         """The arc from ``tail`` to ``head``, or None."""
@@ -319,39 +318,6 @@ def counts(g: HbGraph) -> tuple[int, int, int]:
     return (b, a, a - b + 1)
 
 
-def descendants_subgraph(g: HbGraph, start: int) -> HbGraph:
-    """Induced subgraph on ``start`` and everything reachable from it.
-
-    The arcs are in tail order and each head lies above its tail, so one
-    forward pass over the arcs marks every vertex reachable from ``start``.
-    The marked vertices keep their order, and the arcs out of them (which
-    end in marked vertices) keep theirs.
-    """
-    reach = [False] * len(g.vertices)
-    reach[g._vertex(start)] = True
-    for tail, head in zip(g.tails, g.heads):
-        if reach[tail]:
-            reach[head] = True
-    rank = list(accumulate(reach, initial=0))  # the new id of each marked vertex
-    kept = list(map(reach.__getitem__, g.tails))
-    tails, heads = (tuple(map(rank.__getitem__, compress(c, kept))) for c in (g.tails, g.heads))
-    vertices = tuple(compress(g.vertices, reach))
-    return HbGraph(g.n, vertices, tails, heads, tuple(compress(g.labels, kept)),
-                   tuple(compress(g.positions, kept)))
-
-
-def export_chunks(g: HbGraph, fmt: str = "dot", place: ArcColumn | None = None,
-                  size: int = 0) -> Iterator[str]:
-    """The text of ``export_dot(g, place)``, or ``export_json(g)``, in chunks of ``size`` arcs."""
-    if place is not None and not (isinstance(place, ArcColumn) and place.graph is g):
-        raise ValueError("place must be the graph's ArcColumn")
-    dot, b = fmt == "dot", len(g.vertices)
-    values = g.positions if not dot else None if place is None else place.column
-    names = list(map(render, g.vertices)) if dot else g.vertices
-    return _text(g.n, fmt, [names],
-                 [(b, names if dot else range(b), g.tails, g.heads, g.labels, values)], size)
-
-
 def _text(n: int, fmt: str, names: Iterable, shares: Iterable, size: int) -> Iterator[str]:
     """The DOT or JSON text of A(n) from shares of its vertices: the one writer of both formats.
 
@@ -398,7 +364,8 @@ def _text(n: int, fmt: str, names: Iterable, shares: Iterable, size: int) -> Ite
 
 def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT,
                   size: int = 0) -> Iterator[str]:
-    """``export_chunks(build_graph(n, limit), fmt, size=size)``, from pieces made at the call."""
+    """The text of ``export_dot(build_graph(n, limit))``, or ``export_json``, in chunks of ``size``
+    arcs (0: a prefix), from pieces made at the call."""
     return _stream(n, _walk(n, limit), fmt, size)
 
 
@@ -433,7 +400,9 @@ def _stream(n: int, pieces: tuple, fmt: str, size: int = 0) -> Iterator[str]:
 
 def export_dot(g: HbGraph, place: ArcColumn | None = None) -> str:
     """Deterministic DOT rendering; optional per-arc ``place``, the graph's ``ArcColumn``."""
-    return next(export_chunks(g, "dot", place))
+    if place is not None and not (isinstance(place, ArcColumn) and place.graph is g):
+        raise ValueError("place must be the graph's ArcColumn")
+    return _export(g, "dot", None if place is None else place.column)
 
 
 def export_json(g: HbGraph) -> str:
@@ -442,6 +411,14 @@ def export_json(g: HbGraph) -> str:
     The bytes are those of ``json.dumps`` with ``separators=(",", ":")`` on
     {"n", "vertices", "arcs"}, each arc an object {"tail", "head", "label",
     "position"}; the arcs hold only ints and the two label names, which
-    need no escaping, so ``export_chunks`` joins them from the columns.
+    need no escaping, so ``_text`` joins them from the columns.
     """
-    return next(export_chunks(g, "json"))
+    return _export(g, "json", g.positions)
+
+
+def _export(g: HbGraph, fmt: str, values: Sequence | None) -> str:
+    """The text of a built graph, one share and one chunk; ``values`` as in ``_text``."""
+    dot, b = fmt == "dot", len(g.vertices)
+    names = list(map(render, g.vertices)) if dot else g.vertices
+    return next(_text(g.n, fmt, [names],
+                      [(b, names if dot else range(b), g.tails, g.heads, g.labels, values)], 0))

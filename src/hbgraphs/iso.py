@@ -35,9 +35,6 @@ class IsoWitness:
 
     mapping: tuple[int, ...]
 
-    def image(self, v: int) -> int:
-        return self.mapping[v]
-
 
 def verify_witness(g1: HbGraph, g2: HbGraph, witness: IsoWitness) -> bool:
     """Check a witness arc-by-arc, in both directions."""

@@ -204,8 +204,8 @@ def _block_transfer(blocks: Sequence[str], h: int, k: int) -> tuple[int, int]:
     return h, k
 
 
-def _block_product(n: int) -> tuple[int, int]:
-    """The product, in word order, of the block matrices of n's even core, times the column (1, 1).
+def b_block_formula(n: int) -> int:
+    """b(n) as h, row 0 of the block matrices of n's even core, in word order, times (1, 1).
 
     Trailing 1s leave b unchanged.  Each leaf is a run of whole blocks
     ending at a ``2``: at most ``_LEAF`` digits, or one long type-1 block.
@@ -220,21 +220,7 @@ def _block_product(n: int) -> tuple[int, int]:
         h, k = _block_transfer(BLOCKS.findall(word, i, j), 1, 1 << _LANE)
         mats.append(_leaf(h, k))
         i = j
-    return _product([(1, 1, 0, 0), *reversed(mats)])[:2]
-
-
-def b_block_formula(n: int) -> int:
-    """b(n) as h, row 0 of the block-matrix product times (1, 1)."""
-    return _block_product(n)[0]
-
-
-def short_expansion_count(n: int) -> int:
-    """Number of short expansions of n: k = row 1 of the block-matrix product times (1, 1)."""
-    if n < 0 or n % 2:
-        raise ValueError("defined here for even n only")
-    if n == 0:
-        return 0
-    return _block_product(n)[1]
+    return _product([(1, 1, 0, 0), *reversed(mats)])[0]
 
 
 def b_and_a(n: int) -> tuple[int, int]:

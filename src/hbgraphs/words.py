@@ -1,9 +1,9 @@
-"""Digit words over {0,1,2}: values, canonical expansions, classifications.
+"""Digit words over {0,1,2}: binary and minimal expansions, the even core, blocks.
 
 A word is represented as a plain ``str`` of the characters ``0``, ``1``,
 ``2``, most significant digit first.  The empty string is the (unique)
-expansion of 0.  A word is a *hyperbinary expansion* when it is empty or
-its leading digit is nonzero.
+expansion of 0, which ``render`` shows as ε.  A word is a *hyperbinary
+expansion* when it is empty or its leading digit is nonzero.
 
 A block is a word too: ``decompose`` cuts a minimal expansion into the
 block words 1^t 2 and 2^t of the paper's structure theorem.  ``BLOCKS``
@@ -13,13 +13,10 @@ and ``graphs`` and ``blocks`` take their block words from ``decompose``.
 
 from __future__ import annotations
 
-import enum
 import re
 
 _ALPHABET = frozenset("012")
 _BIT_TO_DIGIT = str.maketrans("01", "12")
-_ONES_BITS = str.maketrans("012", "010")
-_TWOS_BITS = str.maketrans("012", "001")
 
 #: The blocks 1^t 2 (type 1) and 2^t (type 2) of a minimal expansion with
 #: its trailing 1s stripped, matched left to right: no two type-2 blocks
@@ -30,36 +27,11 @@ BLOCKS = re.compile("1+2|2+")
 EMPTY_WORD_DISPLAY = "ε"  # ε
 
 
-class LengthClass(enum.Enum):
-    EMPTY = "empty"
-    SHORT = "short"
-    LONG = "long"
-
-
 def validate_word(w: str) -> str:
     """Check that ``w`` uses only digits 0, 1, 2 and return it unchanged."""
     if not _ALPHABET.issuperset(w):
         raise ValueError(f"not a word over {{0,1,2}}: {w!r}")
     return w
-
-
-def is_hyperbinary(w: str) -> bool:
-    """True iff ``w`` is empty or starts with a nonzero digit."""
-    validate_word(w)
-    return w == "" or w[0] != "0"
-
-
-def validate_expansion(w: str) -> str:
-    """Check that ``w`` is a hyperbinary expansion and return it unchanged."""
-    if not is_hyperbinary(w):
-        raise ValueError(f"not a hyperbinary expansion (leading zero): {w!r}")
-    return w
-
-
-def value(w: str) -> int:
-    """Base-2 value of a digit word, its 1s plus twice its 2s read in binary; "" gives 0."""
-    validate_word(w)
-    return int(w.translate(_ONES_BITS) or "0", 2) + 2 * int(w.translate(_TWOS_BITS) or "0", 2)
 
 
 def binary_expansion(n: int) -> str:
@@ -93,36 +65,6 @@ def even_core(n: int) -> tuple[int, int]:
         raise ValueError("n must be nonnegative")
     t = ((n + 1) & -(n + 1)).bit_length() - 1
     return (n >> t, t)
-
-
-def weight(w: str) -> int:
-    """Digit sum of the word (drops by exactly 1 along every reduction arc)."""
-    validate_word(w)
-    return w.count("1") + 2 * w.count("2")
-
-
-def shortlex_key(w: str) -> tuple[int, str]:
-    """Sort key for the shortlex (length, then lexicographic) order."""
-    return (len(w), w)
-
-
-def shortlex_cmp(a: str, b: str) -> int:
-    """-1, 0 or 1 according to the shortlex order on digit words."""
-    ka, kb = shortlex_key(validate_word(a)), shortlex_key(validate_word(b))
-    return (ka > kb) - (ka < kb)
-
-
-def length_class(w: str) -> LengthClass:
-    """Classify an expansion as EMPTY, SHORT or LONG.
-
-    LONG means the digit count equals that of the binary expansion of the
-    value; SHORT means one less.  A k-digit expansion has a value in
-    [2^(k-1), 2^(k+1) - 2], of k or k + 1 bits, so no other count occurs.
-    """
-    validate_expansion(w)
-    if w == "":
-        return LengthClass.EMPTY
-    return LengthClass.LONG if len(w) == value(w).bit_length() else LengthClass.SHORT
 
 
 def decompose(w: str) -> tuple[tuple[str, ...], int]:

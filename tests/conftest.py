@@ -12,16 +12,15 @@ explicit stack, without the digit pass of ``stern.b_and_a``.  The b and
 c oracles fold one vector through the digit matrices a digit at a time,
 without the leaves and product tree of ``stern``; the Algorithm 1 oracle
 scans n's digits with its two run counters, applying each count when its
-run ends, without the byte table of ``stern.b_algorithm1``.  The value oracle folds
-a word a digit at a time, without the two parses of ``words.value``.  The
-isomorphism oracle filters candidates by comparing every pair of vertex
-signatures and checks every arc to a matched vertex through ``Arc``
-objects, without the buckets and in-arc lists of ``iso.labeled_iso``.
+run ends, without the byte table of ``stern.b_algorithm1``.  The value
+oracle folds a word a digit at a time.  The isomorphism oracle filters
+candidates by comparing every pair of vertex signatures and checks every
+arc to a matched vertex through ``Arc`` objects, its in-arcs filtered from
+``arcs``, without the buckets and in-arc rows of ``iso.labeled_iso``.
 The export oracles build a dict per arc and encode the document with
 ``json.dumps``, and render both ends of every DOT arc.  The descendants
 oracle walks a built graph's out-arcs and re-indexes the induced
-subgraph by sorting its words, without the forward pass over the columns
-of ``graphs.descendants_subgraph``.  The closure oracle
+subgraph by sorting its words.  The closure oracle
 builds A(n), or the descendants of any expansion, by applying the single
 step reductions breadth first from a seed word and sorting the words it
 finds, without the block states of ``graphs.build_graph``; its reduction
@@ -35,7 +34,7 @@ import json
 from functools import lru_cache
 
 from hbgraphs.graphs import Arc, HbGraph, Label, SizeLimitError
-from hbgraphs.words import binary_expansion, shortlex_key, validate_expansion
+from hbgraphs.words import binary_expansion
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +51,7 @@ def oracle_expansions(n: int) -> tuple[str, ...]:
                     out.append(str(d))
             else:
                 out.extend(u + str(d) for u in oracle_expansions(m))
-    return tuple(sorted(out, key=shortlex_key))
+    return tuple(_oracle_shortlex_sorted(out))
 
 
 def oracle_arcs(n: int) -> list[tuple[int, int, str, int]]:
@@ -272,7 +271,7 @@ def oracle_descendants(g, start: int):
             if arc.head not in reach:
                 reach.add(arc.head)
                 frontier.append(arc.head)
-    verts = sorted((g.vertices[v] for v in reach), key=shortlex_key)
+    verts = _oracle_shortlex_sorted(g.vertices[v] for v in reach)
     index = {w: i for i, w in enumerate(verts)}
     arcs = tuple(
         Arc(index[g.vertices[a.tail]], index[g.vertices[a.head]], a.label, a.position)
@@ -303,13 +302,16 @@ def oracle_labeled_iso(g1, g2) -> tuple[tuple | None, int]:
     if n1 != n2 or len(g1.arcs) != len(g2.arcs):
         return None, 0
 
-    def signature(g, v):
+    ins1, ins2 = ([[a for a in g.arcs if a.head == v] for v in range(len(g.vertices))]
+                  for g in (g1, g2))
+
+    def signature(g, ins, v):
         level = sum(map(int, g.vertices[v])) - sum(map(int, g.vertices[g.sink]))
-        outs, ins = g.out_arcs(v), g.in_arcs(v)
+        outs = g.out_arcs(v)
         return (level, tuple(sorted(a.label for a in outs)), tuple(sorted(a.label for a in ins)))
 
-    sigs1 = [signature(g1, v) for v in range(n1)]
-    sigs2 = [signature(g2, v) for v in range(n2)]
+    sigs1 = [signature(g1, ins1[v], v) for v in range(n1)]
+    sigs2 = [signature(g2, ins2[v], v) for v in range(n2)]
     if sorted(sigs1) != sorted(sigs2):
         return None, 0
     order = range(n1)
@@ -321,7 +323,7 @@ def oracle_labeled_iso(g1, g2) -> tuple[tuple | None, int]:
                 img = g2.arc(w, mapping[arc.head])
                 if img is None or img.label != arc.label:
                     return False
-        for arc in g1.in_arcs(v):
+        for arc in ins1[v]:
             if arc.tail in mapping:
                 img = g2.arc(mapping[arc.tail], w)
                 if img is None or img.label != arc.label:
@@ -411,7 +413,9 @@ def _children(w: str):
 
 def single_step_reductions(w: str) -> list[tuple[str, str, int]]:
     """The reductions of ``w`` as a list of (child, label, position), ascending in position."""
-    return list(_children(validate_expansion(w)))
+    if w[:1] == "0":
+        raise ValueError(f"not a hyperbinary expansion (leading zero): {w!r}")
+    return list(_children(w))
 
 
 def _oracle_closure(n: int, seed: str, limit: int, children: list | None = None) -> dict[str, int]:

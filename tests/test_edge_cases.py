@@ -6,7 +6,6 @@ from conftest import cached_embed
 from hbgraphs import stern
 from hbgraphs.blocks import maximal_checking_paths_from
 from hbgraphs.cli import check_range
-from hbgraphs.stern import short_expansion_count
 from hbgraphs.words import even_core
 
 
@@ -15,13 +14,6 @@ def test_no_maximal_checking_path_from_an_arc_that_extends_backwards():
     pg = cached_embed(10)
     e1 = pg.graph.arc(pg.graph.index["202"], pg.graph.index["1002"])
     assert maximal_checking_paths_from(pg, e1) == []
-
-
-def test_short_expansion_count_domain():
-    assert short_expansion_count(0) == 0
-    for n in (-2, 3, 11):
-        with pytest.raises(ValueError, match="even n only"):
-            short_expansion_count(n)
 
 
 def test_even_core_rejects_negative_n():

@@ -24,15 +24,14 @@ from hbgraphs.graphs import (
     _walk,
     build_graph,
     counts,
-    descendants_subgraph,
     enumerate_expansions,
-    export_chunks,
     export_dot,
     export_json,
+    export_stream,
 )
 from hbgraphs.iso import labeled_iso, verify_witness
 from hbgraphs.stern import b_matrix
-from hbgraphs.words import decompose, minimal_expansion, weight
+from hbgraphs.words import decompose, minimal_expansion
 
 
 def arcs_as_words(g):
@@ -80,10 +79,6 @@ def test_digit_bound_of_the_limit():
     for build in (build_graph, enumerate_expansions):
         with pytest.raises(SizeLimitError, match="digits"):
             build(n, limit=631)  # 64 * 631 = 40384 digits
-    # a subgraph of a built graph is never refused, though the whole
-    # graph is over 64 digits per vertex of its own vertex count
-    g = build_graph(n, limit=632)
-    assert descendants_subgraph(g, 0) == g
 
 
 def test_build_graph_matches_arc_oracle():
@@ -137,31 +132,6 @@ def test_counts():
     assert counts(cached_graph(18))[2] == 2
 
 
-def test_descendants_subgraph():
-    g = cached_graph(10)
-    sub = descendants_subgraph(g, g.sink)
-    assert sub.vertices == ("1010",)
-    sub = descendants_subgraph(g, g.index["202"])
-    assert set(sub.vertices) == {"202", "210", "1002", "1010"}
-    assert len(sub.arcs) == 4
-    whole = descendants_subgraph(g, g.source)
-    assert whole.vertices == g.vertices
-    assert whole.arcs == g.arcs
-    for start in (99, -1):
-        with pytest.raises(ValueError, match="unknown vertex id"):
-            descendants_subgraph(g, start)
-
-
-def test_descendants_subgraph_matches_oracle():
-    for n in range(201):
-        g = cached_graph(n)
-        for v in range(len(g.vertices)):
-            sub, expected = descendants_subgraph(g, v), oracle_descendants(g, v)
-            assert sub.vertices == expected.vertices, (n, v)
-            assert sub.arcs == expected.arcs, (n, v)
-            assert (sub.source, sub.sink) == (expected.source, expected.sink), (n, v)
-
-
 def check_adjacency(g):
     """Rows against a filter of ``g.arcs``; ``arc`` against every arc and some non-arcs.
 
@@ -177,7 +147,7 @@ def check_adjacency(g):
                 assert g.find(t, h) == scan.get((t, h)), (g.n, t, h)
     for v in range(len(g.vertices)):
         assert g.out_arcs(v) == tuple(a for a in g.arcs if a.tail == v), (g.n, v)
-        assert g.in_arcs(v) == tuple(a for a in g.arcs if a.head == v), (g.n, v)
+        assert g.in_rows[v] == [i for i, a in enumerate(g.arcs) if a.head == v], (g.n, v)
         assert g.arc(v, v) is None, (g.n, v)
     for a in g.arcs:
         assert a.tail < a.head, (g.n, a)
@@ -189,7 +159,7 @@ def test_adjacency_rejects_unknown_vertex_ids():
     g = build_graph(10)
     b = len(g.vertices)
     for v in (-1, -2, b):
-        for lookup in (g.out_arcs, g.in_arcs, lambda v: g.arc(v, 0), lambda v: g.arc(0, v)):
+        for lookup in (g.out_arcs, lambda v: g.arc(v, 0), lambda v: g.arc(0, v)):
             with pytest.raises(ValueError, match="unknown vertex id"):
                 lookup(v)
     with pytest.raises(ValueError, match="unknown vertex id"):
@@ -197,7 +167,7 @@ def test_adjacency_rejects_unknown_vertex_ids():
 
 
 def test_library_paths_build_no_arc_objects():
-    """Only ``arcs``, ``out_arcs``, ``in_arcs`` and ``arc`` make ``Arc`` objects."""
+    """Only ``arcs``, ``out_arcs`` and ``arc`` make ``Arc`` objects."""
     pg = embed(2708)
     g1, g2 = build_graph(2708), build_graph(5417)
     export_json(pg.graph)
@@ -207,7 +177,6 @@ def test_library_paths_build_no_arc_objects():
     assert witness is not None and verify_witness(g1, g2, witness)
     assert labeled_iso(g1, build_graph(3434)) is None
     assert counts(g1) == counts(pg.graph)
-    descendants_subgraph(g1, 1)
     for g in (pg.graph, g1, g2):
         assert "arcs" not in g.__dict__
 
@@ -221,7 +190,7 @@ def test_adjacency_of_descendant_subgraphs():
     for n in range(201):
         g = cached_graph(n)
         for v in range(len(g.vertices)):
-            check_adjacency(descendants_subgraph(g, v))
+            check_adjacency(oracle_descendants(g, v))
 
 
 def test_export_dot():
@@ -255,8 +224,8 @@ def test_export_chunks_join_to_the_exports():
         g = cached_graph(n)
         dot, text = export_dot(g), export_json(g)
         for size in (1, 1 + n % 97):
-            assert "".join(export_chunks(g, "json", size=size)) == text, (n, size)
-            assert "".join(export_chunks(g, "dot", size=size)) == dot, (n, size)
+            assert "".join(export_stream(n, "json", size=size)) == text, (n, size)
+            assert "".join(export_stream(n, "dot", size=size)) == dot, (n, size)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
@@ -264,21 +233,21 @@ def test_export_chunks_of_an_arcless_graph(n):
     g = cached_graph(n)
     assert not g.tails
     for size in (0, 1, 4096):
-        assert list(export_chunks(g, "json", size=size)) == [export_json(g)], (n, size)
-        assert list(export_chunks(g, "dot", size=size)) == [export_dot(g)], (n, size)
+        assert list(export_stream(n, "json", size=size)) == [export_json(g)], (n, size)
+        assert list(export_stream(n, "dot", size=size)) == [export_dot(g)], (n, size)
 
 
 def test_export_chunks_at_one_chunk_boundary():
     g = cached_graph(2708)
-    count = len(g.tails)  # 644
+    count = len(g.tails)  # 644, at b = 321: one template, the whole graph, so one share
     for fmt, whole in (("json", export_json(g)), ("dot", export_dot(g))):
-        assert list(export_chunks(g, fmt)) == [whole], fmt
+        assert list(export_stream(2708, fmt)) == [whole], fmt
         for size, chunks in ((count + 1, 1), (count, 1), (count - 1, 2), (count // 2, 2),
                              (count // 2 - 1, 3)):
-            got = list(export_chunks(g, fmt, size=size))
+            got = list(export_stream(2708, fmt, size=size))
             assert len(got) == chunks and "".join(got) == whole, (fmt, size)
         # a boundary splits the text between whole arcs: the second chunk starts with one
-        first, second = export_chunks(g, fmt, size=count - 1)
+        first, second = export_stream(2708, fmt, size=count - 1)
         assert second.startswith(',{"tail":' if fmt == "json" else '  "'), fmt
         assert first.endswith("}" if fmt == "json" else ";\n"), fmt
 
@@ -289,15 +258,15 @@ def test_matches_oracle_and_graded(n):
     g = cached_graph(n)
     assert g.vertices == oracle_expansions(n)
     for a in g.arcs:
-        assert weight(g.vertices[a.tail]) - weight(g.vertices[a.head]) == 1
+        assert sum(map(int, g.vertices[a.tail])) - sum(map(int, g.vertices[a.head])) == 1
 
 
 @given(st.integers(0, 2048))
 @settings(max_examples=60, deadline=None)
 def test_unique_source_and_sink(n):
     g = cached_graph(n)
-    sources = [v for v in range(len(g.vertices)) if not g.in_arcs(v)]
-    sinks = [v for v in range(len(g.vertices)) if not g.out_arcs(v)]
+    sources = sorted(set(range(len(g.vertices))) - set(g.heads))
+    sinks = sorted(set(range(len(g.vertices))) - set(g.tails))
     assert sources == [g.source]
     assert sinks == [g.sink]
 
@@ -307,10 +276,10 @@ def test_unique_source_and_sink(n):
 def test_every_vertex_on_source_sink_path(n):
     g = cached_graph(n)
     # reachable from source
-    assert set(descendants_subgraph(g, g.source).vertices) == set(g.vertices)
+    assert set(oracle_descendants(g, g.source).vertices) == set(g.vertices)
     # sink reachable from every vertex
     for v in range(len(g.vertices)):
-        assert g.vertices[g.sink] in descendants_subgraph(g, v).vertices
+        assert g.vertices[g.sink] in oracle_descendants(g, v).vertices
 
 
 @given(st.integers(0, 512))
@@ -322,14 +291,11 @@ def test_branching_iff_cyclomatic(n):
     assert branching == (v_count >= 1)
 
 
-def assert_generated_matches_closure(n, starts):
-    """A(n), H(n), the descendants of ``starts`` and (n even) the embedding, against the oracles."""
+def assert_generated_matches_closure(n):
+    """A(n), H(n) and (n even) the embedding, against the oracles."""
     g = build_graph(n)
-    b = len(g.vertices)
-    assert g == oracle_closure_graph(n, minimal_expansion(n), b), n
+    assert g == oracle_closure_graph(n, minimal_expansion(n), len(g.vertices)), n
     assert enumerate_expansions(n) == list(g.vertices), n
-    for v in starts:
-        assert descendants_subgraph(g, v) == oracle_closure_graph(n, g.vertices[v], b), (n, v)
     if n % 2 == 0:
         pg = embed(n)
         assert pg.graph == g, n
@@ -346,19 +312,16 @@ def n_from_runs(runs):
 @given(
     st.lists(st.integers(1, 12), min_size=1, max_size=10)
     .map(n_from_runs)
-    .filter(lambda n: b_matrix(n) <= 3000),
-    st.data(),
+    .filter(lambda n: b_matrix(n) <= 3000)
 )
 @settings(max_examples=60, deadline=None)
-def test_generator_matches_closure_oracle(n, data):
-    b = b_matrix(n)
-    starts = data.draw(st.lists(st.integers(0, b - 1), min_size=1, max_size=3))
-    assert_generated_matches_closure(n, starts + [0, b - 1])
+def test_generator_matches_closure_oracle(n):
+    assert_generated_matches_closure(n)
 
 
 def test_generator_matches_closure_oracle_at_b_10946():
     assert b_matrix(699050) == 10946
-    assert_generated_matches_closure(699050, [1, 5000, 10945])
+    assert_generated_matches_closure(699050)
 
 
 def pieces_at_every_cut(n):
