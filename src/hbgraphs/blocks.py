@@ -84,8 +84,7 @@ def place_preserving_map(pg: PlacedGraph, e: Arc) -> dict[Arc, Arc]:
     Each e_x = (x, x') maps to the unique e_y = (y, y') such that (x', y')
     is an arc; existence and uniqueness failures are raised, not repaired.
     """
-    arcs = pg.graph.arcs
-    return {arcs[j]: arcs[k] for j, k in _square(pg.graph, pg.place.index(e)).items()}
+    return place_preserving_through_path(pg, [e])
 
 
 def _indices(pg: PlacedGraph, path: list[Arc] | tuple[Arc, ...]) -> list[int]:

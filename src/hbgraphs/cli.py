@@ -110,8 +110,8 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_graph(args, out) -> int:
-    """Write ``export_dot(g)``, or ``export_json(g)`` and a newline, streamed without building g."""
-    out.writelines(graphs.export_stream(args.n, args.format, args.limit, size=4096))
+    """Write A(n)'s DOT, or its JSON and a newline, a chunk per prefix, without building A(n)."""
+    out.writelines(graphs.export_stream(args.n, args.format, args.limit))
     out.write("\n" if args.format == "json" else "")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ a bound on the digits of the words are known, and checked against the
 limit, before anything is built.  Cut after some block, the vertices are
 each prefix tuple in turn joined to every completion in one of two
 templates, by whether it ends in 0: ``build_graph`` and ``embed`` read the
-columns off these pieces, and ``export_stream`` writes the text from them.
+columns off these pieces; ``export_stream`` writes their text a prefix at a time.
 
 ``HbGraph`` keeps the arcs as aligned columns, which the exports,
 ``counts`` and ``iso`` read without making one object per arc.  Its ids
@@ -80,7 +80,7 @@ def _block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple 
     return [(w, *flag, step) for w, flag, step in zip(words, flags, steps)]
 
 
-def _walk(n: int, limit: int, cut: int | None = None) -> tuple[list[tuple], dict]:
+def _walk(n: int, limit: int) -> tuple[list[tuple], dict]:
     """A(n) as the admissible prefixes over blocks 1..cut, and templates of their completions.
 
     A vertex is a tuple x_1 ... x_k of block states, admissible when every
@@ -95,8 +95,8 @@ def _walk(n: int, limit: int, cut: int | None = None) -> tuple[list[tuple], dict
     less a final 0, where template 1 starts.  A template is (words, each
     one's arc steps), and a vertex head + word, with the prefix's steps, then
     the word's, each (stride, label, r, place) a tuple shared by all that
-    take it.  ``cut`` defaults to the first suffix of at most
-    ``TEMPLATE_SIZE`` completions: 0 for a small A(n), one template the graph.
+    take it.  ``cut`` is the first suffix of at most ``TEMPLATE_SIZE``
+    completions: 0 for a small A(n), one empty prefix and template 1 the graph.
     Raises SizeLimitError, before any state word is made, when there are
     more than ``limit`` tuples, or when they times n's bit length (the
     longest word) exceeds ``DIGITS_PER_VERTEX * limit`` digits.
@@ -119,8 +119,7 @@ def _walk(n: int, limit: int, cut: int | None = None) -> tuple[list[tuple], dict
     if counts[0][1] * bits > DIGITS_PER_VERTEX * limit:
         raise SizeLimitError(f"{counts[0][1]} words of up to {bits} digits may exceed"
                              f" {DIGITS_PER_VERTEX} * limit {limit} digits")
-    if cut is None:  # after the blocks whose suffixes have more than TEMPLATE_SIZE completions
-        cut = 0 if counts[0][1] <= TEMPLATE_SIZE else sum(h > TEMPLATE_SIZE for _, h in counts)
+    cut = sum(h > TEMPLATE_SIZE for _, h in counts)  # the suffixes of more than TEMPLATE_SIZE
 
     def extend(level: list, lo: int, hi: int) -> list:
         width = sum(map(len, blocks[lo:])) + ones  # the digits from block lo on
@@ -145,17 +144,16 @@ def _walk(n: int, limit: int, cut: int | None = None) -> tuple[list[tuple], dict
         words, _, steps = zip(*extend([seed], cut, len(blocks)))
         return tuple(map(add, words, repeat("1" * ones))) if ones else words, steps
 
-    if not cut:  # one empty prefix, whose template is the whole graph
-        return [("", 1, ())], {1: template(("", 1, ()))}
     prefixes = [(w[:-1] if e else w, e, steps) for w, e, steps in extend([("", 1, ())], 0, cut)]
-    return prefixes, {e: template(("0" if e else "", e, ())) for e in {e for _, e, _ in prefixes}}
+    return prefixes, {e: template(("0" if e and cut else "", e, ()))
+                      for e in {e for _, e, _ in prefixes}}
 
 
 def _column(pieces: tuple, k: int) -> Iterator:
     """The words (k = 0) or the arc steps (k = 1) of the vertices in id order, from the pieces."""
     prefixes, templates = pieces
-    if len(prefixes) == 1:  # cut 0: one empty prefix, whose template is the whole graph
-        return iter(templates[1][k])
+    if len(prefixes) == 1:  # cut 0, b <= 1024: skipping the map and chain layer per column
+        return iter(templates[1][k])  # keeps build_graph 7-18% faster at b = 100..1000
     return chain.from_iterable(map((head, steps)[k].__add__, templates[e][k])
                                for head, e, steps in prefixes)
 
@@ -318,13 +316,13 @@ def counts(g: HbGraph) -> tuple[int, int, int]:
     return (b, a, a - b + 1)
 
 
-def _text(n: int, fmt: str, names: Iterable, shares: Iterable, size: int) -> Iterator[str]:
+def _text(n: int, fmt: str, names: Iterable, shares: Iterable) -> Iterator[str]:
     """The DOT or JSON text of A(n) from shares of its vertices: the one writer of both formats.
 
     ``names`` gives each share's words, rendered in DOT, and ``shares`` its arcs as (m, pool, tails,
     heads, labels, values): arc i joins pool vertices tails[i] < m and heads[i], rendered words
-    (DOT) or ids (JSON), and ``values`` is the positions (JSON), the places or None.  A chunk of
-    ``size`` arcs (0: a share) is one join of a list filled from maps over the columns, three
+    (DOT) or ids (JSON), and ``values`` is the positions (JSON), the places or None.  A chunk is
+    a share's words, or its arcs, one join of a list filled from maps over the columns, three
     strings made up front per arc, by extended-slice assignment, so no per-arc Python code runs."""
     dot = fmt == "dot"
     start, sep, middle, stop = ((f"digraph A{n} {{\n", "", "", "}\n") if dot else
@@ -350,31 +348,24 @@ def _text(n: int, fmt: str, names: Iterable, shares: Iterable, size: int) -> Ite
             table = {x: {v: end.format(label(x), v) for v in set(values)} for x in set(labels)}
             ends = map(getitem, map(table.__getitem__, labels), values)
         columns = (map(tails_text.__getitem__, tails), map(heads_text.__getitem__, heads), ends)
-        step = size or len(tails) or 1
-        for lo in range(0, len(tails) or 1, step):  # an arcless share gets one chunk
-            pieces = [""] * (3 * min(step, len(tails) - lo) + 2)
-            for k, column in enumerate(columns, 1):
-                pieces[k:-1:3] = islice(column, step)
-            if head is not None:  # the first arc drops JSON's comma
-                pieces[:2], head = (head + middle, pieces[1][len(sep) :]), None
-            if share is None and lo + step >= len(tails):
-                pieces[-1] = stop
-            yield "".join(pieces)
+        pieces = [""] * (3 * len(tails) + 2)
+        for k, column in enumerate(columns, 1):
+            pieces[k:-1:3] = column
+        if head is not None:  # the first arc drops JSON's comma
+            pieces[:2], head = (head + middle, pieces[1][len(sep) :]), None
+        if share is None:
+            pieces[-1] = stop
+        yield "".join(pieces)
 
 
-def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT,
-                  size: int = 0) -> Iterator[str]:
-    """The text of ``export_dot(build_graph(n, limit))``, or ``export_json``, in chunks of ``size``
-    arcs (0: a prefix), from pieces made at the call."""
-    return _stream(n, _walk(n, limit), fmt, size)
-
-
-def _stream(n: int, pieces: tuple, fmt: str, size: int = 0) -> Iterator[str]:
-    """``_text`` in two passes over the prefixes, a share each: the prefix and its template.
+def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT) -> Iterator[str]:
+    """The text of ``export_dot(build_graph(n, limit))``, or ``export_json``, from ``_walk``'s
+    pieces, made at the call: ``_text`` in 2P - 1 chunks for P prefixes, a share each, the prefix
+    joined to its template.
 
     A prefix's step goes from completion j to completion j of the stepped prefix,
     so a share's pool is its m vertices, then each stepped prefix's first m."""
-    prefixes, templates = pieces
+    prefixes, templates = _walk(n, limit)
     dot = fmt == "dot"
     firsts = list(accumulate((len(templates[e][0]) for _, e, _ in prefixes), initial=0))
 
@@ -395,7 +386,7 @@ def _stream(n: int, pieces: tuple, fmt: str, size: int = 0) -> Iterator[str]:
                    None if dot else list(positions))
 
     names = map(words, range(len(prefixes)))
-    return _text(n, fmt, (map(render, w) for w in names) if dot else names, shares(), size)
+    return _text(n, fmt, (map(render, w) for w in names) if dot else names, shares())
 
 
 def export_dot(g: HbGraph, place: ArcColumn | None = None) -> str:
@@ -421,4 +412,4 @@ def _export(g: HbGraph, fmt: str, values: Sequence | None) -> str:
     dot, b = fmt == "dot", len(g.vertices)
     names = list(map(render, g.vertices)) if dot else g.vertices
     return next(_text(g.n, fmt, [names],
-                      [(b, names if dot else range(b), g.tails, g.heads, g.labels, values)], 0))
+                      [(b, names if dot else range(b), g.tails, g.heads, g.labels, values)]))

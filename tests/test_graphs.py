@@ -1,3 +1,6 @@
+from itertools import pairwise
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,13 +17,13 @@ from conftest import (
     oracle_places,
     single_step_reductions,
 )
+from hbgraphs import graphs
 from hbgraphs.blocks import embed
 from hbgraphs.graphs import (
     DEFAULT_LIMIT,
     Label,
     SizeLimitError,
     _graph,
-    _stream,
     _walk,
     build_graph,
     counts,
@@ -30,7 +33,7 @@ from hbgraphs.graphs import (
     export_stream,
 )
 from hbgraphs.iso import labeled_iso, verify_witness
-from hbgraphs.stern import b_matrix
+from hbgraphs.stern import _block_transfer, b_matrix
 from hbgraphs.words import decompose, minimal_expansion
 
 
@@ -219,37 +222,24 @@ def test_exports_match_oracles():
         assert export_dot(g) == oracle_export_dot(g), n
 
 
-def test_export_chunks_join_to_the_exports():
-    for n in range(2049):
-        g = cached_graph(n)
-        dot, text = export_dot(g), export_json(g)
-        for size in (1, 1 + n % 97):
-            assert "".join(export_stream(n, "json", size=size)) == text, (n, size)
-            assert "".join(export_stream(n, "dot", size=size)) == dot, (n, size)
-
-
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_export_chunks_of_an_arcless_graph(n):
     g = cached_graph(n)
     assert not g.tails
-    for size in (0, 1, 4096):
-        assert list(export_stream(n, "json", size=size)) == [export_json(g)], (n, size)
-        assert list(export_stream(n, "dot", size=size)) == [export_dot(g)], (n, size)
+    assert list(export_stream(n, "json")) == [export_json(g)], n
+    assert list(export_stream(n, "dot")) == [export_dot(g)], n
 
 
-def test_export_chunks_at_one_chunk_boundary():
-    g = cached_graph(2708)
-    count = len(g.tails)  # 644, at b = 321: one template, the whole graph, so one share
+# b = 1, 321 and 15 368: P = 1 (c = 0, one share), and P = 16 (cut after block 2 of 9)
+@pytest.mark.parametrize(("n", "prefixes"), [(0, 1), (2708, 1), (7378268, 16)])
+def test_export_stream_writes_a_chunk_per_prefix_and_share(n, prefixes):
+    # each prefix's words but the last, then the last words and the first share's arcs,
+    # then each other share's arcs: 2P - 1 chunks
+    assert len(_walk(n, DEFAULT_LIMIT)[0]) == prefixes
+    g = build_graph(n)
     for fmt, whole in (("json", export_json(g)), ("dot", export_dot(g))):
-        assert list(export_stream(2708, fmt)) == [whole], fmt
-        for size, chunks in ((count + 1, 1), (count, 1), (count - 1, 2), (count // 2, 2),
-                             (count // 2 - 1, 3)):
-            got = list(export_stream(2708, fmt, size=size))
-            assert len(got) == chunks and "".join(got) == whole, (fmt, size)
-        # a boundary splits the text between whole arcs: the second chunk starts with one
-        first, second = export_stream(2708, fmt, size=count - 1)
-        assert second.startswith(',{"tail":' if fmt == "json" else '  "'), fmt
-        assert first.endswith("}" if fmt == "json" else ";\n"), fmt
+        chunks = list(export_stream(n, fmt))
+        assert (len(chunks), "".join(chunks)) == (2 * prefixes - 1, whole), (n, fmt)
 
 
 @given(st.integers(0, 2048))
@@ -324,10 +314,21 @@ def test_generator_matches_closure_oracle_at_b_10946():
     assert_generated_matches_closure(699050)
 
 
+def cut_after(n, c):
+    """A patch of ``TEMPLATE_SIZE`` to the completions after block c of n, so ``_walk`` cuts
+    A(n) after block c: no block lowers that count, and each one raises it."""
+    blocks, _ = decompose(minimal_expansion(n))
+    return patch.object(graphs, "TEMPLATE_SIZE", _block_transfer(blocks[c:], 1, 1)[0])
+
+
 def pieces_at_every_cut(n):
     """``_walk``'s pieces of A(n) with the blocks cut after none, then after each in turn."""
-    blocks, _ = decompose(minimal_expansion(n))
-    return [_walk(n, DEFAULT_LIMIT, cut) for cut in range(len(blocks) + 1)]
+    every = []
+    for c in range(len(decompose(minimal_expansion(n))[0]) + 1):
+        with cut_after(n, c):
+            every.append(_walk(n, DEFAULT_LIMIT))
+    assert all(len(p) < len(q) for (p, _), (q, _) in pairwise(every)), n  # distinct cuts
+    return every
 
 
 # A(7378268) has b = 15 368 and its default cut after block 2; 87381 is odd: words end in 1
@@ -346,19 +347,22 @@ def test_pieces_at_every_cut_match_the_closure_oracle(ns):
 
 
 def test_stream_writes_the_exports_at_one_cut_per_n():
-    # the cuts go round with n, so each of 0..k comes up; so do the formats and, every third
-    # n, chunks of 3 arcs, whose boundaries fall inside shares
+    # the cuts go round with n, so each of 0..k comes up; so do the formats
     for n in range(2**11):
-        g, every = build_graph(n), pieces_at_every_cut(n)
-        cut, fmt, size = n % len(every), ("dot", "json")[n % 2], 3 if n % 3 == 0 else 4096
+        g, fmt = build_graph(n), ("dot", "json")[n % 2]
+        cut = n % (len(decompose(minimal_expansion(n))[0]) + 1)
         whole = export_dot(g) if fmt == "dot" else export_json(g)
-        assert "".join(_stream(n, every[cut], fmt, size)) == whole, (n, cut, fmt)
+        with cut_after(n, cut):
+            assert "".join(export_stream(n, fmt)) == whole, (n, cut, fmt)
 
 
 @pytest.mark.parametrize("n", [7378268, 87381])
 def test_stream_at_every_cut_writes_the_exports(n):
     g = build_graph(n)
     whole = (export_dot(g), export_json(g))
-    for cut, pieces in enumerate(pieces_at_every_cut(n)):
+    for cut, (prefixes, _) in enumerate(pieces_at_every_cut(n)):
         fmt = ("dot", "json")[cut % 2]
-        assert "".join(_stream(n, pieces, fmt, 4096)) == whole[cut % 2], (n, cut, fmt)
+        with cut_after(n, cut):
+            chunks = list(export_stream(n, fmt))
+        assert len(chunks) == 2 * len(prefixes) - 1, (n, cut)  # the stream cut there too
+        assert "".join(chunks) == whole[cut % 2], (n, cut, fmt)
