@@ -1,20 +1,10 @@
 """The Cartesian-product view of A(n): embedding, place map, checking paths.
 
-A minimal expansion of an even number factors uniquely into the block
-words 1^t 2 (type 1) and 2^t (type 2), with no two consecutive type-2
-blocks (``words.decompose``); odd numbers carry an extra tail of 1s.
-A(n) embeds as an induced subgraph into the Cartesian product of the
-path graphs of its blocks, which yields the place map, place-preserving
-maps and checking paths.
-
-Every expansion is one tuple of block states, its factors, and every arc
-steps one of them, its place: ``graphs`` generates A(n) in these
-coordinates, and ``embed`` is ``build_graph`` keeping the places as one
-more arc column (``PlacedGraph.place``, a read-only mapping over it).  The
-factors follow from the places, so no word is cut.  Place-preserving maps
-and checking paths run on arc indices: one finder reads each commuting square
-off ``out_offsets`` and ``heads``, and ``Arc`` objects are looked up by
-``ArcColumn.index`` on the way in and made again only for the results.
+``embed`` is ``build_graph`` keeping each arc's place, the coordinate it
+steps in the product of block paths (``structure``), as one more arc column
+(``PlacedGraph.place``); the factors follow from the places.  Place-preserving
+maps and checking paths run on arc indices, reading each commuting square
+off ``out_offsets`` and ``heads``; ``Arc`` objects are made only for results.
 """
 
 from __future__ import annotations
@@ -23,8 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 
-from .graphs import DEFAULT_LIMIT, Arc, ArcColumn, HbGraph, _block_states, _graph, _walk
-from .words import decompose, minimal_expansion
+from .graphs import Arc, ArcColumn, HbGraph, graph_from_pieces
+from .structure import DEFAULT_LIMIT, block_states, walk
 
 
 @dataclass(frozen=True)
@@ -40,7 +30,7 @@ class PlacedGraph:
         The source's are the block words; a head's first in-arc steps its tail's at its place.
         """
         g = self.graph
-        steps = [dict(pairwise(w for w, *_ in _block_states(block, p == 0)))
+        steps = [dict(pairwise(w for w, *_ in block_states(block, p == 0)))
                  for p, block in enumerate(self.blocks)]
         factors = [self.blocks] + [None] * (len(g.vertices) - 1)
         for tail, head, p in zip(g.tails, g.heads, self.place.column):
@@ -51,15 +41,12 @@ class PlacedGraph:
 
 
 def embed(n: int, limit: int = DEFAULT_LIMIT) -> PlacedGraph:
-    """Build A(n) together with its embedding into the product of block paths.
-
-    This is ``build_graph`` keeping each arc's place, the coordinate it
-    steps; ``PlacedGraph.factors`` is built from the places when first read.
-    """
+    """Build A(n) together with its embedding into the product of block paths."""
     if n % 2:
         raise ValueError(f"embed requires an even n, got {n}")
-    g, places = _graph(n, _walk(n, limit))
-    return PlacedGraph(g, decompose(minimal_expansion(n))[0], ArcColumn(g, bytes(places)))
+    pieces = walk(n, limit)
+    g, places = graph_from_pieces(n, pieces)
+    return PlacedGraph(g, pieces.blocks, ArcColumn(g, bytes(places)))
 
 
 def _square(g: HbGraph, e: int) -> dict[int, int]:

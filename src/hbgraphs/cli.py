@@ -17,8 +17,8 @@ import sys
 from itertools import islice
 
 from . import graphs, iso, stern
-from .graphs import DEFAULT_LIMIT, DIGITS_PER_VERTEX, SizeLimitError
 from .iso import DEFAULT_BUDGET, BudgetExceeded
+from .structure import DEFAULT_LIMIT, DIGITS_PER_VERTEX, SizeLimitError
 from .words import decompose, minimal_expansion, render
 
 EXIT_OK = 0

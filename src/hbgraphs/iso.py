@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import HbGraph, Label, build_graph
+from .graphs import HbGraph, build_graph
+from .structure import Label
 from .words import even_core
 
 DEFAULT_BUDGET = 10**7

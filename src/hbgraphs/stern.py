@@ -33,9 +33,10 @@ n >= 0, come from ``words`` (``int.to_bytes`` in the byte kernels).
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from itertools import islice, product
 
+from .structure import block_transfer
 from .words import BLOCKS, binary_expansion, even_core, minimal_expansion
 
 _LEAF = 256
@@ -188,22 +189,6 @@ def b_algorithm1(n: int) -> tuple[int, int]:
     return _product(mats)[0], expensive + (t == 512)  # t = 256 * 2: the final step ends an a2 run
 
 
-def _block_transfer(blocks: Sequence[str], h: int, k: int) -> tuple[int, int]:
-    """The product, in word order, of the block matrices of ``blocks``, times the column (h, k).
-
-    A block 1^t 2 of word length a has matrix (a 1; a-1 1), a block 2^a has
-    (1 a; 0 1): from the counts of completions after a block, h after a state
-    that ends in 0 and k after one that does not, to those before it.
-    """
-    for block in reversed(blocks):
-        a = len(block)
-        if block[0] == "1":
-            h, k = a * h + k, (a - 1) * h + k
-        else:
-            h, k = h + a * k, k
-    return h, k
-
-
 def b_block_formula(n: int) -> int:
     """b(n) as h, row 0 of the block matrices of n's even core, in word order, times (1, 1).
 
@@ -217,7 +202,7 @@ def b_block_formula(n: int) -> int:
     i = 0
     while i < len(word):
         j = word.rfind("2", i, i + _LEAF) + 1 or word.index("2", i) + 1
-        h, k = _block_transfer(BLOCKS.findall(word, i, j), 1, 1 << _LANE)
+        h, k = block_transfer(BLOCKS.findall(word, i, j), 1, 1 << _LANE)
         mats.append(_leaf(h, k))
         i = j
     return _product([(1, 1, 0, 0), *reversed(mats)])[0]

@@ -1,0 +1,155 @@
+"""The structure theorem: A(n) as an induced subgraph of a product of block paths.
+
+The expansions of each block of n (``words.decompose``) form a path of
+states (``block_states``), and A(n) embeds as an induced subgraph into the
+Cartesian product of these paths: a vertex is a tuple of block states whose
+lexicographic order is the shortlex order of the words, and an arc steps
+one state, its place, to the vertex a fixed stride of ids on.  ``walk``
+generates A(n) so, in id order, as pieces that ``column`` reads;
+``block_transfer`` counts the completions of a state by the paper's block
+matrices, which ``stern.b_block_formula`` folds too.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
+from itertools import chain, repeat
+from operator import add
+
+from .words import decompose, minimal_expansion
+
+DEFAULT_LIMIT = 10**6
+#: digits allowed per vertex of the limit: the words of H(n) may hold at most 64 * limit
+DIGITS_PER_VERTEX = 64
+#: most completions in a template of ``walk``, which cuts the blocks at the first suffix this small
+TEMPLATE_SIZE = 1024
+
+
+class SizeLimitError(Exception):
+    """Raised when H(n) would exceed the vertex limit, or its words 64 digits per vertex of it."""
+
+
+class Label:
+    SINGLE = "single"  # ->   patterns x02y -> x10y and 2y -> 10y
+    DOUBLE = "double"  # ->>  pattern  x12y -> x20y
+
+
+Pieces = namedtuple("Pieces", "prefixes templates blocks")
+
+
+def block_transfer(blocks: Sequence[str], h: int, k: int) -> tuple[int, int]:
+    """The product, in word order, of the block matrices of ``blocks``, times the column (h, k).
+
+    A block 1^t 2 of word length a has matrix (a 1; a-1 1), a block 2^a has
+    (1 a; 0 1): from the counts of completions after a block, h after a state
+    that ends in 0 and k after one that does not, to those before it.
+    """
+    for block in reversed(blocks):
+        a = len(block)
+        if block[0] == "1":
+            h, k = a * h + k, (a - 1) * h + k
+        else:
+            h, k = h + a * k, k
+    return h, k
+
+
+def block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple | None]]:
+    """The path of one block's expansions, in closed form, from the block word on.
+
+    Each state is (word, long, ends in 0, step), a state long when its word
+    is longer than the block's, and ``step`` the (label, local position) of
+    the arc to the next state, None for the last.  The leading ``2y -> 10y``
+    step rewrites the 0 before the block: local position -1, or 0 for the
+    first block.
+    """
+    lead = (Label.SINGLE, 0 if first else -1)
+    if block[0] == "1":  # 1^t 2: 1^(t-i) 2 0^i for i = 0..t, then 1 0^(t+1)
+        t = len(block) - 1
+        words = [block[i:] + "0" * i for i in range(t + 1)] + ["1" + "0" * (t + 1)]
+        steps = [(Label.DOUBLE, t - i - 1) for i in range(t)] + [lead, None]
+        flags = [(False, False)] + [(False, True)] * t + [(True, True)]
+    else:  # 2^t: 2^t, then 1^i 0 2^(t-i) for i = 1..t
+        t = len(block)
+        words = [block] + ["1" * i + "0" + block[i:] for i in range(1, t + 1)]
+        steps = [lead] + [(Label.SINGLE, i) for i in range(1, t)] + [None]
+        flags = [(False, False)] + [(True, False)] * (t - 1) + [(True, True)]
+    return [(w, *flag, step) for w, flag, step in zip(words, flags, steps)]
+
+
+def walk(n: int, limit: int) -> Pieces:
+    """A(n) as the admissible prefixes over blocks 1..cut, and templates of their completions.
+
+    A vertex is a tuple x_1 ... x_k of block states, admissible when every
+    long x_p (p >= 2) follows an x_(p-1) that ends in 0; its word joins the
+    state words, each dropping its final 0 before a long state, then n's
+    trailing 1s.  Extending every tuple by the states of the next block,
+    level by level, emits them in id order.  The arc x_p -> x_p + 1 goes C
+    ids on, C the count of completions after x_p (fixed by whether x_p ends
+    in 0); its place is p, and it rewrites the digit r places from the end.
+
+    A prefix, over blocks 1..cut, is (head, ends in 0, arc steps): its word
+    less a final 0, where template 1 starts.  A template is (words, each
+    one's arc steps), and a vertex head + word, with the prefix's steps, then
+    the word's, each (stride, label, r, place) a tuple shared by all that
+    take it.  ``cut`` is the first suffix of at most ``TEMPLATE_SIZE``
+    completions: 0 for a small A(n), one empty prefix and template 1 the
+    graph; ``blocks`` are n's block words.  Raises SizeLimitError, before any
+    state word is made, when there are more than ``limit`` tuples, or when
+    they times n's bit length exceeds ``DIGITS_PER_VERTEX * limit`` digits.
+    """
+    blocks, ones = decompose(minimal_expansion(n))
+    # counts[p][e]: the admissible completions from block p on, after a state that ends in
+    # 0 iff e; no block lowers h and k <= h, so no suffix has more than the whole, and a
+    # refused n stops at the first suffix over ``limit``, before its counts grow big
+    counts = [(1, 1)]
+    for block in reversed(blocks):
+        k, h = counts[-1]
+        if h > limit:
+            break
+        h, k = block_transfer((block,), h, k)
+        counts.append((k, h))
+    counts.reverse()
+    bits = n.bit_length()  # the longest word's length; n itself may be too long to print
+    if counts[0][1] > limit:
+        raise SizeLimitError(f"|H(n)| exceeds limit {limit} for n of {bits} bits")
+    if counts[0][1] * bits > DIGITS_PER_VERTEX * limit:
+        raise SizeLimitError(f"{counts[0][1]} words of up to {bits} digits may exceed"
+                             f" {DIGITS_PER_VERTEX} * limit {limit} digits")
+    cut = sum(h > TEMPLATE_SIZE for _, h in counts)  # the suffixes of more than TEMPLATE_SIZE
+
+    def extend(level: list, lo: int, hi: int) -> list:
+        width = sum(map(len, blocks[lo:])) + ones  # the digits from block lo on
+        for p in range(lo, hi):
+            width -= len(blocks[p])  # now the digits after block p
+            states = block_states(blocks[p], p == 0)
+            rows = ([], [])  # rows[e]: the states, and their arcs, after one that ends in 0 iff e
+            for s, (w, long, zero, step) in enumerate(states):
+                for e in (0, 1) if not long else (1,):
+                    arc = ()
+                    if step and (e or not states[s + 1][1]):
+                        # x_p ... x_k take width + len(w) digits: a final 0 that x_p
+                        # drops comes back as the extra digit of the long x_(p+1)
+                        label, local = step
+                        arc = ((counts[p + 1][zero], label, width + len(w) - local, p + 1),)
+                    rows[e].append((w, long and p > 0, zero, arc))
+            level = [(word[:-1] + w if drop else word + w, zero, arcs + arc)
+                     for word, e, arcs in level for w, drop, zero, arc in rows[e]]
+        return level
+
+    def template(seed: tuple) -> tuple:  # the words, with n's 1s, and steps of the completions
+        words, _, steps = zip(*extend([seed], cut, len(blocks)))
+        return tuple(map(add, words, repeat("1" * ones))) if ones else words, steps
+
+    prefixes = [(w[:-1] if e else w, e, steps) for w, e, steps in extend([("", 1, ())], 0, cut)]
+    return Pieces(prefixes, {e: template(("0" if e and cut else "", e, ()))
+                             for e in {e for _, e, _ in prefixes}}, blocks)
+
+
+def column(pieces: Pieces, k: int) -> Iterator:
+    """The words (k = 0) or the arc steps (k = 1) of the vertices in id order, from the pieces."""
+    prefixes, templates, _ = pieces
+    if len(prefixes) == 1:  # cut 0, b <= 1024: skipping the map and chain layer per column
+        return iter(templates[1][k])  # keeps build_graph 7-18% faster at b = 100..1000
+    return chain.from_iterable(map((head, steps)[k].__add__, templates[e][k])
+                               for head, e, steps in prefixes)

@@ -33,7 +33,8 @@ columns through ``graph_from_arcs``.
 import json
 from functools import lru_cache
 
-from hbgraphs.graphs import Arc, HbGraph, Label, SizeLimitError
+from hbgraphs.graphs import Arc, HbGraph
+from hbgraphs.structure import Label, SizeLimitError
 from hbgraphs.words import binary_expansion
 
 

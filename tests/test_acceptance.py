@@ -9,7 +9,8 @@ import time
 
 from conftest import cached_embed, cached_graph, oracle_expansions, oracle_value
 from hbgraphs import blocks, graphs, iso, stern
-from hbgraphs.graphs import Label, counts
+from hbgraphs.graphs import counts
+from hbgraphs.structure import Label
 from hbgraphs.words import binary_expansion, minimal_expansion
 
 

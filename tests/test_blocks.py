@@ -23,9 +23,10 @@ from hbgraphs.blocks import (
     place_preserving_map,
     place_preserving_through_path,
 )
-from hbgraphs.graphs import Arc, ArcColumn, HbGraph, Label, build_graph, counts, export_dot
+from hbgraphs.graphs import Arc, ArcColumn, HbGraph, build_graph, counts, export_dot
 from hbgraphs.iso import labeled_iso
 from hbgraphs.stern import b_matrix
+from hbgraphs.structure import Label
 from hbgraphs.words import binary_expansion, decompose, minimal_expansion
 
 

@@ -23,8 +23,9 @@ from hbgraphs.cli import (
     plan_verify,
     run,
 )
-from hbgraphs.graphs import _walk, build_graph, export_dot, export_json
+from hbgraphs.graphs import build_graph, export_dot, export_json
 from hbgraphs.stern import b_and_a, b_matrix
+from hbgraphs.structure import walk
 from hbgraphs.words import minimal_expansion
 
 
@@ -58,7 +59,9 @@ def test_imports_load_only_the_modules_they_need():
     for module, expected in (
         ("hbgraphs", ["hbgraphs"]),
         ("hbgraphs.cli", ["hbgraphs", "hbgraphs.cli", "hbgraphs.graphs", "hbgraphs.iso",
-                          "hbgraphs.stern", "hbgraphs.words"]),
+                          "hbgraphs.stern", "hbgraphs.structure", "hbgraphs.words"]),
+        # the counting layer reads the block transfer, never a graph
+        ("hbgraphs.stern", ["hbgraphs", "hbgraphs.stern", "hbgraphs.structure", "hbgraphs.words"]),
     ):
         proc = subprocess.run([sys.executable, "-c", f"import {module}; {loaded}"],
                               capture_output=True, text=True, env=env, timeout=60)
@@ -189,7 +192,7 @@ def test_graph_writes_the_exports_below_2_11():
 
 def test_streamed_graph_is_refused_before_any_output():
     # A(7378268) has b = 15 368 vertices; each of its templates has fewer than 1 100
-    _, templates = _walk(7378268, 10**6)
+    templates = walk(7378268, 10**6).templates
     assert max(len(words) for words, _ in templates.values()) < 1100
     for fmt in ("dot", "json"):
         for limit in ("15367", "1100"):
@@ -197,7 +200,7 @@ def test_streamed_graph_is_refused_before_any_output():
                 EXIT_LIMIT, "", f"aborted: |H(n)| exceeds limit {limit} for n of 23 bits\n")
     # b = 9737 words of up to 78 digits: within a limit of b vertices, not of its 64 * b digits
     n = str(int("10" * 6 + "0" * 66, 2))
-    assert len(_walk(int(n), 10**6)[0]) > 1  # cut after some block
+    assert len(walk(int(n), 10**6).prefixes) > 1  # cut after some block
     for fmt in ("dot", "json"):
         assert invoke("graph", "--n", n, "--format", fmt, "--limit", "9737") == (
             EXIT_LIMIT, "", "aborted: 9737 words of up to 78 digits may exceed"

@@ -1,4 +1,4 @@
-from itertools import pairwise
+from itertools import pairwise, product, starmap
 from unittest.mock import patch
 
 import pytest
@@ -17,23 +17,20 @@ from conftest import (
     oracle_places,
     single_step_reductions,
 )
-from hbgraphs import graphs
+from hbgraphs import structure
 from hbgraphs.blocks import embed
 from hbgraphs.graphs import (
-    DEFAULT_LIMIT,
-    Label,
-    SizeLimitError,
-    _graph,
-    _walk,
     build_graph,
     counts,
     enumerate_expansions,
     export_dot,
     export_json,
     export_stream,
+    graph_from_pieces,
 )
 from hbgraphs.iso import labeled_iso, verify_witness
-from hbgraphs.stern import _block_transfer, b_matrix
+from hbgraphs.stern import b_matrix
+from hbgraphs.structure import DEFAULT_LIMIT, Label, SizeLimitError, block_transfer, walk
 from hbgraphs.words import decompose, minimal_expansion
 
 
@@ -136,24 +133,28 @@ def test_counts():
 
 
 def check_adjacency(g):
-    """Rows against a filter of ``g.arcs``; ``arc`` against every arc and some non-arcs.
+    """Rows against ``g.arcs`` bucketed by tail and by head; ``arc`` against arcs and non-arcs.
 
-    Also the id order: every arc has tail < head, the source is 0 and the sink b - 1.
+    Also the id order: every arc has 0 <= tail < head < b, the source is 0 and the sink b - 1.
     On at most 64 vertices, ``find`` on every ordered pair against a scan of the
     columns: a miss must not stray into a neighbour's run of heads.
     """
-    assert (g.source, g.sink) == (0, len(g.vertices) - 1), g.n
-    if len(g.vertices) <= 64:
+    b = len(g.vertices)
+    assert (g.source, g.sink) == (0, b - 1), g.n
+    if b <= 64:
         scan = {pair: i for i, pair in enumerate(zip(g.tails, g.heads))}
-        for t in range(len(g.vertices)):
-            for h in range(len(g.vertices)):
-                assert g.find(t, h) == scan.get((t, h)), (g.n, t, h)
-    for v in range(len(g.vertices)):
-        assert g.out_arcs(v) == tuple(a for a in g.arcs if a.tail == v), (g.n, v)
-        assert g.in_rows[v] == [i for i, a in enumerate(g.arcs) if a.head == v], (g.n, v)
+        pairs = list(product(range(b), repeat=2))
+        assert list(starmap(g.find, pairs)) == list(map(scan.get, pairs)), g.n
+    outs, ins = [[] for _ in range(b)], [[] for _ in range(b)]  # in arc order, one pass
+    for i, a in enumerate(g.arcs):
+        assert 0 <= a.tail < a.head < b, (g.n, a)
+        outs[a.tail].append(a)
+        ins[a.head].append(i)
+    for v in range(b):
+        assert g.out_arcs(v) == tuple(outs[v]), (g.n, v)
+        assert g.in_rows[v] == ins[v], (g.n, v)
         assert g.arc(v, v) is None, (g.n, v)
     for a in g.arcs:
-        assert a.tail < a.head, (g.n, a)
         assert g.arc(a.tail, a.head) is a, (g.n, a)
         assert g.arc(a.head, a.tail) is None, (g.n, a)
 
@@ -235,7 +236,7 @@ def test_export_chunks_of_an_arcless_graph(n):
 def test_export_stream_writes_a_chunk_per_prefix_and_share(n, prefixes):
     # each prefix's words but the last, then the last words and the first share's arcs,
     # then each other share's arcs: 2P - 1 chunks
-    assert len(_walk(n, DEFAULT_LIMIT)[0]) == prefixes
+    assert len(walk(n, DEFAULT_LIMIT).prefixes) == prefixes
     g = build_graph(n)
     for fmt, whole in (("json", export_json(g)), ("dot", export_dot(g))):
         chunks = list(export_stream(n, fmt))
@@ -315,19 +316,19 @@ def test_generator_matches_closure_oracle_at_b_10946():
 
 
 def cut_after(n, c):
-    """A patch of ``TEMPLATE_SIZE`` to the completions after block c of n, so ``_walk`` cuts
+    """A patch of ``TEMPLATE_SIZE`` to the completions after block c of n, so ``walk`` cuts
     A(n) after block c: no block lowers that count, and each one raises it."""
     blocks, _ = decompose(minimal_expansion(n))
-    return patch.object(graphs, "TEMPLATE_SIZE", _block_transfer(blocks[c:], 1, 1)[0])
+    return patch.object(structure, "TEMPLATE_SIZE", block_transfer(blocks[c:], 1, 1)[0])
 
 
 def pieces_at_every_cut(n):
-    """``_walk``'s pieces of A(n) with the blocks cut after none, then after each in turn."""
+    """``walk``'s pieces of A(n) with the blocks cut after none, then after each in turn."""
     every = []
     for c in range(len(decompose(minimal_expansion(n))[0]) + 1):
         with cut_after(n, c):
-            every.append(_walk(n, DEFAULT_LIMIT))
-    assert all(len(p) < len(q) for (p, _), (q, _) in pairwise(every)), n  # distinct cuts
+            every.append(walk(n, DEFAULT_LIMIT))
+    assert all(len(p.prefixes) < len(q.prefixes) for p, q in pairwise(every)), n  # distinct cuts
     return every
 
 
@@ -337,7 +338,7 @@ def test_pieces_at_every_cut_match_the_closure_oracle(ns):
     for n in ns:
         expected = oracle_closure_graph(n, minimal_expansion(n), DEFAULT_LIMIT)
         for cut, pieces in enumerate(pieces_at_every_cut(n)):
-            g, places = _graph(n, pieces)
+            g, places = graph_from_pieces(n, pieces)
             assert g == expected, (n, cut)  # the words and the four arc columns
             places = tuple(places)
             if cut == 0:
@@ -360,7 +361,7 @@ def test_stream_writes_the_exports_at_one_cut_per_n():
 def test_stream_at_every_cut_writes_the_exports(n):
     g = build_graph(n)
     whole = (export_dot(g), export_json(g))
-    for cut, (prefixes, _) in enumerate(pieces_at_every_cut(n)):
+    for cut, (prefixes, _, _) in enumerate(pieces_at_every_cut(n)):
         fmt = ("dot", "json")[cut % 2]
         with cut_after(n, cut):
             chunks = list(export_stream(n, fmt))

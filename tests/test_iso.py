@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_graph, graph_from_arcs, oracle_descendants, oracle_labeled_iso
-from hbgraphs.graphs import (
-    Arc,
-    HbGraph,
-    Label,
-    build_graph,
-    counts,
-)
+from hbgraphs.graphs import Arc, HbGraph, build_graph, counts
 from hbgraphs.iso import (
     BudgetExceeded,
     IsoWitness,
@@ -22,6 +16,7 @@ from hbgraphs.iso import (
     verify_witness,
 )
 from hbgraphs.stern import b_and_a
+from hbgraphs.structure import Label
 from hbgraphs.words import even_core
 
 

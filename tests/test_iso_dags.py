@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbgraphs.graphs import HbGraph, Label
+from hbgraphs.graphs import HbGraph
 from hbgraphs.iso import IsoWitness, labeled_iso, verify_witness
+from hbgraphs.structure import Label
 from test_iso import vf2_digraph
 
 D, S = Label.DOUBLE, Label.SINGLE

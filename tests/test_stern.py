@@ -311,11 +311,12 @@ def test_product_tree_property(n):
 
 
 def test_stern_and_words_import_only_words():
-    # each layer imports only the layers below it: words, then stern (the counting layer,
-    # on the digit words alone), then graphs, blocks, iso and cli; the package init,
-    # which re-exports nothing, imports none of them
+    # each layer imports only the layers below it: words, then structure (the block states and
+    # block transfer, on the digit words alone), then stern (the counting layer, which folds the
+    # block transfer), then graphs, blocks, iso and cli; the package init, which re-exports
+    # nothing, imports none of them
     package = Path(hbgraphs.__file__).parent
-    layers = ["words", "stern", "graphs", "blocks", "iso", "cli"]
+    layers = ["words", "structure", "stern", "graphs", "blocks", "iso", "cli"]
     for k, name in [(0, "__init__"), *enumerate(layers)]:
         tree = ast.parse((package / f"{name}.py").read_text())
         relative = set()

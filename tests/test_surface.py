@@ -1,6 +1,6 @@
 """A caller for every public name of the library layers.
 
-A public name of ``words``, ``stern``, ``graphs``, ``blocks`` or ``iso`` (a
+A public name of ``words``, ``stern``, ``structure``, ``graphs``, ``blocks`` or ``iso`` (a
 top-level name, or a member of a public class: method, property, field or
 attribute set in ``__init__``) stays only while something besides the tests
 calls it: another module of the package, the benchmark's workloads (which also
@@ -31,11 +31,15 @@ CALLERS = {
         "c": "cli", "c_matrix": "hbbench", "v_level_set_even": "criterion 1",
         "v1_all": "criterion 1",
     },
-    "graphs": {
-        "DEFAULT_LIMIT": "cli", "DIGITS_PER_VERTEX": "cli", "TEMPLATE_SIZE": "graphs",
+    "structure": {
+        "DEFAULT_LIMIT": "cli", "DIGITS_PER_VERTEX": "cli", "TEMPLATE_SIZE": "structure",
         "SizeLimitError": "cli", "Label": "iso", "Label.SINGLE": "iso", "Label.DOUBLE": "iso",
+        "Pieces": "graphs", "block_transfer": "stern", "block_states": "blocks", "walk": "blocks",
+        "column": "graphs",
+    },
+    "graphs": {
         "Arc": "blocks", "enumerate_expansions": "cli", "build_graph": "cli", "counts": "cli",
-        "export_stream": "cli", "export_dot": "hbbench", "export_json": "hbbench",
+        "graph_from_pieces": "blocks", "export_stream": "cli", "export_dot": "hbbench", "export_json": "hbbench",
         "HbGraph": "blocks", "HbGraph.n": "graphs", "HbGraph.vertices": "cli",
         "HbGraph.tails": "iso", "HbGraph.heads": "iso", "HbGraph.labels": "iso",
         "HbGraph.positions": "graphs", "HbGraph.source": "hbbench", "HbGraph.sink": "hbbench",
@@ -116,3 +120,24 @@ def test_recorded_callers_name_the_name(module):
             continue
         uses = len(re.findall(rf"\b{name.split('.')[-1]}\b", caller_text(caller)))
         assert uses >= (2 if caller == module else 1), (name, caller)
+
+
+def test_no_module_imports_another_modules_private_names():
+    # the layers share only public names: no ``from .m import _x``, and no ``m._x`` on a
+    # module m imported by ``from . import m``
+    private = []
+    for path in sorted((ROOT / "src" / "hbgraphs").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "hbgraphs"
+                                                     or node.module.startswith("hbgraphs.")):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        private.append(f"{path.stem}: {node.module}.{alias.name}")
+                    elif node.module in (None, "hbgraphs"):
+                        modules.add(alias.asname or alias.name)
+        private += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")]
+    assert not private, f"private names imported across modules: {private}"
