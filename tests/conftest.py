@@ -1,78 +1,64 @@
 """Shared test helpers: oracles independent of the library.
 
-The enumeration oracle builds H(n) by recursion on the last digit of a
-word, without touching the single-step-reduction machinery it is used to
-check; the arc oracle reads the reductions off those words by scanning
-for their patterns.  The factor oracle splits an expansion into block
-factors by string slicing and digit values, without the block states
-of ``blocks.embed``.  The decomposition oracle scans a minimal expansion for
-its blocks one digit at a time, without the block pattern of ``words``.
-The (b, v) oracle runs the classical recursions on an
-explicit stack, without the digit pass of ``stern.b_and_a``.  The b and
-c oracles fold one vector through the digit matrices a digit at a time,
-without the leaves and product tree of ``stern``; the Algorithm 1 oracle
-scans n's digits with its two run counters, applying each count when its
-run ends, without the byte table of ``stern.b_algorithm1``.  The value
-oracle folds a word a digit at a time.  The isomorphism oracle filters
-candidates by comparing every pair of vertex signatures and checks every
-arc to a matched vertex through ``Arc`` objects, its in-arcs filtered from
-``arcs``, without the buckets and in-arc rows of ``iso.labeled_iso``.
-The export oracles build a dict per arc and encode the document with
-``json.dumps``, and render both ends of every DOT arc.  The descendants
-oracle walks a built graph's out-arcs and re-indexes the induced
-subgraph by sorting its words.  The closure oracle
-builds A(n), or the descendants of any expansion, by applying the single
-step reductions breadth first from a seed word and sorting the words it
-finds, without the block states of ``graphs.build_graph``; its reduction
-rules (``_children``, and ``single_step_reductions`` over them) live
-here, so it shares no code with ``graphs``.  Both oracles
-make their arcs as ``Arc`` objects and store them in ``HbGraph``'s
-columns through ``graph_from_arcs``.
+Facts that the benchmark's ``oracles`` (``hbbench/oracles.py``) computes
+apart from the library are read from there, not computed again: H(n)
+(``expansions``), the paper's single-step reductions of a word
+(``reductions``) and a word's value (``value``).  The enumeration oracle
+sorts H(n) in shortlex order; the arc oracle ranks the reductions.
+
+Each oracle kept here checks the library by a route the benchmark lacks:
+
+- the closure oracle builds A(n), or the descendants of any expansion, by
+  applying ``oracles.reductions`` breadth first from a seed word and
+  sorting the words it finds, without the block states of ``graphs``;
+- the factor oracle splits an expansion into block factors by string
+  slicing and word values, without the block states of ``blocks.embed``;
+- the decomposition oracle scans a minimal expansion for its blocks one
+  digit at a time, without the block pattern of ``words``;
+- the (b, v) oracle runs the classical recursions on an explicit stack,
+  where ``stern.b_and_a`` and ``oracles.b_and_a`` are top-first digit passes;
+- the b and c oracles fold one vector through the digit matrices a digit
+  at a time, so a fault shows apart in ``stern``'s leaves or product tree;
+- the Algorithm 1 oracle scans n's digits with its two run counters,
+  applying each count when its run ends, without ``stern``'s byte table;
+- the isomorphism oracle filters candidates by comparing every pair of
+  vertex signatures and checks every arc to a matched vertex through
+  ``Arc`` objects, its in-arcs filtered from ``arcs``, without the buckets
+  and in-arc rows of ``iso.labeled_iso``;
+- the export oracles build a dict per arc and encode the document with
+  ``json.dumps``, and render both ends of every DOT arc;
+- the descendants oracle walks a built graph's out-arcs and re-indexes
+  the induced subgraph by sorting its words.
+
+The closure and descendants oracles make their arcs as ``Arc`` objects and
+store them in ``HbGraph``'s columns through ``graph_from_arcs``.
 """
 
 import json
 from functools import lru_cache
 
+import oracles
 from hbgraphs.graphs import Arc, HbGraph
 from hbgraphs.structure import Label, SizeLimitError
-from hbgraphs.words import binary_expansion
 
 
 @lru_cache(maxsize=None)
 def oracle_expansions(n: int) -> tuple[str, ...]:
     """All hyperbinary expansions of n, shortlex-sorted."""
-    if n == 0:
-        return ("",)
-    out = []
-    for d in (0, 1, 2):
-        if d <= n and (n - d) % 2 == 0:
-            m = (n - d) // 2
-            if m == 0:
-                if d:
-                    out.append(str(d))
-            else:
-                out.extend(u + str(d) for u in oracle_expansions(m))
-    return tuple(_oracle_shortlex_sorted(out))
+    return tuple(_oracle_shortlex_sorted(oracles.expansions(n)))
 
 
 def oracle_arcs(n: int) -> list[tuple[int, int, str, int]]:
     """The arcs of A(n) as (tail, head, label, position), in (tail, position) order.
 
     Ids are shortlex ranks.  ``2y -> 10y`` has position 0; ``x02y -> x10y``
-    and ``x12y -> x20y`` have the index of their first rewritten digit.
+    and ``x12y -> x20y`` have the index of their first rewritten digit, and
+    ``oracles.reductions`` gives each word's in position order.
     """
     words = oracle_expansions(n)
     rank = {w: i for i, w in enumerate(words)}
-    arcs = []
-    for tail, w in enumerate(words):
-        if w[:1] == "2":
-            arcs.append((tail, rank["10" + w[1:]], Label.SINGLE, 0))
-        for i in range(len(w) - 1):
-            if w[i : i + 2] == "02":
-                arcs.append((tail, rank[w[:i] + "10" + w[i + 2 :]], Label.SINGLE, i))
-            elif w[i : i + 2] == "12":
-                arcs.append((tail, rank[w[:i] + "20" + w[i + 2 :]], Label.DOUBLE, i))
-    return arcs
+    return [(tail, rank[head], label, pos)
+            for tail, w in enumerate(words) for head, label, pos in oracles.reductions(w)]
 
 
 def _oracle_split(word: str, first_value: int, rest_value: int) -> tuple[str, str]:
@@ -90,8 +76,8 @@ def _oracle_split(word: str, first_value: int, rest_value: int) -> tuple[str, st
         prefix, suffix = word[:-k] + pad, word[-k:]
         if (
             suffix[0] != "0"
-            and oracle_value(suffix) == rest_value
-            and oracle_value(prefix) == first_value
+            and oracles.value(suffix) == rest_value
+            and oracles.value(prefix) == first_value
         ):
             if found is not None:
                 raise AssertionError(f"ambiguous factor split of {word!r}")
@@ -110,7 +96,7 @@ def oracle_factors(word: str, blocks) -> tuple[str, ...]:
     if len(blocks) == 1:
         return (word,)
     rest_word = "".join(blocks[1:])
-    first, rest = _oracle_split(word, oracle_value(blocks[0]), oracle_value(rest_word))
+    first, rest = _oracle_split(word, oracles.value(blocks[0]), oracles.value(rest_word))
     return (first,) + oracle_factors(rest, blocks[1:])
 
 
@@ -284,14 +270,6 @@ def oracle_descendants(g, start: int):
     return graph_from_arcs(g.n, verts, arcs)
 
 
-def oracle_value(w: str) -> int:
-    """Base-2 value of a digit word, one doubling per digit."""
-    n = 0
-    for ch in w:
-        n = 2 * n + (ord(ch) - 48)
-    return n
-
-
 def oracle_labeled_iso(g1, g2) -> tuple[tuple | None, int]:
     """(mapping or None, search nodes expanded) of the depth-first search.
 
@@ -391,61 +369,6 @@ def oracle_export_dot(g, place=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _children(w: str):
-    """Yield (child, label, position) for each reduction of ``w``, ascending in position.
-
-    These are the paper's reduction rules.  Every reduction rewrites one
-    ``2``; the digit before it picks the rule.  The leading ``2y -> 10y``
-    rule (the only one that lengthens the word) is assigned position 0,
-    where no other rule can apply.
-    """
-    j = w.find("2")
-    if j == 0:
-        yield "10" + w[1:], Label.SINGLE, 0
-        j = w.find("2", 1)
-    while j > 0:
-        before = w[j - 1]
-        if before == "0":
-            yield w[: j - 1] + "10" + w[j + 1 :], Label.SINGLE, j - 1
-        elif before == "1":
-            yield w[: j - 1] + "20" + w[j + 1 :], Label.DOUBLE, j - 1
-        j = w.find("2", j + 1)
-
-
-def single_step_reductions(w: str) -> list[tuple[str, str, int]]:
-    """The reductions of ``w`` as a list of (child, label, position), ascending in position."""
-    if w[:1] == "0":
-        raise ValueError(f"not a hyperbinary expansion (leading zero): {w!r}")
-    return list(_children(w))
-
-
-def _oracle_closure(n: int, seed: str, limit: int, children: list | None = None) -> dict[str, int]:
-    """The closure of ``seed``, an expansion of n, as {word: discovery id}, breadth first.
-
-    When ``children`` is given, each expanded word appends one list to it,
-    in discovery order: the (child id, label, position) of its children,
-    ascending in position.  Raises SizeLimitError on the first word
-    beyond ``limit``, the seed included.
-    """
-    if limit < 1:
-        raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
-    ids = {seed: 0}
-    words = list(ids)
-    for w in words:
-        out = []
-        for child, label, pos in _children(w):
-            cid = ids.get(child)
-            if cid is None:
-                if len(words) >= limit:
-                    raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
-                cid = ids[child] = len(words)
-                words.append(child)
-            out.append((cid, label, pos))
-        if children is not None:
-            children.append(out)
-    return ids
-
-
 def _oracle_shortlex_sorted(words) -> list[str]:
     out = sorted(words)
     out.sort(key=len)  # stable: equal lengths keep lexicographic order
@@ -456,10 +379,27 @@ def oracle_closure_graph(n: int, seed: str, limit: int) -> HbGraph:
     """The graph on the reduction closure of ``seed``, ids in shortlex order.
 
     With the minimal expansion of n as ``seed`` it is A(n); with any vertex
-    of A(n) it is that vertex's descendants subgraph.
+    of A(n) it is that vertex's descendants subgraph.  The closure is found
+    breadth first, keeping each word's children as (discovery id, label,
+    position); SizeLimitError is raised on the first word beyond ``limit``,
+    the seed included.
     """
-    children: list[list[tuple[int, str, int]]] = []
-    ids = _oracle_closure(n, seed, limit, children)
+    if limit < 1:
+        raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
+    ids = {seed: 0}
+    words = [seed]
+    children: list[list[tuple[int, str, int]] | None] = []
+    for w in words:
+        out = []
+        for child, label, pos in oracles.reductions(w):
+            cid = ids.get(child)
+            if cid is None:
+                if len(words) >= limit:
+                    raise SizeLimitError(f"|H({n})| exceeds limit {limit}")
+                cid = ids[child] = len(words)
+                words.append(child)
+            out.append((cid, label, pos))
+        children.append(out)
     verts = _oracle_shortlex_sorted(ids)
     rank = [0] * len(verts)
     for r, w in enumerate(verts):
@@ -471,5 +411,5 @@ def oracle_closure_graph(n: int, seed: str, limit: int) -> HbGraph:
         children[i] = None  # the arcs reuse the memory of the freed child records
     # the seed is the source, and the binary expansion, reachable from every expansion of n,
     # is the sink
-    assert (rank[0], rank[ids[binary_expansion(n)]]) == (0, len(verts) - 1)
+    assert (rank[0], rank[ids[oracles.binary_word(n)]]) == (0, len(verts) - 1)
     return graph_from_arcs(n, verts, arcs)

@@ -7,11 +7,11 @@ import contextlib
 import random
 import time
 
-from conftest import cached_embed, cached_graph, oracle_expansions, oracle_value
+import oracles
+from conftest import cached_embed, cached_graph
 from hbgraphs import blocks, graphs, iso, stern
 from hbgraphs.graphs import counts
 from hbgraphs.structure import Label
-from hbgraphs.words import binary_expansion, minimal_expansion
 
 
 @contextlib.contextmanager
@@ -87,7 +87,7 @@ def test_criterion_5_embedding_suite():
             assert len(set(pg.factors)) == len(g.vertices) == stern.b_recursive(n)
             # arcs of A(n) are label-preserving product arcs, and the image
             # is induced: every product arc between image tuples is an arc
-            block_gs = [cached_graph(oracle_value(b)) for b in pg.blocks]
+            block_gs = [cached_graph(oracles.value(b)) for b in pg.blocks]
             for arc in g.arcs:
                 i = pg.place[arc] - 1
                 fx, fy = pg.factors[arc.tail], pg.factors[arc.head]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import (
     cached_embed,
     cached_graph,
@@ -13,7 +14,6 @@ from conftest import (
     oracle_export_dot,
     oracle_factors,
     oracle_places,
-    oracle_value,
 )
 from hbgraphs.blocks import (
     PlacedGraph,
@@ -23,7 +23,7 @@ from hbgraphs.blocks import (
     place_preserving_map,
     place_preserving_through_path,
 )
-from hbgraphs.graphs import Arc, ArcColumn, HbGraph, build_graph, counts, export_dot
+from hbgraphs.graphs import Arc, ArcColumn, HbGraph, build_graph, export_dot
 from hbgraphs.iso import labeled_iso
 from hbgraphs.stern import b_matrix
 from hbgraphs.structure import Label
@@ -75,16 +75,16 @@ def test_decompose_matches_scan_oracle():
 
 
 def test_block_path_graphs():
-    g = build_graph(oracle_value("12"))
+    g = build_graph(oracles.value("12"))
     order = path_order(g)
     assert [g.vertices[v] for v in order] == ["12", "20", "100"]
     labels = [g.arc(order[i], order[i + 1]).label for i in range(len(order) - 1)]
     assert labels == [Label.DOUBLE, Label.SINGLE]
 
-    g = build_graph(oracle_value("2"))
+    g = build_graph(oracles.value("2"))
     assert [g.vertices[v] for v in path_order(g)] == ["2", "10"]
 
-    g = build_graph(oracle_value("222"))
+    g = build_graph(oracles.value("222"))
     order = path_order(g)
     assert [g.vertices[v] for v in order] == ["222", "1022", "1102", "1110"]
     assert all(a.label == Label.SINGLE for a in g.arcs)
@@ -92,12 +92,12 @@ def test_block_path_graphs():
 
 def test_block_path_graph_shape():
     for t in range(1, 6):
-        g1 = build_graph(oracle_value("1" * t + "2"))
+        g1 = build_graph(oracles.value("1" * t + "2"))
         chain = path_order(g1)
         assert len(chain) == t + 2
         labels = [g1.arc(chain[i], chain[i + 1]).label for i in range(t + 1)]
         assert labels == [Label.DOUBLE] * t + [Label.SINGLE]
-        g2 = build_graph(oracle_value("2" * t))
+        g2 = build_graph(oracles.value("2" * t))
         assert len(path_order(g2)) == t + 1
         assert all(a.label == Label.SINGLE for a in g2.arcs)
 
@@ -122,7 +122,7 @@ def test_embed_edge_cases():
     pg20 = cached_embed(20)
     assert len(pg20.factors) == 8
     assert all(len(f) == 2 for f in pg20.factors)
-    assert {oracle_value(f[0].rstrip("0")) for f in pg20.factors} <= {4, 2, 1}
+    assert {oracles.value(f[0].rstrip("0")) for f in pg20.factors} <= {4, 2, 1}
     with pytest.raises(ValueError):
         embed(21)
 
@@ -338,7 +338,7 @@ def _factor_steps(pg, block_graphs, vid):
 def test_constraints_never_violated(n):
     pg = cached_embed(n)
     blocks = pg.blocks
-    block_graphs = [cached_graph(oracle_value(b)) for b in blocks]
+    block_graphs = [cached_graph(oracles.value(b)) for b in blocks]
     lasts = [len(path_order(bg)) - 1 for bg in block_graphs]
     for vid in range(len(pg.graph.vertices)):
         steps = _factor_steps(pg, block_graphs, vid)
@@ -357,9 +357,9 @@ def test_descendant_factorization(n):
     pg = cached_embed(n)
     blocks = pg.blocks
     rest = "".join(blocks[1:])
-    start_word = binary_expansion(oracle_value(blocks[0])) + rest
+    start_word = binary_expansion(oracles.value(blocks[0])) + rest
     sub = oracle_closure_graph(n, start_word, len(pg.graph.vertices))
-    target = cached_graph(oracle_value(rest))
+    target = cached_graph(oracles.value(rest))
     assert labeled_iso(sub, target) is not None
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import hbgraphs
 
-from conftest import oracle_decompose
+from conftest import cached_graph, oracle_decompose
 from hbgraphs import cli
 from hbgraphs.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -183,7 +183,7 @@ def test_graph_writes_the_exports(n):
 def test_graph_writes_the_exports_below_2_11():
     parser = cli.build_parser()  # once: building it costs more than a small graph
     for n in range(2**11):
-        g = build_graph(n)
+        g = cached_graph(n)
         for fmt, whole in (("dot", export_dot(g)), ("json", export_json(g) + "\n")):
             out = io.StringIO()
             args = parser.parse_args(["graph", "--n", str(n), "--format", fmt])

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import checks
+import oracles
 from conftest import (
     cached_graph,
     oracle_arcs,
@@ -15,7 +17,6 @@ from conftest import (
     oracle_export_json,
     oracle_factors,
     oracle_places,
-    single_step_reductions,
 )
 from hbgraphs import structure
 from hbgraphs.blocks import embed
@@ -39,17 +40,12 @@ def arcs_as_words(g):
 
 
 def test_single_step_reductions_examples():
-    assert single_step_reductions("122") == [("202", Label.DOUBLE, 0)]
-    assert single_step_reductions("202") == [
+    assert oracles.reductions("122") == [("202", Label.DOUBLE, 0)]
+    assert oracles.reductions("202") == [
         ("1002", Label.SINGLE, 0),
         ("210", Label.SINGLE, 1),
     ]
-    assert single_step_reductions("") == []
-
-
-def test_single_step_reductions_rejects_leading_zero():
-    with pytest.raises(ValueError):
-        single_step_reductions("012")
+    assert oracles.reductions("") == []
 
 
 def test_enumerate_examples():
@@ -83,7 +79,7 @@ def test_digit_bound_of_the_limit():
 
 def test_build_graph_matches_arc_oracle():
     for n in range(2049):
-        g = build_graph(n)
+        g = cached_graph(n)
         assert g.vertices == oracle_expansions(n), n
         assert list(g.arcs) == oracle_arcs(n), n
         # every reduction makes its word shortlex-greater: ids are a topological order
@@ -187,7 +183,7 @@ def test_library_paths_build_no_arc_objects():
 
 def test_adjacency_matches_arcs():
     for n in range(2049):
-        check_adjacency(build_graph(n))
+        check_adjacency(cached_graph(n))
 
 
 def test_adjacency_of_descendant_subgraphs():
@@ -218,7 +214,7 @@ def test_export_json():
 
 def test_exports_match_oracles():
     for n in range(2049):
-        g = build_graph(n)
+        g = cached_graph(n)
         assert export_json(g) == oracle_export_json(g), n
         assert export_dot(g) == oracle_export_dot(g), n
 
@@ -315,6 +311,21 @@ def test_generator_matches_closure_oracle_at_b_10946():
     assert_generated_matches_closure(699050)
 
 
+def test_certificate_at_b_32119():
+    # checks.graph certifies one build as A(n): b(n) distinct shortlex expansions of n and a(n)
+    # distinct legal reductions among them, b and a from hbbench's oracles; the embedding and
+    # the streamed JSON are then tied to that graph.  9 blocks, 117 prefixes at the default cut
+    n = 20003988
+    assert (b_matrix(n), len(walk(n, DEFAULT_LIMIT).prefixes)) == (32119, 117)
+    g = build_graph(n)
+    arcs = list(zip(g.tails, g.heads, g.labels, g.positions))
+    assert checks.graph(n, g.vertices, arcs, g.source, g.sink) is None
+    pg = embed(n)
+    assert (pg.graph, len(pg.blocks)) == (g, 9)
+    assert checks.places(n, pg.place.column) is None
+    assert checks.json_export(n, "".join(export_stream(n, "json")), g.vertices, arcs) is None
+
+
 def cut_after(n, c):
     """A patch of ``TEMPLATE_SIZE`` to the completions after block c of n, so ``walk`` cuts
     A(n) after block c: no block lowers that count, and each one raises it."""
@@ -350,7 +361,7 @@ def test_pieces_at_every_cut_match_the_closure_oracle(ns):
 def test_stream_writes_the_exports_at_one_cut_per_n():
     # the cuts go round with n, so each of 0..k comes up; so do the formats
     for n in range(2**11):
-        g, fmt = build_graph(n), ("dot", "json")[n % 2]
+        g, fmt = cached_graph(n), ("dot", "json")[n % 2]
         cut = n % (len(decompose(minimal_expansion(n))[0]) + 1)
         whole = export_dot(g) if fmt == "dot" else export_json(g)
         with cut_after(n, cut):

@@ -310,7 +310,7 @@ def test_product_tree_property(n):
     _check_against_linear_folds(n)
 
 
-def test_stern_and_words_import_only_words():
+def test_each_layer_imports_only_the_layers_below_it():
     # each layer imports only the layers below it: words, then structure (the block states and
     # block transfer, on the digit words alone), then stern (the counting layer, which folds the
     # block transfer), then graphs, blocks, iso and cli; the package init, which re-exports
