@@ -9,7 +9,7 @@ off ``out_offsets`` and ``heads``; ``Arc`` objects are made only for results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import pairwise
 
@@ -17,11 +17,9 @@ from .graphs import Arc, ArcColumn, HbGraph, graph_from_pieces
 from .structure import DEFAULT_LIMIT, block_states, walk
 
 
-@dataclass(frozen=True)
-class PlacedGraph:
-    graph: HbGraph
-    blocks: tuple[str, ...]  # the block words of n's minimal expansion
-    place: ArcColumn  # 1-based block index of each arc, as bytes: 100 blocks give b > 10^28
+class PlacedGraph(namedtuple("PlacedGraph", "graph blocks place")):
+    """A(n) as ``graph``, the block words of n's minimal expansion as ``blocks``, and as
+    ``place`` each arc's 1-based block index, as bytes: 100 blocks give b > 10^28."""
 
     @cached_property
     def factors(self) -> tuple[tuple[str, ...], ...]:

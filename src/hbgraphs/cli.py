@@ -162,28 +162,49 @@ def check_range(lo: int, hi: int) -> str | None:
 
 
 def plan_verify(max_n: int, workers: int, cpus: int) -> tuple[list[tuple[int, int]], int]:
-    """Spans of [0, max_n] for ``workers`` workers, and the pool size to run them.
+    """Spans of [0, max_n], one per process, and the number of processes: never more than
+    ``workers``, CPUs or numbers to check.  One process means run the span in this process."""
+    size = min(max(workers, 1), cpus, max_n + 1)
+    cuts = [k * (max_n + 1) // size for k in range(size + 1)]
+    return [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])], size
 
-    The pool never exceeds the CPU count or the number of spans; a pool of
-    one means run the spans in this process.
-    """
-    workers = max(workers, 1)
-    chunk = max(1, (max_n + workers) // workers)
-    spans = [(lo, min(lo + chunk - 1, max_n)) for lo in range(0, max_n + 1, chunk)]
-    return spans, min(workers, cpus, len(spans))
+
+def _check_forked(spans: list[tuple[int, int]]) -> list[str]:
+    """``check_range`` on each span in a forked child, its text in span order ("" when clean); a
+    failed child, which sends its error and exits nonzero, is raised.  Each child is waited for."""
+    children, statuses = [], []  # (pid, read end of its pipe) per child; exit codes
+    try:
+        for lo, hi in spans:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never returns: it leaves by os._exit
+                status = 1
+                try:
+                    with open(write, "w") as pipe:
+                        try:
+                            pipe.write(check_range(lo, hi) or "")
+                            status = 0
+                        except Exception as exc:
+                            pipe.write(f"n in [{lo}, {hi}]: {exc!r}")
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, open(read)))
+        texts = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for text, status in zip(texts, statuses):
+        if status:
+            raise ChildProcessError(text or f"verify worker exited with {status}")
+    return texts
 
 
 def _cmd_verify(args, out) -> int:
-    spans, pool_size = plan_verify(args.max, args.workers, os.cpu_count() or 1)
-    bounds = zip(*spans)
-    if pool_size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(check_range, *bounds))
-    else:
-        results = map(check_range, *bounds)
-    failure = next((r for r in results if r is not None), None)
+    workers = args.workers if hasattr(os, "fork") else 1
+    spans, processes = plan_verify(args.max, workers, os.cpu_count() or 1)
+    results = _check_forked(spans) if processes > 1 else map(check_range, *zip(*spans))
+    failure = next(filter(None, results), None)
     if failure:
         print(failure, file=out)
         return EXIT_COUNTEREXAMPLE

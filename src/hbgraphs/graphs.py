@@ -18,7 +18,6 @@ import json
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, getitem, gt, itemgetter, le, lt, sub
@@ -35,8 +34,7 @@ def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
     return list(column(walk(n, limit), 0))
 
 
-@dataclass(frozen=True)
-class HbGraph:
+class HbGraph(namedtuple("HbGraph", "n vertices tails heads labels positions")):
     """A(n), its arcs as aligned columns: arc i is tails[i] -> heads[i].
 
     Ids are a topological order: a reduction makes its word shortlex-greater,
@@ -44,30 +42,25 @@ class HbGraph:
     ascend strictly in (tail, -head), which in A(n) is (tail, position) order,
     so no two join one ordered pair.  A graph whose columns differ in length,
     whose labels are not SINGLE or DOUBLE, or whose ids or arcs break these
-    orders, is refused when made.
+    orders, is refused when made by the class (``_make`` and ``_replace`` skip the checks).
 
     ``Arc`` objects are all made at once, on the first read of ``arcs``,
     ``out_arcs`` or ``arc``.
     """
 
-    n: int
-    vertices: tuple[str, ...]
-    tails: tuple[int, ...]
-    heads: tuple[int, ...]
-    labels: tuple[str, ...]
-    positions: tuple[int, ...]
-
-    def __post_init__(self):
-        t, h = self.tails, self.heads  # one C-level pass per test
-        if not len(t) == len(h) == len(self.labels) == len(self.positions):
+    def __new__(cls, n: int, vertices: tuple[str, ...], tails: tuple[int, ...],
+                heads: tuple[int, ...], labels: tuple[str, ...], positions: tuple[int, ...]):
+        t, h = tails, heads  # one C-level pass per test
+        if not len(t) == len(h) == len(labels) == len(positions):
             raise ValueError("arc columns differ in length")
-        if not set(self.labels) <= {Label.SINGLE, Label.DOUBLE}:
+        if not set(labels) <= {Label.SINGLE, Label.DOUBLE}:
             raise ValueError("arc labels are not SINGLE or DOUBLE")
-        if t and not (t[0] >= 0 and max(h) < len(self.vertices)
+        if t and not (t[0] >= 0 and max(h) < len(vertices)
                       and all(map(le, t, islice(t, 1, None))) and all(map(lt, t, h))):
             raise ValueError("vertex ids are not a topological order of 0..b-1")
         if not all(compress(map(gt, h, islice(h, 1, None)), map(eq, t, islice(t, 1, None)))):
             raise ValueError("arcs are not strictly ascending in (tail, -head)")
+        return super().__new__(cls, n, vertices, tails, heads, labels, positions)
 
     @property
     def source(self) -> int:
@@ -192,10 +185,11 @@ def _text(n: int, fmt: str, names: Iterable, shares: Iterable) -> Iterator[str]:
     """The DOT or JSON text of A(n) from shares of its vertices: the one writer of both formats.
 
     ``names`` gives each share's words, rendered in DOT, and ``shares`` its arcs as (m, pool, tails,
-    heads, labels, values): arc i joins pool vertices tails[i] < m and heads[i], rendered words
-    (DOT) or ids (JSON), and ``values`` is the positions (JSON), the places or None.  A chunk is
-    a share's words, or its arcs, one join of a list filled from maps over the columns, three
-    strings made up front per arc, by extended-slice assignment, so no per-arc Python code runs."""
+    heads, labels, values, last): arc i joins pool vertices tails[i] < m and heads[i], rendered
+    words (DOT) or ids (JSON), ``values`` is the positions (JSON), the places or None, and ``last``
+    marks the final share.  A share is made when its chunk is, and dropped after: one at a time.
+    A chunk is a share's words, or its arcs, one join of a list filled from maps over the columns,
+    three strings per arc made up front, by extended-slice assignment: no per-arc Python runs."""
     dot = fmt == "dot"
     start, sep, middle, stop = ((f"digraph A{n} {{\n", "", "", "}\n") if dot else
                                 (f'{{"n":{n},"vertices":[', ",", '],"arcs":[', "]}"))
@@ -206,10 +200,7 @@ def _text(n: int, fmt: str, names: Iterable, shares: Iterable) -> Iterator[str]:
             yield head
         head = (sep if i else start) + ('  "' + '";\n  "'.join(words) + '";\n' if dot
                                         else json.dumps(words, separators=(",", ":"))[1:-1])
-    shares = iter(shares)
-    share = next(shares)
-    while share:
-        (m, pool, tails, heads, labels, values), share = share, next(shares, None)
+    for m, pool, tails, heads, labels, values, last in shares:
         heads_text = list(pool) if dot else list(map(str, pool))
         tails_text = ([f'  "{x}" -> "' for x in islice(heads_text, m)] if dot else
                       [f',{{"tail":{x},"head":' for x in islice(heads_text, m)])
@@ -217,7 +208,8 @@ def _text(n: int, fmt: str, names: Iterable, shares: Iterable) -> Iterator[str]:
             ends = map({x: f'" [label="{label(x)}"];\n' for x in set(labels)}.__getitem__, labels)
         else:
             end = '" [label="{}" place={}];\n' if dot else ',"label":"{}","position":{}}}'
-            table = {x: {v: end.format(label(x), v) for v in set(values)} for x in set(labels)}
+            distinct = set(values)
+            table = {x: {v: end.format(label(x), v) for v in distinct} for x in set(labels)}
             ends = map(getitem, map(table.__getitem__, labels), values)
         columns = (map(tails_text.__getitem__, tails), map(heads_text.__getitem__, heads), ends)
         pieces = [""] * (3 * len(tails) + 2)
@@ -225,9 +217,10 @@ def _text(n: int, fmt: str, names: Iterable, shares: Iterable) -> Iterator[str]:
             pieces[k:-1:3] = cells
         if head is not None:  # the first arc drops JSON's comma
             pieces[:2], head = (head + middle, pieces[1][len(sep) :]), None
-        if share is None:
+        if last:
             pieces[-1] = stop
         yield "".join(pieces)
+        del pool, tails, heads, labels, values, heads_text, tails_text, ends, columns, pieces
 
 
 def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT) -> Iterator[str]:
@@ -254,8 +247,8 @@ def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT) -> Itera
                 range(m), own, lambda: map(local.__add__, templates[e][1]))
             qs = (i, *(bisect_left(firsts, firsts[i] + step[0]) for step in steps))  # stepped
             pool = [map(render, words(q, m)) if dot else range(firsts[q], firsts[q] + m) for q in qs]
-            yield (m, chain.from_iterable(pool), tails, list(heads), list(labels),
-                   None if dot else list(positions))
+            yield (m, chain.from_iterable(pool), tails, heads, list(labels),
+                   None if dot else list(positions), i == len(prefixes) - 1)
 
     names = map(words, range(len(prefixes)))
     return _text(n, fmt, (map(render, w) for w in names) if dot else names, shares())
@@ -283,5 +276,5 @@ def _export(g: HbGraph, fmt: str, values: Sequence | None) -> str:
     """The text of a built graph, one share and one chunk; ``values`` as in ``_text``."""
     dot, b = fmt == "dot", len(g.vertices)
     names = list(map(render, g.vertices)) if dot else g.vertices
-    return next(_text(g.n, fmt, [names],
-                      [(b, names if dot else range(b), g.tails, g.heads, g.labels, values)]))
+    share = (b, names if dot else range(b), g.tails, g.heads, g.labels, values, True)
+    return next(_text(g.n, fmt, [names], [share]))

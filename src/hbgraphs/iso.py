@@ -16,8 +16,7 @@ of the tail's run of ``heads``; no ``Arc`` object is built.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .graphs import HbGraph, build_graph
 from .structure import Label
@@ -30,11 +29,10 @@ class BudgetExceeded(Exception):
     """Raised when the isomorphism search exceeds its node-expansion budget."""
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(namedtuple("IsoWitness", "mapping")):
     """A vertex bijection g1 -> g2 (by vertex id), arc- and label-preserving."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ()
 
 
 def verify_witness(g1: HbGraph, g2: HbGraph, witness: IsoWitness) -> bool:

@@ -53,9 +53,12 @@ def test_eval_binary_input():
 
 
 def test_imports_load_only_the_modules_they_need():
-    # the package re-exports nothing, and the CLI never loads blocks, which no command runs
+    # the package re-exports nothing, and the CLI never loads blocks, which no command runs;
+    # nor does it load dataclasses (with inspect) or an executor (verify forks its spans itself)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)))
-    loaded = "import sys; print(sorted(m for m in sys.modules if m.startswith('hbgraphs')))"
+    heavy = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
+    loaded = (f"import sys; print(sorted(m for m in sys.modules if m.startswith('hbgraphs')"
+              f" or m in {heavy}))")
     for module, expected in (
         ("hbgraphs", ["hbgraphs"]),
         ("hbgraphs.cli", ["hbgraphs", "hbgraphs.cli", "hbgraphs.graphs", "hbgraphs.iso",
@@ -343,7 +346,7 @@ def test_verify_counterexample_detection():
 
 
 def test_plan_verify_bounds_the_pool():
-    # the plan alone: no pool is started
+    # the plan alone: no process is forked
     spans, pool_size = plan_verify(2048, 5000, 2)
     assert pool_size == 2
     assert spans[0][0] == 0 and spans[-1][1] == 2048
@@ -353,6 +356,63 @@ def test_plan_verify_bounds_the_pool():
     assert plan_verify(64, 1, 8) == ([(0, 64)], 1)
     assert plan_verify(64, 0, 8) == ([(0, 64)], 1)
     assert plan_verify(64, 4, 1)[1] == 1
+
+
+#: a fresh interpreter that runs the CLI on its arguments after ``setup``, then exits with the
+#: command's status, or fails if the command left a child process, running or not, unreaped.
+#: Forking runs in a subprocess: from 3.12 Python warns on fork in a threaded process.
+_CHECKED_RUN = """import os, sys
+from hbgraphs import cli
+{setup}
+status = cli.run(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(status)
+sys.exit("a child process was left unreaped")
+"""
+
+
+def run_checked(*argv, setup=""):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)))
+    return subprocess.run([sys.executable, "-c", _CHECKED_RUN.format(setup=setup), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+#: four CPUs reported, so that --workers 4 forks four children on any host
+_FOUR_CPUS = "os.cpu_count = lambda: 4"
+
+
+def test_forked_verify_prints_what_the_serial_run_prints():
+    serial = run_checked("verify", "--max", "300", "--workers", "1")
+    assert (serial.returncode, serial.stdout, serial.stderr) == (EXIT_OK, "OK 300\n", "")
+    for workers in ("2", "4"):
+        proc = run_checked("verify", "--max", "300", "--workers", workers, setup=_FOUR_CPUS)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "OK 300\n", ""), workers
+
+
+@pytest.mark.parametrize("bad", [(250,), (60, 250)])
+def test_forked_verify_reports_the_first_counterexample(bad):
+    # 250 lies in the upper span of [0, 300] with two or four workers, 60 in the lower
+    setup = (f"{_FOUR_CPUS}; mat = cli._B_ALGOS['mat']\n"
+             f"cli._B_ALGOS['mat'] = lambda n: mat(n) + (n in {bad})")
+    serial = run_checked("verify", "--max", "300", "--workers", "1", setup=setup)
+    assert serial.returncode == EXIT_COUNTEREXAMPLE and serial.stderr == ""
+    assert serial.stdout.startswith(f"n={bad[0]} b disagreement: ")
+    for workers in ("2", "4"):
+        proc = run_checked("verify", "--max", "300", "--workers", workers, setup=setup)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_COUNTEREXAMPLE, serial.stdout, ""), workers
+
+
+def test_forked_verify_reports_a_failed_worker_as_one_internal_error():
+    setup = (f"{_FOUR_CPUS}; mat = cli._B_ALGOS['mat']\n"
+             "cli._B_ALGOS['mat'] = lambda n: mat(n) // (n != 250)")
+    for workers in ("2", "4"):
+        proc = run_checked("verify", "--max", "300", "--workers", workers, setup=setup)
+        assert (proc.returncode, proc.stdout) == (EXIT_INTERNAL, ""), workers
+        assert proc.stderr.startswith("internal error: ") and proc.stderr.count("\n") == 1
+        assert "ZeroDivisionError" in proc.stderr
 
 
 def test_check_range_clean():
@@ -415,7 +475,7 @@ _COMMANDS = {
     "decompose": ({"--n": _NUMBER}, {}),
     "iso": ({"--m": _NUMBER, "--n": _NUMBER, "--limit": _SMALL},
             {"--structural": None, "--budget": _SMALL}),
-    # at most one worker: no process pool is started
+    # at most one worker: verify runs in this process and forks none
     "verify": ({}, {"--max": st.integers(0, 40).map(str), "--workers": st.sampled_from("01")}),
     "table": ({"--max": st.integers(0, 40).map(str)}, {}),
     "bogus": ({"--n": _NUMBER}, {}),

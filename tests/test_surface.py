@@ -1,12 +1,13 @@
 """A caller for every public name of the library layers.
 
 A public name of ``words``, ``stern``, ``structure``, ``graphs``, ``blocks`` or ``iso`` (a
-top-level name, or a member of a public class: method, property, field or
-attribute set in ``__init__``) stays only while something besides the tests
-calls it: another module of the package, the benchmark's workloads (which also
-call ``stern`` functions by name), or an acceptance criterion.  ``CALLERS``
-records one such caller per name, so a new name that only tests call fails
-here until it is given one, and a deleted name until its entry goes.
+top-level name, or a member of a public class: method, property, field, field of
+the named tuple it extends, or attribute set in ``__init__``) stays only while
+something besides the tests calls it: another module of the package, the
+benchmark's workloads (which also call ``stern`` functions by name), or an
+acceptance criterion.  ``CALLERS`` records one such caller per name, so a new
+name that only tests call fails here until it is given one, and a deleted name
+until its entry goes.
 """
 
 import ast
@@ -81,6 +82,9 @@ def public_names(module: str) -> set[str]:
             names.add(node.name)
         names.update(t.id for t in _targets(node) if isinstance(t, ast.Name))
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for base in node.bases:  # class X(namedtuple("X", "a b c")) has fields a, b and c
+                if isinstance(base, ast.Call) and getattr(base.func, "id", "") == "namedtuple":
+                    names.update(f"{node.name}.{m}" for m in base.args[1].value.split())
             for sub in node.body:
                 members = [t.id for t in _targets(sub) if isinstance(t, ast.Name)]
                 if isinstance(sub, ast.FunctionDef):
