@@ -3,22 +3,23 @@
 b(n) = |H(n)| is computed by the classical recursion, two 2x2 matrix
 products over the binary digits (digit-by-digit and run-by-run), an
 iterative single-pass scan, and a fold over the block decomposition of
-the minimal expansion.  Also: b(n) with the arc count a(n) in one digit
-pass (``b_and_a``, for one n), the same pair as one endless stream over
-n = 0, 1, 2, ..., each row from the rows at n's halves at O(1) additions
-(``b_and_a_rows``, for tables and level sets), the cyclomatic number
-v(n), and Stern's diatomic sequence c(n) = b(n - 1) with its own matrix
-pair.  All arithmetic is plain Python ints (arbitrary precision), and no
-evaluator keeps state between calls.
+the minimal expansion.  Also: b(n) with the arc count a(n), folding the
+blocks' dual matrices M + εN (``b_and_a``, for one n), the same pair as
+one endless stream over n = 0, 1, 2, ..., each row from the rows at n's
+halves at O(1) additions (``b_and_a_rows``, for tables and level sets),
+the cyclomatic number v(n), and Stern's diatomic sequence c(n) = b(n - 1)
+with its own matrix pair.  All arithmetic is plain Python ints (arbitrary
+precision), and no evaluator keeps state between calls.
 
 The matrix evaluators (``b_matrix``, ``b_matrix_blocks``, ``b_algorithm1``,
-``b_block_formula``, ``c_matrix``) are digit folds: products of small
-integer 2x2 matrices.  Folding one big vector a digit at a time costs
-O(bits) additions of O(bits)-bit numbers, O(bits^2) in all.  Instead each
-cuts its digits into leaves of at most ``_LEAF`` digits, runs a step rule
-on a leaf with the two unit vectors packed into one int as lanes of
-``_LANE`` bits, keeps the lanes of its two ints as the leaf, and multiplies
-the leaves as a balanced tree (``_product``).  ``b_matrix`` and ``c_matrix``
+``b_block_formula``, ``c_matrix``, and ``b_and_a`` over dual matrices) are
+digit folds: products of small integer 2x2 matrices.  Folding one big
+vector a digit at a time costs O(bits) additions of O(bits)-bit numbers,
+O(bits^2) in all.  Instead each cuts its digits into leaves of at most
+``_LEAF`` digits, runs a step rule on a leaf with the two unit vectors
+packed into one int as lanes of ``_LANE`` bits, keeps its ints as the
+leaf, and multiplies the leaves as a balanced tree that computes only the
+entry the caller reads (``_entry``).  ``b_matrix`` and ``c_matrix``
 share ``_digit_fold``, a byte of n at a time through a table of each
 byte's matrix.  ``b_algorithm1`` also reads a byte at a time, through its
 own table built from its own digit rule (``_ALG1``), and the other two keep
@@ -32,26 +33,27 @@ n >= 0, come from ``words`` (``int.to_bytes`` in the byte kernels).
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator
-from itertools import islice, product
+from itertools import islice, product, zip_longest
 
-from .structure import block_transfer
-from .words import BLOCKS, binary_expansion, even_core, minimal_expansion
+from .structure import block_transfer, dual_transfer
+from .words import binary_expansion, even_core, minimal_expansion
 
 _LEAF = 256
 # A product of L digit matrices of either pair has entries of absolute
 # value at most Fib(L + 2) (brute-forced for L <= 14), and a block matrix
-# of word length a has row sums at most a + 1 <= 2^a, so a leaf's entries
-# stay below 2^(_LEAF + 1) (a leaf of one longer block: at most a + 1):
-# signed lanes of _LEAF + 2 bits never carry into each other.  A byte table
-# entry is a product of 8 digit matrices (|entry| <= Fib(10) = 55), a leaf
-# _LEAF / 8 of them: the <= 7 zero digits padding n's top byte fix (1, 0).
+# M_t of word length t + 1 has row sums <= t + 2 <= 2^(t + 1), so a leaf's
+# entries are at most 2^_LEAF (a leaf of one longer block: t + 2).  As
+# 0 <= N_t <= M_t, the ε part of a leaf with s <= _LEAF 2s, a sum of s
+# products, is at most s times that, below 2^(_LEAF + 8): a leaf's arcs are
+# at most its digits times its b.  Signed lanes of _LEAF + 10 bits never
+# carry into each other.  A byte table entry is a product of 8 digit
+# matrices (|entry| <= Fib(10) = 55), a leaf _LEAF / 8 of them: the <= 7
+# zero digits padding n's top byte fix (1, 0).
 # Algorithm 1 applies each run count as it is counted, so no counter carries
 # into a leaf: a leaf is a product of at most _LEAF of b's digit matrices
 # (pad 0s included), and Fib(_LEAF + 2) < 2^178 bounds its entries.
-_LANE = _LEAF + 2
-_RUNS = re.compile("0+|1+")
+_LANE = _LEAF + 10
 
 
 def _mul_pairs(pairs: Iterable) -> list[tuple[int, int, int, int]]:
@@ -60,12 +62,28 @@ def _mul_pairs(pairs: Iterable) -> list[tuple[int, int, int, int]]:
             for (a, b, c, d), (e, f, g, h) in pairs]
 
 
-def _product(mats: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
-    """The product of 2x2 matrices (a, b, c, d) in list order, as a balanced tree."""
+def _mul_duals(pairs: Iterable) -> list[tuple[int, ...]]:
+    """(A, E)(B, F) = (AB, AF + EB), as ε^2 = 0, for each pair of A + εE = (a, ..., h)."""
+    return [(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s,
+             a * t + b * v + e * p + f * r, a * u + b * w + e * q + f * s,
+             c * t + d * v + g * p + h * r, c * u + d * w + g * q + h * s)
+            for (a, b, c, d, e, f, g, h), (p, q, r, s, t, u, v, w) in pairs]
+
+
+def _entry(leaves: list[tuple[int, ...]], j: int, mul=_mul_pairs) -> tuple[int, ...]:
+    """Entry (0, j) of the product of the leaves in list order, as a balanced tree: (x,) for leaves
+    (x, y) of packed rows (``_leaf``), (x, x') for dual leaves (x, y, x', y'), x' the ε part.
+
+    The first leaf is a start row alone: one leaf is its own entry, and the tree's left spine has
+    a zero second row.  The last keeps only its column j, so the right spine has a zero column."""
+    if len(leaves) == 1:
+        return leaves[0][j::2]
+    *mats, last = (_leaf(*ints) for ints in leaves)
+    mats.append(tuple(x if i % 2 == j else 0 for i, x in enumerate(last)))
     while len(mats) > 1:
-        pairs = _mul_pairs(zip(mats[::2], mats[1::2]))
+        pairs = mul(zip(mats[::2], mats[1::2]))
         mats = pairs + mats[-1:] if len(mats) % 2 else pairs
-    return mats[0] if mats else (1, 0, 0, 1)
+    return mats[0][j::4]
 
 
 # each byte's 8 digit matrices multiplied top digit first, by doubling 1 -> 2 -> 4 -> 8 digits, for
@@ -91,29 +109,29 @@ def _alg1_byte(t: int, byte: int) -> tuple[int, int, int, int, int, int]:
 _ALG1 = [_alg1_byte(t, byte) for t in range(3) for byte in range(256)]
 
 
-def _digit_fold(n: int, table: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
-    """The row (1, 0) through n's digit matrices, top digit first, as entries [0] and [1].
+def _digit_fold(n: int, table: list[tuple[int, int, int, int]], j: int) -> int:
+    """Entry j of the row (1, 0) through n's digit matrices, top digit first.
 
     A leaf takes the rows (1, 0) and (0, 1), packed as (x, y), a byte at a time; the first takes
-    (1, 0) alone, so products on the tree's left spine have a zero second row and cost half."""
+    (1, 0) alone.  n = 0 is one zero byte."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    data = n.to_bytes((n.bit_length() + 7) // 8, "big")
-    mats, x, y = [], 1, 0
+    data = n.to_bytes((n.bit_length() + 7) // 8 or 1, "big")
+    leaves, x, y = [], 1, 0
     for i in range(0, len(data), _LEAF // 8):
         for byte in data[i : i + _LEAF // 8]:
             a, b, c, d = table[byte]
             x, y = a * x + c * y, b * x + d * y
-        mats.append(_leaf(x, y))
+        leaves.append((x, y))
         x, y = 1, 1 << _LANE
-    return _product(mats)
+    return _entry(leaves, j)[0]
 
 
-def _leaf(x: int, y: int) -> tuple[int, int, int, int]:
-    """The leaf (x0, y0, x1, y1) of packed ints x = x0 + x1 * 2^_LANE and y, all lanes signed."""
+def _leaf(x: int, y: int, *rest: int) -> tuple[int, ...]:
+    """(x0, y0, x1, y1) of packed ints x = x0 + x1 * 2^_LANE and y, lanes signed, and so on."""
     mask, half = (1 << _LANE) - 1, 1 << (_LANE - 1)
     x0, y0 = ((x + half) & mask) - half, ((y + half) & mask) - half
-    return x0, y0, (x - x0) >> _LANE, (y - y0) >> _LANE
+    return (x0, y0, (x - x0) >> _LANE, (y - y0) >> _LANE, *(rest and _leaf(*rest)))
 
 
 def b_recursive(n: int) -> int:
@@ -139,28 +157,30 @@ def b_matrix(n: int) -> int:
     The row vector (top, bottom) = (1, 0) takes the digits most
     significant first: 0 adds bottom to top, 1 adds top to bottom.
     """
-    return _digit_fold(n, _B_BYTES)[0]
+    return _digit_fold(n, _B_BYTES, 0)
 
 
 def b_matrix_blocks(n: int) -> int:
     """Same product as b_matrix, grouped over maximal runs of equal bits.
 
-    Uses M0^a = (1 a; 0 1) and M1^a = (1 0; a 1) applied run by run.
-    An independent cross-check, not a faster b_matrix: a random n's runs average two digits,
-    but a regex match and a small-int multiplication per run lose to b_matrix's byte steps:
-    2.3 to 3.3 times its time from 64k down to 4k bits.  Leaves are laid out as ``_digit_fold``'s,
-    the first from (1, 0) alone."""
-    bits = binary_expansion(n)
-    mats, top, bottom = [], 1, 0
+    Uses M0^a = (1 a; 0 1) and M1^a = (1 0; a 1) applied run by run, a 1-run and the 0-run after
+    it per step, the run lengths split off in C.  An independent cross-check, not a faster
+    b_matrix: a random n's runs average two digits, but a small-int multiplication per run loses
+    to b_matrix's byte steps: 2.0 to 2.5 times its time from 64k down to 4k bits.  Leaves are
+    laid out as ``_digit_fold``'s, the first from (1, 0) alone; n = 0 is the digit 0."""
+    bits = binary_expansion(n) or "0"
+    leaves, top, bottom = [], 1, 0
     for i in range(0, len(bits), _LEAF):
-        for run in _RUNS.findall(bits, i, i + _LEAF):
-            if run[0] == "0":
-                top += len(run) * bottom
-            else:
-                bottom += len(run) * top
-        mats.append(_leaf(top, bottom))
+        seg = bits[i : i + _LEAF]
+        runs = map(len, seg.replace("01", "0 1").replace("10", "1 0").split())
+        if seg[0] == "0":
+            top += next(runs) * bottom
+        for ones, zeros in zip_longest(runs, runs, fillvalue=0):
+            bottom += ones * top
+            top += zeros * bottom
+        leaves.append((top, bottom))
         top, bottom = 1, 1 << _LANE
-    return _product(mats)[0]
+    return _entry(leaves, 0)[0]
 
 
 def b_algorithm1(n: int) -> tuple[int, int]:
@@ -177,58 +197,52 @@ def b_algorithm1(n: int) -> tuple[int, int]:
     alone, so products on the tree's left spine have a zero second row.
     """
     m = n >> even_core(n)[1] + 1  # above n's trailing 1s and the 0 after them
-    data = m.to_bytes((m.bit_length() + 7) // 8, "little")
-    mats, b, s, t, expensive = [], 1, 1, 0, 0
+    data = m.to_bytes((m.bit_length() + 7) // 8 or 1, "little")
+    leaves, b, s, t, expensive = [], 1, 1, 0, 0
     for i in range(0, len(data), _LEAF // 8):
         for byte in data[i : i + _LEAF // 8]:
             p, q, r, u, e, t = _ALG1[t + byte]
             b, s = p * b + q * s, r * b + u * s
             expensive += e
-        mats.append(_leaf(b, s))
+        leaves.append((b, s))
         b, s = 1, 1 << _LANE
-    return _product(mats)[0], expensive + (t == 512)  # t = 256 * 2: the final step ends an a2 run
+    return _entry(leaves, 0)[0], expensive + (t == 512)  # t = 256 * 2: the last step ends an a2 run
+
+
+def _block_leaves(n: int, transfer, *eps: int) -> list[tuple[int, ...]]:
+    """``transfer`` on the leaves of n's even core's minimal expansion, transposed and from the
+    word's end, the first from the row (1, 1) alone, the others from the packed rows, with ε column
+    ``eps``.  Trailing 1s change neither b nor a.  A leaf ends at a 2 and starts after one or at
+    the word's start: at most ``_LEAF`` digits, or one long block 1^t 2."""
+    word = minimal_expansion(even_core(n)[0])
+    leaves, j, k = [], len(word), 1
+    while True:
+        i = 0 if j <= _LEAF else (word.find("2", j - _LEAF - 1, j - 1) + 1
+                                  or word.rfind("2", 0, j - 1) + 1)  # or that long 1^t 2
+        leaves.append(transfer(word[i:j], 1, k, *eps))
+        if not i:
+            return leaves
+        j, k = i, 1 << _LANE
 
 
 def b_block_formula(n: int) -> int:
-    """b(n) as h, row 0 of the block matrices of n's even core, in word order, times (1, 1).
-
-    Trailing 1s leave b unchanged.  Each leaf is a run of whole blocks
-    ending at a ``2``: at most ``_LEAF`` digits, or one long type-1 block.
-    Leaves are transposed and taken from the word's end, behind the row (1, 1), so products on the
-    tree's left spine have a zero second row.
-    """
-    word = minimal_expansion(even_core(n)[0])
-    mats = []
-    i = 0
-    while i < len(word):
-        j = word.rfind("2", i, i + _LEAF) + 1 or word.index("2", i) + 1
-        h, k = block_transfer(BLOCKS.findall(word, i, j), 1, 1 << _LANE)
-        mats.append(_leaf(h, k))
-        i = j
-    return _product([(1, 1, 0, 0), *reversed(mats)])[0]
+    """b(n) as h, row 0 of the block matrices of n's even core, in word order, times (1, 1)."""
+    return _entry(_block_leaves(n, block_transfer), 0)[0]
 
 
 def b_and_a(n: int) -> tuple[int, int]:
-    """(b(n), a(n)) in one pass over the binary digits of n, top bit first.
+    """(b(n), a(n)): row 0 of the dual block matrices M + εN of n's even core times (1, 1).
 
-    For q = n >> k it keeps b(q), a(q), b(q-1), a(q-1) and T(q-1), where
-    T(x) counts the expansions of x ending in 2: T(2s+2) = b(s), and T is
-    0 at 0 and at odd x.  With a(2r+1) = a(r) and
-    a(2r) = a(r) + a(r-1) + b(r-1) - T(r-1), each digit is a few additions.
-    """
-    b, arcs, b1, arcs1, t1 = 1, 0, 0, 0, 0  # q = 0: b(-1), a(-1), T(-1) are 0
-    for ch in binary_expansion(n):
-        b_even, arcs_even = b + b1, arcs + arcs1 + b1 - t1  # b(2q), a(2q)
-        if ch == "1":
-            b1, arcs1, t1 = b_even, arcs_even, b1
-        else:
-            b, arcs, t1 = b_even, arcs_even, 0
-    return b, arcs
+    N counts arcs as M counts vertices (``structure.dual_transfer``), so the ε part, a sum of
+    products with one M swapped for its N, counts the pairs of a vertex and one of its arcs."""
+    return _entry(_block_leaves(n, dual_transfer, 0, 0), 0, _mul_duals)
 
 
 def b_and_a_rows() -> Iterator[tuple[int, int, int]]:
-    """(b(n), a(n), T(n)) for n = 0, 1, 2, ...: the rules of ``b_and_a``, read off n's halves.
+    """(b(n), a(n), T(n)) for n = 0, 1, 2, ..., each row read off the rows at n's halves.
 
+    T(x) counts the expansions of x ending in 2: T(2s + 2) = b(s), and T is
+    0 at odd x; a(2r + 1) = a(r) and a(2r) = a(r) + a(r-1) + b(r-1) - T(r-1).
     Rows 2r and 2r + 1 come from rows r - 1 and r of a second stream of
     the same rows, which starts only at n = 2; the k-th nested stream
     starts near n = 2^k, so O(log n) generators are alive at a time.
@@ -270,7 +284,7 @@ def c_matrix(n: int) -> int:
     """
     if n < 1:
         raise ValueError("c is defined for n >= 1")
-    return _digit_fold(n, _C_BYTES)[1]
+    return _digit_fold(n, _C_BYTES, 1)
 
 
 def v_level_set_even(level: int, max_n: int) -> list[int]:

@@ -7,13 +7,13 @@ lexicographic order is the shortlex order of the words, and an arc steps
 one state, its place, to the vertex a fixed stride of ids on.  ``walk``
 generates A(n) so, in id order, as pieces that ``column`` reads;
 ``block_transfer`` counts the completions of a state by the paper's block
-matrices, which ``stern.b_block_formula`` folds too.
+matrices, and ``dual_transfer`` their arcs too, which ``stern`` folds.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from itertools import chain, repeat
 from operator import add
 
@@ -38,20 +38,34 @@ class Label:
 Pieces = namedtuple("Pieces", "prefixes templates blocks")
 
 
-def block_transfer(blocks: Sequence[str], h: int, k: int) -> tuple[int, int]:
-    """The product, in word order, of the block matrices of ``blocks``, times the column (h, k).
-
-    A block 1^t 2 of word length a has matrix (a 1; a-1 1), a block 2^a has
-    (1 a; 0 1): from the counts of completions after a block, h after a state
-    that ends in 0 and k after one that does not, to those before it.
-    """
-    for block in reversed(blocks):
-        a = len(block)
-        if block[0] == "1":
-            h, k = a * h + k, (a - 1) * h + k
-        else:
-            h, k = h + a * k, k
+def block_transfer(word: str, h: int, k: int) -> tuple[int, int]:
+    """The product, in word order, of the block matrices of ``word`` (1s and 2s, ending in 2 or
+    empty), times (h, k).  A block 1^t 2 has matrix M_t = (t+1 1; t 1), a block 2^a has
+    (1 a; 0 1) = M_0^a: from the counts of completions after a block, h after a state that ends in
+    0 and k after one that does not, to those before it.  So each 2, with the t >= 0 1s just
+    before it, applies M_t, and the word may start inside a 2^a."""
+    for t in map(len, word.split("2")[-2::-1]):  # from the word's last 2 back
+        k += t * h
+        h += k
     return h, k
+
+
+def dual_transfer(word: str, h: int, k: int, hp: int, kp: int) -> tuple[int, int, int, int]:
+    """``block_transfer`` over the dual matrices M_t + εN_t, ε^2 = 0, times (h, k) + ε(hp, kp).
+
+    M counts a block's admissible states by their completions, N those with an out-arc: all but
+    the last, which ends in 0, or in row 1 of 2^a is the block word.  So N_t = M_t - (1 0; 1 0)
+    for t > 0 and N_0 = M_0 - I (2^a's N is the ε part of (M_0 + εN_0)^a), and a product's ε
+    part counts the arcs of the completions."""
+    for t in map(len, word.split("2")[-2::-1]):
+        if t:  # (hp, kp) <- M_t (hp, kp) + M_t (h, k) - (h, h)
+            k += t * h
+            kp += t * hp + k - h
+            hp += kp + h
+        else:  # (hp, kp) <- M_0 (hp, kp) + (k, 0)
+            hp += kp + k
+        h += k
+    return h, k, hp, kp
 
 
 def block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple | None]]:
@@ -107,7 +121,7 @@ def walk(n: int, limit: int) -> Pieces:
         k, h = counts[-1]
         if h > limit:
             break
-        h, k = block_transfer((block,), h, k)
+        h, k = block_transfer(block, h, k)
         counts.append((k, h))
     counts.reverse()
     bits = n.bit_length()  # the longest word's length; n itself may be too long to print

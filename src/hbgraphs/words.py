@@ -7,8 +7,8 @@ expansion* when it is empty or its leading digit is nonzero.
 
 A block is a word too: ``decompose`` cuts a minimal expansion into the
 block words 1^t 2 and 2^t of the paper's structure theorem.  ``BLOCKS``
-is the one copy of the block grammar; ``stern`` cuts its leaves with it,
-and ``structure`` takes its block words from ``decompose``.
+is the one copy of the block grammar, and ``structure`` takes its block
+words from ``decompose``; its transfers read whole blocks a 2 at a time.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ Each oracle kept here checks the library by a route the benchmark lacks:
 - the decomposition oracle scans a minimal expansion for its blocks one
   digit at a time, without the block pattern of ``words``;
 - the (b, v) oracle runs the classical recursions on an explicit stack,
-  where ``stern.b_and_a`` and ``oracles.b_and_a`` are top-first digit passes;
+  where ``stern.b_and_a`` folds dual block matrices and ``oracles.b_and_a``
+  is a top-first digit pass;
 - the b and c oracles fold one vector through the digit matrices a digit
   at a time, so a fault shows apart in ``stern``'s leaves or product tree;
 - the Algorithm 1 oracle scans n's digits with its two run counters,

@@ -330,7 +330,7 @@ def cut_after(n, c):
     """A patch of ``TEMPLATE_SIZE`` to the completions after block c of n, so ``walk`` cuts
     A(n) after block c: no block lowers that count, and each one raises it."""
     blocks, _ = decompose(minimal_expansion(n))
-    return patch.object(structure, "TEMPLATE_SIZE", block_transfer(blocks[c:], 1, 1)[0])
+    return patch.object(structure, "TEMPLATE_SIZE", block_transfer("".join(blocks[c:]), 1, 1)[0])
 
 
 def pieces_at_every_cut(n):

@@ -2,7 +2,8 @@ import ast
 import random
 import tracemalloc
 from functools import reduce
-from itertools import islice
+from itertools import islice, product
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hbgraphs
+import oracles
 from conftest import (
     oracle_algorithm1,
     oracle_b_matrix,
@@ -18,7 +20,12 @@ from conftest import (
     oracle_expansions,
 )
 from hbgraphs.stern import (
-    _product,
+    _LANE,
+    _LEAF,
+    _block_leaves,
+    _entry,
+    _mul_duals,
+    _mul_pairs,
     a,
     b_and_a,
     b_and_a_rows,
@@ -33,6 +40,7 @@ from hbgraphs.stern import (
     v1_all,
     v_level_set_even,
 )
+from hbgraphs.structure import dual_transfer
 from hbgraphs.words import decompose, even_core, minimal_expansion
 
 
@@ -230,13 +238,84 @@ def _mul(x, y):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def _mul_dual(x, y):
+    (a, e), (b, f) = (x[:4], x[4:]), (y[:4], y[4:])
+    return _mul(a, b) + tuple(map(add, _mul(a, f), _mul(e, b)))
+
+
+def _packed(mat):
+    """The leaf of ``_entry`` that holds a matrix, or a dual one: each pair of ints (x, y) holds the
+    rows of one 2x2 matrix (a, b, c, d) as lanes, x = a + c 2^_LANE and y = b + d 2^_LANE."""
+    return tuple(x for i in range(0, len(mat), 4)
+                 for x in (mat[i] + (mat[i + 2] << _LANE), mat[i + 1] + (mat[i + 3] << _LANE)))
+
+
 def test_product_is_a_left_fold():
+    # the entry kernel takes a start row as its first leaf, here followed by 0 to 9 random signed
+    # matrices, plain or dual: it gives entry (0, j) of their product, and that of the ε part
     rng = random.Random("product")
-    assert _product([]) == (1, 0, 0, 1)
-    for size in range(1, 10):
-        for _ in range(30):
-            mats = [tuple(rng.randint(-99, 99) for _ in range(4)) for _ in range(size)]
-            assert _product(mats) == reduce(_mul, mats), mats
+    for width, mul, fold in ((4, _mul_pairs, _mul), (8, _mul_duals, _mul_dual)):
+        for size in range(10):
+            for _ in range(30):
+                row = tuple(rng.randint(-99, 99) if i % 4 < 2 else 0 for i in range(width))
+                mats = [row] + [tuple(rng.randint(-99, 99) for _ in range(width))
+                                for _ in range(size)]
+                for j in (0, 1):
+                    assert _entry(list(map(_packed, mats)), j, mul) == reduce(fold, mats)[j::4]
+
+
+def _long_blocks(k: int) -> list[str]:
+    """1^k 2 and 2^k alone, and between short blocks, where the leaf holding one is packed."""
+    return [w for block in ("1" * k + "2", "2" * k) for w in (block, "12" + block + "1122")]
+
+
+@pytest.mark.parametrize("length", [*range(248, 267), *range(504, 523)])
+def test_b_and_a_at_leaf_boundaries(length):
+    rng = random.Random(length)
+    words = [("12" * length)[-length:], "2" * length, "1" * (length - 1) + "2",
+             *("".join(rng.choice("12") for _ in range(length - 1)) + "2" for _ in range(3))]
+    for word in words:
+        for n in (oracles.value(word), oracles.value(word + "11")):  # even, and with trailing 1s
+            assert minimal_expansion(n).rstrip("1") == word
+            assert b_and_a(n) == oracles.b_and_a(n), word
+
+
+@pytest.mark.parametrize("k", [255, 256, 257, 1000])
+def test_b_and_a_on_long_blocks(k):
+    for word in _long_blocks(k):
+        n = oracles.value(word)
+        assert b_and_a(n) == oracles.b_and_a(n), word
+
+
+def test_b_and_a_at_16k_bits():
+    rng = random.Random(16384)
+    for _ in range(3):
+        n = rng.getrandbits(16384) | 1 << 16383
+        assert b_and_a(n) == oracles.b_and_a(n)
+
+
+def _largest_eps(word: str) -> int:
+    """The largest entry of the ε part of a leaf's dual matrix: a leaf's largest arc count."""
+    return max(x for col in ((1, 0), (0, 1)) for x in dual_transfer(word, *col, 0, 0)[2:])
+
+
+def _extreme(length: int) -> str:
+    """The word of ``length`` digits with the largest ε entry: (21)^* 22 or (12)^* 2."""
+    return ("12" * length)[1 - length :] + "2"
+
+
+def test_dual_leaf_lanes_hold_the_largest_arc_count():
+    for length in range(2, 13):  # brute force: no word of up to 12 digits has a larger ε entry
+        words = ("".join(w) + "2" for w in product("12", repeat=length - 1))
+        assert _largest_eps(_extreme(length)) == max(map(_largest_eps, words)), length
+    leaf = _extreme(_LEAF)
+    # the bound stated at _LANE: at most the leaf's digits times its b, in a signed lane; the
+    # first leaf, the row (1, 1) alone, holds the most, and three leaves decode it from lanes
+    largest = max(dual_transfer(leaf, 1, 1, 0, 0))
+    assert _largest_eps(leaf) < largest <= _LEAF * 2**_LEAF < 2 ** (_LANE - 1)
+    n = oracles.value(leaf * 3)
+    assert len(_block_leaves(n, dual_transfer, 0, 0)) == 3
+    assert b_and_a(n) == oracles.b_and_a(n)
 
 
 def _shaped(bits: int, rng: random.Random) -> list[int]:

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: "criterion N" of test_acceptance.py, or "kept: why" for a name with none of these
 CALLERS = {
     "words": {
-        "BLOCKS": "stern", "EMPTY_WORD_DISPLAY": "words", "validate_word": "words",
+        "BLOCKS": "words", "EMPTY_WORD_DISPLAY": "words", "validate_word": "words",
         "binary_expansion": "stern", "minimal_expansion": "cli", "even_core": "iso",
         "decompose": "cli", "render": "cli",
     },
@@ -35,8 +35,8 @@ CALLERS = {
     "structure": {
         "DEFAULT_LIMIT": "cli", "DIGITS_PER_VERTEX": "cli", "TEMPLATE_SIZE": "structure",
         "SizeLimitError": "cli", "Label": "iso", "Label.SINGLE": "iso", "Label.DOUBLE": "iso",
-        "Pieces": "graphs", "block_transfer": "stern", "block_states": "blocks", "walk": "blocks",
-        "column": "graphs",
+        "Pieces": "graphs", "block_transfer": "stern", "dual_transfer": "stern",
+        "block_states": "blocks", "walk": "blocks", "column": "graphs",
     },
     "graphs": {
         "Arc": "blocks", "enumerate_expansions": "cli", "build_graph": "cli", "counts": "cli",
