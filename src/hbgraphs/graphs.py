@@ -6,7 +6,8 @@ SINGLE (->) or DOUBLE (->>).  A completed graph is immutable.
 
 ``build_graph`` reads A(n) off the pieces of ``structure.walk`` as aligned
 arc columns, kept by ``HbGraph``, which the exports, ``counts`` and ``iso``
-read without making one object per arc.  Its ids are a topological order
+read without making one object per arc; ``arcs`` is a view over the columns
+that makes an ``Arc`` per read and keeps none.  Its ids are a topological order
 of 0..b-1, checked once, when a graph is made.  ``export_dot``,
 ``export_json`` and ``export_stream`` write their text with one writer,
 ``_text``; ``export_stream`` from the pieces, a prefix at a time.
@@ -44,8 +45,8 @@ class HbGraph(namedtuple("HbGraph", "n vertices tails heads labels positions")):
     whose labels are not SINGLE or DOUBLE, or whose ids or arcs break these
     orders, is refused when made by the class (``_make`` and ``_replace`` skip the checks).
 
-    ``Arc`` objects are all made at once, on the first read of ``arcs``,
-    ``out_arcs`` or ``arc``.
+    ``arcs`` is a read-only Sequence view over the columns: ``out_arcs``, ``arc``, an index
+    or a slice make only the ``Arc`` objects they return, and iteration one at a time.
     """
 
     def __new__(cls, n: int, vertices: tuple[str, ...], tails: tuple[int, ...],
@@ -74,9 +75,9 @@ class HbGraph(namedtuple("HbGraph", "n vertices tails heads labels positions")):
     def index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.vertices)}
 
-    @cached_property
-    def arcs(self) -> tuple[Arc, ...]:
-        return tuple(map(Arc, self.tails, self.heads, self.labels, self.positions))
+    @property
+    def arcs(self) -> Sequence[Arc]:
+        return _Arcs(self)
 
     @cached_property
     def out_offsets(self) -> list[int]:
@@ -112,6 +113,28 @@ class HbGraph(namedtuple("HbGraph", "n vertices tails heads labels positions")):
         """The arc from ``tail`` to ``head``, or None."""
         i = self.find(self._vertex(tail), self._vertex(head))
         return None if i is None else self.arcs[i]
+
+
+class _Arcs(Sequence):
+    """The arcs of ``graph``, read off its columns: a slice is a tuple, iteration a map."""
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: HbGraph):
+        self.graph = graph
+
+    def __len__(self) -> int:
+        return len(self.graph.tails)
+
+    def __getitem__(self, i):
+        g = self.graph
+        if isinstance(i, slice):
+            return tuple(map(Arc, g.tails[i], g.heads[i], g.labels[i], g.positions[i]))
+        return Arc(g.tails[i], g.heads[i], g.labels[i], g.positions[i])
+
+    def __iter__(self) -> Iterator[Arc]:
+        g = self.graph
+        return map(Arc, g.tails, g.heads, g.labels, g.positions)
 
 
 class ArcColumn(Mapping):

@@ -24,8 +24,8 @@ Each oracle kept here checks the library by a route the benchmark lacks:
   applying each count when its run ends, without ``stern``'s byte table;
 - the isomorphism oracle filters candidates by comparing every pair of
   vertex signatures and checks every arc to a matched vertex through
-  ``Arc`` objects, its in-arcs filtered from ``arcs``, without the buckets
-  and in-arc rows of ``iso.labeled_iso``;
+  ``Arc`` objects, each vertex's out- and in-arcs gathered from one read of
+  ``arcs``, without the buckets and in-arc rows of ``iso.labeled_iso``;
 - the export oracles build a dict per arc and encode the document with
   ``json.dumps``, and render both ends of every DOT arc;
 - the descendants oracle walks a built graph's out-arcs and re-indexes
@@ -261,10 +261,12 @@ def oracle_descendants(g, start: int):
                 frontier.append(arc.head)
     verts = _oracle_shortlex_sorted(g.vertices[v] for v in reach)
     index = {w: i for i, w in enumerate(verts)}
+    # every out-arc of a reached vertex reaches its head: the reached vertices' out-arcs in
+    # tail order are the induced arcs in g's order, read without a scan of all g's arcs
     arcs = tuple(
         Arc(index[g.vertices[a.tail]], index[g.vertices[a.head]], a.label, a.position)
-        for a in g.arcs
-        if a.tail in reach and a.head in reach
+        for v in sorted(reach)
+        for a in g.out_arcs(v)
     )
     # start is the source, and the original sink, reachable from every vertex, is the sink
     assert (index[g.vertices[start]], index[g.vertices[g.sink]]) == (0, len(verts) - 1)
@@ -282,23 +284,29 @@ def oracle_labeled_iso(g1, g2) -> tuple[tuple | None, int]:
     if n1 != n2 or len(g1.arcs) != len(g2.arcs):
         return None, 0
 
-    ins1, ins2 = ([[a for a in g.arcs if a.head == v] for v in range(len(g.vertices))]
-                  for g in (g1, g2))
+    def rows(g):
+        """Each vertex's out-arcs and in-arcs, from one read of ``g.arcs``."""
+        outs, ins = [[] for _ in g.vertices], [[] for _ in g.vertices]
+        for a in g.arcs:
+            outs[a.tail].append(a)
+            ins[a.head].append(a)
+        return outs, ins
 
-    def signature(g, ins, v):
+    (outs1, ins1), (outs2, ins2) = rows(g1), rows(g2)
+
+    def signature(g, outs, ins, v):
         level = sum(map(int, g.vertices[v])) - sum(map(int, g.vertices[g.sink]))
-        outs = g.out_arcs(v)
         return (level, tuple(sorted(a.label for a in outs)), tuple(sorted(a.label for a in ins)))
 
-    sigs1 = [signature(g1, ins1[v], v) for v in range(n1)]
-    sigs2 = [signature(g2, ins2[v], v) for v in range(n2)]
+    sigs1 = [signature(g1, outs1[v], ins1[v], v) for v in range(n1)]
+    sigs2 = [signature(g2, outs2[v], ins2[v], v) for v in range(n2)]
     if sorted(sigs1) != sorted(sigs2):
         return None, 0
     order = range(n1)
     candidates = [[w for w in range(n2) if sigs2[w] == sigs1[v]] for v in range(n1)]
 
     def consistent(v, w):
-        for arc in g1.out_arcs(v):
+        for arc in outs1[v]:
             if arc.head in mapping:
                 img = g2.arc(w, mapping[arc.head])
                 if img is None or img.label != arc.label:

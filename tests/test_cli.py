@@ -379,8 +379,8 @@ def run_checked(*argv, setup=""):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-#: four CPUs reported, so that --workers 4 forks four children on any host
-_FOUR_CPUS = "os.cpu_count = lambda: 4"
+#: four CPUs to run on, so that --workers 4 forks four children on any host
+_FOUR_CPUS = "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}"
 
 
 def test_forked_verify_prints_what_the_serial_run_prints():
@@ -389,6 +389,17 @@ def test_forked_verify_prints_what_the_serial_run_prints():
     for workers in ("2", "4"):
         proc = run_checked("verify", "--max", "300", "--workers", workers, setup=_FOUR_CPUS)
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "OK 300\n", ""), workers
+
+
+@pytest.mark.parametrize(("cpus", "forks"), [({0}, 0), ({0, 2}, 2)])
+def test_forked_verify_forks_no_more_than_the_cpus_it_may_run_on(cpus, forks):
+    # four CPUs in the machine, but this process may run on fewer: --workers 4 forks that many
+    setup = (f"os.cpu_count = lambda: 4; os.sched_getaffinity = lambda pid: {cpus}\n"
+             "import atexit; fork, forked = os.fork, []\n"
+             "os.fork = lambda: forked.append(1) or fork()\n"
+             "atexit.register(lambda: print(len(forked), file=sys.stderr))")
+    proc = run_checked("verify", "--max", "300", "--workers", "4", setup=setup)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "OK 300\n", f"{forks}\n")
 
 
 @pytest.mark.parametrize("bad", [(250,), (60, 250)])

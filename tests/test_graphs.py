@@ -1,3 +1,6 @@
+import tracemalloc
+from collections.abc import Sequence
+from contextlib import contextmanager
 from itertools import pairwise, product, starmap
 from unittest.mock import patch
 
@@ -19,8 +22,9 @@ from conftest import (
     oracle_places,
 )
 from hbgraphs import structure
-from hbgraphs.blocks import embed
+from hbgraphs.blocks import embed, place_preserving_map
 from hbgraphs.graphs import (
+    Arc,
     build_graph,
     counts,
     enumerate_expansions,
@@ -116,7 +120,7 @@ def test_build_graph_a10():
 def test_build_graph_a0_a12():
     g0 = cached_graph(0)
     assert g0.vertices == ("",)
-    assert g0.arcs == ()
+    assert tuple(g0.arcs) == ()  # a view, which equals no tuple
     g12 = cached_graph(12)
     assert set(g12.vertices) == {"212", "1012", "220", "1020", "1100"}
     assert len(g12.arcs) == 5
@@ -141,8 +145,9 @@ def check_adjacency(g):
         scan = {pair: i for i, pair in enumerate(zip(g.tails, g.heads))}
         pairs = list(product(range(b), repeat=2))
         assert list(starmap(g.find, pairs)) == list(map(scan.get, pairs)), g.n
+    arcs = tuple(g.arcs)  # one read of the view
     outs, ins = [[] for _ in range(b)], [[] for _ in range(b)]  # in arc order, one pass
-    for i, a in enumerate(g.arcs):
+    for i, a in enumerate(arcs):
         assert 0 <= a.tail < a.head < b, (g.n, a)
         outs[a.tail].append(a)
         ins[a.head].append(i)
@@ -150,8 +155,8 @@ def check_adjacency(g):
         assert g.out_arcs(v) == tuple(outs[v]), (g.n, v)
         assert g.in_rows[v] == ins[v], (g.n, v)
         assert g.arc(v, v) is None, (g.n, v)
-    for a in g.arcs:
-        assert g.arc(a.tail, a.head) is a, (g.n, a)
+    for a in arcs:
+        assert g.arc(a.tail, a.head) == a, (g.n, a)  # each read makes its own Arc
         assert g.arc(a.head, a.tail) is None, (g.n, a)
 
 
@@ -166,19 +171,79 @@ def test_adjacency_rejects_unknown_vertex_ids():
         g.arc(-2, 4)
 
 
+@contextmanager
+def arcs_made():
+    """A list that gains an entry for each ``Arc`` made in the block, by any caller."""
+    made, new = [], Arc.__new__
+
+    def counted(cls, *fields):
+        made.append(fields)
+        return new(cls, *fields)
+
+    with patch.object(Arc, "__new__", counted):
+        yield made
+
+
 def test_library_paths_build_no_arc_objects():
-    """Only ``arcs``, ``out_arcs`` and ``arc`` make ``Arc`` objects."""
-    pg = embed(2708)
-    g1, g2 = build_graph(2708), build_graph(5417)
-    export_json(pg.graph)
-    export_dot(pg.graph)
-    export_dot(pg.graph, pg.place)
-    witness = labeled_iso(g1, g2)
-    assert witness is not None and verify_witness(g1, g2, witness)
-    assert labeled_iso(g1, build_graph(3434)) is None
-    assert counts(g1) == counts(pg.graph)
-    for g in (pg.graph, g1, g2):
-        assert "arcs" not in g.__dict__
+    """Only ``arcs``, ``out_arcs`` and ``arc`` make ``Arc`` objects, and only those they return."""
+    g1, g2, g3 = build_graph(2708), build_graph(5417), build_graph(3434)
+    with arcs_made() as made:
+        pg = embed(2708)
+        export_json(pg.graph)
+        export_dot(pg.graph)
+        export_dot(pg.graph, pg.place)
+        witness, refused = labeled_iso(g1, g2), labeled_iso(g1, g3)
+        assert counts(g1) == counts(pg.graph)
+    assert made == []
+    assert witness is not None and verify_witness(g1, g2, witness) and refused is None
+    with arcs_made() as made:  # the count sees what the view makes
+        arcs = pg.graph.arcs
+        read = [arcs[0], *arcs[3:9], *pg.graph.out_arcs(1), pg.graph.arc(0, 1), *arcs]
+    assert made == list(map(tuple, read))
+
+
+def test_arcs_is_a_sequence_view_over_the_columns():
+    g = cached_graph(2708)
+    arcs, columns = g.arcs, (g.tails, g.heads, g.labels, g.positions)
+    assert isinstance(arcs, Sequence) and len(arcs) == len(g.tails) == 644
+    assert tuple(arcs) == tuple(map(Arc, *columns))
+    for i in (0, 17, -1, -len(arcs)):
+        assert arcs[i] == Arc(*(c[i] for c in columns)), i
+    for cut in (slice(5, 9), slice(None, 3), slice(-4, None), slice(1, 30, 7), slice(9, 5)):
+        assert arcs[cut] == tuple(arcs)[cut], cut
+    with pytest.raises(IndexError):
+        arcs[len(arcs)]
+    assert arcs[5] in arcs and arcs.index(arcs[5]) == 5
+    assert g.arcs is not arcs and "arcs" not in vars(g)  # nothing is kept
+
+
+def test_arc_reads_at_b_32119_allocate_per_degree():
+    # after one warm find (out_offsets), each read makes only what it returns: O(degree)
+    # bytes, under 8 KiB at degree 9, where one Arc per arc of A(n) would hold megabytes
+    n = 20003988
+    pg = embed(n)
+    g = pg.graph
+    assert (len(g.vertices), len(g.tails)) == (32119, 183553)
+    assert g.find(0, 1) is not None
+    off = g.out_offsets
+    v = max(range(len(g.vertices)), key=lambda v: off[v + 1] - off[v])
+    i, j = off[v], off[v + 1]
+    kept, got = (dict(vars(g)), dict(vars(pg))), {}
+    reads = {"out_arcs": lambda: g.out_arcs(v), "arc": lambda: g.arc(v, g.heads[j - 1]),
+             "arcs[i]": lambda: g.arcs[i], "arcs[i:j]": lambda: g.arcs[i:j],
+             "place_preserving_map": lambda: place_preserving_map(pg, got["arcs[i]"])}
+    tracemalloc.start()
+    try:
+        for name, read in reads.items():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got[name] = read()
+            assert tracemalloc.get_traced_memory()[1] - base < 8192, name
+    finally:
+        tracemalloc.stop()
+    assert (vars(g), vars(pg)) == kept  # the graph gained no attribute
+    assert [len(got[k]) for k in ("out_arcs", "arcs[i:j]", "place_preserving_map")] == [9, 9, 8]
+    assert got["arc"] == got["out_arcs"][-1] and got["arcs[i]"] == got["arcs[i:j]"][0]
 
 
 def test_adjacency_matches_arcs():
