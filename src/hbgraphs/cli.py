@@ -18,7 +18,7 @@ from itertools import islice
 
 from . import graphs, iso, stern
 from .iso import DEFAULT_BUDGET, BudgetExceeded
-from .structure import DEFAULT_LIMIT, DIGITS_PER_VERTEX, SizeLimitError
+from .structure import DEFAULT_LIMIT, DIGITS_PER_VERTEX, SizeLimitError, suffix_counts
 from .words import decompose, minimal_expansion, render
 
 EXIT_OK = 0
@@ -110,7 +110,8 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_graph(args, out) -> int:
-    """Write A(n)'s DOT, or its JSON and a newline, a chunk per prefix, without building A(n)."""
+    """Write A(n)'s DOT, or its JSON and a newline, in chunks of at most 256 tail vertices' arcs,
+    without building A(n)."""
     out.writelines(graphs.export_stream(args.n, args.format, args.limit))
     out.write("\n" if args.format == "json" else "")
     return EXIT_OK
@@ -126,6 +127,13 @@ def _cmd_decompose(args, out) -> int:
 
 def _cmd_iso(args, out) -> int:
     if args.structural:
+        sizes = []
+        for k in (args.m, args.n):  # b(m), then b(n), by the count pass: the limits, no word
+            _, _, counts, _ = suffix_counts(k, args.limit)
+            sizes.append(counts[0][1])
+        if sizes[0] != sizes[1]:  # no witness to print, so no graph is built
+            print("not isomorphic", file=out)
+            return EXIT_OK
         g1 = graphs.build_graph(args.m, args.limit)
         g2 = graphs.build_graph(args.n, args.limit)
         witness = iso.labeled_iso(g1, g2, budget=args.budget)

@@ -10,7 +10,8 @@ read without making one object per arc; ``arcs`` is a view over the columns
 that makes an ``Arc`` per read and keeps none.  Its ids are a topological order
 of 0..b-1, checked once, when a graph is made.  ``export_dot``,
 ``export_json`` and ``export_stream`` write their text with one writer,
-``_text``; ``export_stream`` from the pieces, a prefix at a time.
+``_text``; ``export_stream`` from the pieces, a slice of at most 256 of a
+prefix's completions at a time.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, getitem, gt, itemgetter, le, lt, sub
 
-from .structure import DEFAULT_LIMIT, Label, Pieces, column, walk
+from .structure import DEFAULT_LIMIT, TEMPLATE_SIZE, Label, Pieces, column, walk
 from .words import render
 
 # position: zero-based index of the leftmost digit modified in the tail
 Arc = namedtuple("Arc", "tail head label position")
+#: most vertices of a share of ``export_stream``: a quarter of a template bounds its text
+_SLICE = TEMPLATE_SIZE // 4
 
 
 def enumerate_expansions(n: int, limit: int = DEFAULT_LIMIT) -> list[str]:
@@ -248,30 +251,38 @@ def _text(n: int, fmt: str, names: Iterable, shares: Iterable) -> Iterator[str]:
 
 def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT) -> Iterator[str]:
     """The text of ``export_dot(build_graph(n, limit))``, or ``export_json``, from ``walk``'s
-    pieces, made at the call: ``_text`` in 2P - 1 chunks for P prefixes, a share each, the prefix
-    joined to its template.
+    pieces, made at the call: ``_text`` in P - 1 + sum of ceil(m / 256) chunks for P prefixes of
+    m completions each, the prefix joined to its template.  A share is a slice [lo, hi) of at
+    most 256 completions of one prefix, so no chunk grows with the template.
 
-    A prefix's step goes from completion j to completion j of the stepped prefix,
-    so a share's pool is its m vertices, then each stepped prefix's first m."""
+    Template steps only go forward, and a prefix's step goes from completion j to completion j
+    of the stepped prefix, so a share's pool is its prefix's completions lo..m - 1, then each
+    stepped prefix's lo..hi - 1."""
     prefixes, templates, _ = walk(n, limit)
     dot = fmt == "dot"
     firsts = list(accumulate((len(templates[e][0]) for _, e, _ in prefixes), initial=0))
 
-    def words(q: int, m: int | None = None) -> list[str]:
+    def words(q: int, lo: int = 0, hi: int | None = None) -> list[str]:
         head, e, _ = prefixes[q]
-        return list(map(head.__add__, islice(templates[e][0], m)))
+        return list(map(head.__add__, islice(templates[e][0], lo, hi)))
 
     def shares():
         for i, (_, e, steps) in enumerate(prefixes):
             own = words(i)
             m = len(own)
-            local = tuple((m * q, *step[1:]) for q, step in enumerate(steps, 1))
-            tails, heads, labels, positions, _ = _arcs(
-                range(m), own, lambda: map(local.__add__, templates[e][1]))
-            qs = (i, *(bisect_left(firsts, firsts[i] + step[0]) for step in steps))  # stepped
-            pool = [map(render, words(q, m)) if dot else range(firsts[q], firsts[q] + m) for q in qs]
-            yield (m, chain.from_iterable(pool), tails, heads, list(labels),
-                   None if dot else list(positions), i == len(prefixes) - 1)
+            first = list(map(render, own)) if dot else range(firsts[i], firsts[i] + m)
+            qs = [bisect_left(firsts, firsts[i] + step[0]) for step in steps]  # stepped
+            for lo in range(0, m, _SLICE):
+                hi = min(lo + _SLICE, m)
+                local = tuple((m - lo + (hi - lo) * q, *step[1:]) for q, step in enumerate(steps))
+                # made once: _arcs reads the share's steps five times
+                rows = list(map(local.__add__, islice(templates[e][1], lo, hi)))
+                tails, heads, labels, positions, _ = _arcs(
+                    range(hi - lo), islice(own, lo, hi), lambda: rows)
+                stepped = (map(render, words(q, lo, hi)) if dot else
+                           range(firsts[q] + lo, firsts[q] + hi) for q in qs)
+                yield (hi - lo, chain(first[lo:], *stepped), tails, heads, list(labels),
+                       None if dot else list(positions), i == len(prefixes) - 1 and hi == m)
 
     names = map(words, range(len(prefixes)))
     return _text(n, fmt, (map(render, w) for w in names) if dot else names, shares())

@@ -5,7 +5,8 @@ states (``block_states``), and A(n) embeds as an induced subgraph into the
 Cartesian product of these paths: a vertex is a tuple of block states whose
 lexicographic order is the shortlex order of the words, and an arc steps
 one state, its place, to the vertex a fixed stride of ids on.  ``walk``
-generates A(n) so, in id order, as pieces that ``column`` reads;
+generates A(n) so, in id order, as pieces that ``column`` reads, after a
+count pass, ``suffix_counts``, that checks the limits and makes no word;
 ``block_transfer`` counts the completions of a state by the paper's block
 matrices, and ``dual_transfer`` their arcs too, which ``stern`` folds.
 """
@@ -91,6 +92,32 @@ def block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple |
     return [(w, *flag, step) for w, flag, step in zip(words, flags, steps)]
 
 
+def suffix_counts(n: int, limit: int) -> tuple[list[str], int, list[tuple[int, int]], int]:
+    """``walk``'s count pass, which makes no state word: n's block words and trailing 1s, the
+    counts of completions, and the cut.  ``counts[p][e]`` is the admissible completions from
+    block p on, after a state that ends in 0 iff e, so ``counts[0][1]`` is b(n).  Raises
+    ``walk``'s SizeLimitErrors."""
+    blocks, ones = decompose(minimal_expansion(n))
+    # no block lowers h and k <= h, so no suffix has more than the whole, and a refused n
+    # stops at the first suffix over ``limit``, before its counts grow big
+    counts = [(1, 1)]
+    for block in reversed(blocks):
+        k, h = counts[-1]
+        if h > limit:
+            break
+        h, k = block_transfer(block, h, k)
+        counts.append((k, h))
+    counts.reverse()
+    bits = n.bit_length()  # the longest word's length; n itself may be too long to print
+    if counts[0][1] > limit:
+        raise SizeLimitError(f"|H(n)| exceeds limit {limit} for n of {bits} bits")
+    if counts[0][1] * bits > DIGITS_PER_VERTEX * limit:
+        raise SizeLimitError(f"{counts[0][1]} words of up to {bits} digits may exceed"
+                             f" {DIGITS_PER_VERTEX} * limit {limit} digits")
+    cut = sum(h > TEMPLATE_SIZE for _, h in counts)  # the suffixes of more than TEMPLATE_SIZE
+    return blocks, ones, counts, cut
+
+
 def walk(n: int, limit: int) -> Pieces:
     """A(n) as the admissible prefixes over blocks 1..cut, and templates of their completions.
 
@@ -112,25 +139,7 @@ def walk(n: int, limit: int) -> Pieces:
     state word is made, when there are more than ``limit`` tuples, or when
     they times n's bit length exceeds ``DIGITS_PER_VERTEX * limit`` digits.
     """
-    blocks, ones = decompose(minimal_expansion(n))
-    # counts[p][e]: the admissible completions from block p on, after a state that ends in
-    # 0 iff e; no block lowers h and k <= h, so no suffix has more than the whole, and a
-    # refused n stops at the first suffix over ``limit``, before its counts grow big
-    counts = [(1, 1)]
-    for block in reversed(blocks):
-        k, h = counts[-1]
-        if h > limit:
-            break
-        h, k = block_transfer(block, h, k)
-        counts.append((k, h))
-    counts.reverse()
-    bits = n.bit_length()  # the longest word's length; n itself may be too long to print
-    if counts[0][1] > limit:
-        raise SizeLimitError(f"|H(n)| exceeds limit {limit} for n of {bits} bits")
-    if counts[0][1] * bits > DIGITS_PER_VERTEX * limit:
-        raise SizeLimitError(f"{counts[0][1]} words of up to {bits} digits may exceed"
-                             f" {DIGITS_PER_VERTEX} * limit {limit} digits")
-    cut = sum(h > TEMPLATE_SIZE for _, h in counts)  # the suffixes of more than TEMPLATE_SIZE
+    blocks, ones, counts, cut = suffix_counts(n, limit)
 
     def extend(level: list, lo: int, hi: int) -> list:
         width = sum(map(len, blocks[lo:])) + ones  # the digits from block lo on

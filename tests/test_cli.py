@@ -4,9 +4,10 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hbgraphs
@@ -24,8 +25,9 @@ from hbgraphs.cli import (
     run,
 )
 from hbgraphs.graphs import build_graph, export_dot, export_json
+from hbgraphs.iso import labeled_iso
 from hbgraphs.stern import b_and_a, b_matrix
-from hbgraphs.structure import walk
+from hbgraphs.structure import DEFAULT_LIMIT, SizeLimitError, walk
 from hbgraphs.words import minimal_expansion
 
 
@@ -161,6 +163,27 @@ def test_iso_structural_budget_and_limit():
     assert status == EXIT_OK and out.splitlines()[0] == "isomorphic"
 
 
+def structural_iso_by_graphs(m, n, limit):
+    """What ``iso --structural`` prints when it builds A(m), then A(n), and searches."""
+    try:
+        g1, g2 = build_graph(m, limit), build_graph(n, limit)
+    except SizeLimitError as exc:
+        return EXIT_LIMIT, "", f"aborted: {exc}\n"
+    return EXIT_OK, "isomorphic\n" if labeled_iso(g1, g2) else "not isomorphic\n", ""
+
+
+@given(st.integers(0, 2**16), st.integers(0, 2**16), st.sampled_from([DEFAULT_LIMIT, 100, 400]))
+@settings(max_examples=80, deadline=None)
+def test_iso_structural_refuses_unequal_b_without_a_graph(m, n, limit):
+    # the count pass gives b(m), then b(n), and the limits in build_graph's order: a refusal
+    # or unequal b needs no graph, and the answer is the one the graphs give
+    expected = structural_iso_by_graphs(m, n, limit)
+    assume(expected[0] == EXIT_LIMIT or b_matrix(m) != b_matrix(n))
+    with patch.object(cli.graphs, "build_graph", side_effect=AssertionError("a graph was built")):
+        got = invoke("iso", "--m", str(m), "--n", str(n), "--structural", "--limit", str(limit))
+    assert got == expected, (m, n, limit)
+
+
 def test_graph_formats():
     status, out, _ = invoke("graph", "--n", "10", "--format", "dot")
     assert status == EXIT_OK
@@ -175,7 +198,8 @@ def test_graph_formats():
 
 @pytest.mark.parametrize("n", [0, 3, 10, 2708, 2254256, 7378268, 14756537])
 def test_graph_writes_the_exports(n):
-    # A(2254256) has 40 247 arcs: the text goes out in ten chunks of at most 4096 arcs;
+    # A(2254256) has 40 247 arcs: the text goes out in 51 chunks from 19 prefixes, the arcs of
+    # at most 256 tail vertices each;
     # A(7378268), b = 15 368, is streamed from prefixes and templates, and so is A(14756537),
     # whose words each end in a 1
     g = build_graph(n)

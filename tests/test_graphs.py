@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -292,16 +293,44 @@ def test_export_chunks_of_an_arcless_graph(n):
     assert list(export_stream(n, "dot")) == [export_dot(g)], n
 
 
-# b = 1, 321 and 15 368: P = 1 (c = 0, one share), and P = 16 (cut after block 2 of 9)
-@pytest.mark.parametrize(("n", "prefixes"), [(0, 1), (2708, 1), (7378268, 16)])
+def stream_chunks(pieces):
+    """The chunks ``export_stream`` writes for these pieces: each prefix's words but the last,
+    then the last words and the first share's arcs, then each other share's arcs, a share for
+    each slice of at most 256 of a prefix's m completions: P + sum of ceil(m / 256) - 1."""
+    prefixes, templates, _ = pieces
+    return len(prefixes) - 1 + sum(-(-len(templates[e][0]) // 256) for _, e, _ in prefixes)
+
+
+# b = 1, 208, 987 and 15 368: P = 1 (c = 0, one template), and P = 16 (cut after block 2 of 9)
+@pytest.mark.parametrize(("n", "prefixes"), [(0, 1), (2708, 1), (21844, 1), (7378268, 16)])
 def test_export_stream_writes_a_chunk_per_prefix_and_share(n, prefixes):
-    # each prefix's words but the last, then the last words and the first share's arcs,
-    # then each other share's arcs: 2P - 1 chunks
-    assert len(walk(n, DEFAULT_LIMIT).prefixes) == prefixes
+    pieces = walk(n, DEFAULT_LIMIT)
+    chunks = {0: 1, 2708: 1, 21844: 4, 7378268: 76}[n]
+    assert (len(pieces.prefixes), stream_chunks(pieces)) == (prefixes, chunks)
     g = build_graph(n)
     for fmt, whole in (("json", export_json(g)), ("dot", export_dot(g))):
-        chunks = list(export_stream(n, fmt))
-        assert (len(chunks), "".join(chunks)) == (2 * prefixes - 1, whole), (n, fmt)
+        got = list(export_stream(n, fmt))
+        assert (len(got), "".join(got)) == (chunks, whole), (n, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_no_stream_chunk_has_arcs_of_more_than_256_tails(fmt):
+    # A(7378268)'s templates have up to 1 024 completions; a share takes at most 256 of them
+    tail = re.compile(r'^  "([^"]*)" ->' if fmt == "dot" else r'"tail":(\d+)', re.M)
+    tails = [len(set(tail.findall(chunk))) for chunk in export_stream(7378268, fmt)]
+    assert len(tails) == 76 and max(tails) == 256 and sum(tails) == 15368 - 1  # all but the sink
+
+
+def test_stream_peak_does_not_grow_with_the_template():
+    # consumed a chunk at a time, A(7378268), b = 15 368, holds walk's pieces and one share;
+    # a share of a whole template of 1 024 completions took 1.46 MB
+    whole = len(export_json(build_graph(7378268)))
+    tracemalloc.start()
+    try:
+        assert sum(map(len, export_stream(7378268, "json"))) == whole
+        assert tracemalloc.get_traced_memory()[1] < 1.1e6
+    finally:
+        tracemalloc.stop()
 
 
 @given(st.integers(0, 2048))
@@ -437,9 +466,9 @@ def test_stream_writes_the_exports_at_one_cut_per_n():
 def test_stream_at_every_cut_writes_the_exports(n):
     g = build_graph(n)
     whole = (export_dot(g), export_json(g))
-    for cut, (prefixes, _, _) in enumerate(pieces_at_every_cut(n)):
+    for cut, pieces in enumerate(pieces_at_every_cut(n)):
         fmt = ("dot", "json")[cut % 2]
         with cut_after(n, cut):
             chunks = list(export_stream(n, fmt))
-        assert len(chunks) == 2 * len(prefixes) - 1, (n, cut)  # the stream cut there too
+        assert len(chunks) == stream_chunks(pieces), (n, cut)  # the stream cut there too
         assert "".join(chunks) == whole[cut % 2], (n, cut, fmt)

@@ -36,7 +36,7 @@ CALLERS = {
         "DEFAULT_LIMIT": "cli", "DIGITS_PER_VERTEX": "cli", "TEMPLATE_SIZE": "structure",
         "SizeLimitError": "cli", "Label": "iso", "Label.SINGLE": "iso", "Label.DOUBLE": "iso",
         "Pieces": "graphs", "block_transfer": "stern", "dual_transfer": "stern",
-        "block_states": "blocks", "walk": "blocks", "column": "graphs",
+        "block_states": "blocks", "suffix_counts": "cli", "walk": "blocks", "column": "graphs",
     },
     "graphs": {
         "Arc": "blocks", "enumerate_expansions": "cli", "build_graph": "cli", "counts": "cli",
