@@ -74,7 +74,7 @@ def place_preserving_map(pg: PlacedGraph, e: Arc) -> dict[Arc, Arc]:
 
 def _indices(pg: PlacedGraph, path: list[Arc] | tuple[Arc, ...]) -> list[int]:
     """The indices of ``path``'s arcs, which must be the graph's and form a directed path."""
-    g, path = pg.graph, list(map(pg.place.index, path))
+    g, path = pg.graph, list(map(pg.graph.arcs.index, path))
     if any(g.heads[i] != g.tails[j] for i, j in pairwise(path)):
         raise ValueError("arcs do not form a directed path")
     return path
@@ -112,8 +112,9 @@ def maximal_checking_paths_from(pg: PlacedGraph, e1: Arc) -> list[tuple[Arc, ...
     either end, so if some arc can be prepended to e1 there are none.
     Paths branch in ``g.out_arcs`` order, which is ascending in position.
     """
-    g, e1 = pg.graph, pg.place.index(e1)
-    if any(e1 not in _square(g, e).values() for e in g.in_rows[g.tails[e1]]):
+    g, e1 = pg.graph, pg.graph.arcs.index(e1)
+    x = g.tails[e1]  # tails are sorted and below their heads: x's in-arcs precede its out-arcs
+    if any(e1 not in _square(g, e).values() for e in range(g.out_offsets[x]) if g.heads[e] == x):
         return []
     path: list[int] = []
     results: list[tuple[Arc, ...]] = []

@@ -169,13 +169,12 @@ def check_range(lo: int, hi: int) -> str | None:
     return None
 
 
-def plan_verify(max_n: int, workers: int, cpus: int) -> tuple[list[tuple[int, int]], int]:
-    """Spans of [0, max_n], one per process, and the number of processes: never more than
-    ``workers``, the ``cpus`` this process may run on, or numbers to check.  One process
-    means run the span in this process."""
+def plan_verify(max_n: int, workers: int, cpus: int) -> list[tuple[int, int]]:
+    """Spans of [0, max_n], one per process: never more than ``workers``, the ``cpus`` this
+    process may run on, or numbers to check.  One span means run it in this process."""
     size = min(max(workers, 1), cpus, max_n + 1)
     cuts = [k * (max_n + 1) // size for k in range(size + 1)]
-    return [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])], size
+    return [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _check_forked(spans: list[tuple[int, int]]) -> list[str]:
@@ -212,8 +211,8 @@ def _check_forked(spans: list[tuple[int, int]]) -> list[str]:
 def _cmd_verify(args, out) -> int:
     workers = args.workers if hasattr(os, "fork") else 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    spans, processes = plan_verify(args.max, workers, cpus or 1)
-    results = _check_forked(spans) if processes > 1 else map(check_range, *zip(*spans))
+    spans = plan_verify(args.max, workers, cpus or 1)
+    results = _check_forked(spans) if len(spans) > 1 else map(check_range, *zip(*spans))
     failure = next(filter(None, results), None)
     if failure:
         print(failure, file=out)

@@ -44,9 +44,9 @@ class HbGraph(namedtuple("HbGraph", "n vertices tails heads labels positions")):
     Ids are a topological order: a reduction makes its word shortlex-greater,
     so every arc has tail < head, the source is 0 and the sink b - 1.  Arcs
     ascend strictly in (tail, -head), which in A(n) is (tail, position) order,
-    so no two join one ordered pair.  A graph whose columns differ in length,
-    whose labels are not SINGLE or DOUBLE, or whose ids or arcs break these
-    orders, is refused when made by the class (``_make`` and ``_replace`` skip the checks).
+    so no two join one ordered pair.  A graph with no vertex, whose columns
+    differ in length, whose labels are not SINGLE or DOUBLE, or whose ids or arcs break
+    these orders, is refused when made by the class (``_make`` and ``_replace`` skip the checks).
 
     ``arcs`` is a read-only Sequence view over the columns: ``out_arcs``, ``arc``, an index
     or a slice make only the ``Arc`` objects they return, and iteration one at a time.
@@ -54,6 +54,8 @@ class HbGraph(namedtuple("HbGraph", "n vertices tails heads labels positions")):
 
     def __new__(cls, n: int, vertices: tuple[str, ...], tails: tuple[int, ...],
                 heads: tuple[int, ...], labels: tuple[str, ...], positions: tuple[int, ...]):
+        if not vertices:
+            raise ValueError("a graph has at least one vertex")
         t, h = tails, heads  # one C-level pass per test
         if not len(t) == len(h) == len(labels) == len(positions):
             raise ValueError("arc columns differ in length")
@@ -86,14 +88,6 @@ class HbGraph(namedtuple("HbGraph", "n vertices tails heads labels positions")):
     def out_offsets(self) -> list[int]:
         """Arcs out of v: out_offsets[v] <= i < out_offsets[v + 1], bisects of the sorted tails."""
         return [bisect_left(self.tails, v) for v in range(len(self.vertices) + 1)]
-
-    @cached_property
-    def in_rows(self) -> list[list[int]]:
-        """The indices of each vertex's in-arcs, ascending."""
-        rows: list[list[int]] = [[] for _ in self.vertices]
-        for i, head in enumerate(self.heads):
-            rows[head].append(i)
-        return rows
 
     def find(self, tail: int, head: int) -> int | None:
         """The index of the arc ``tail`` -> ``head``, or None, from the tail's run of ``heads``."""
@@ -139,15 +133,8 @@ class _Arcs(Sequence):
         g = self.graph
         return map(Arc, g.tails, g.heads, g.labels, g.positions)
 
-
-class ArcColumn(Mapping):
-    """A read-only Mapping[Arc, value] over one more arc column of ``graph``."""
-
-    def __init__(self, graph: HbGraph, column: Sequence):
-        self.graph, self.column = graph, column
-
     def index(self, arc) -> int:
-        """The index of ``arc``, or of a tuple equal to it, in the columns; ValueError if none."""
+        """The index of ``arc``, or of a tuple equal to it, by ``find``; ValueError if none."""
         g = self.graph
         try:
             tail, head, label, position = arc
@@ -158,9 +145,23 @@ class ArcColumn(Mapping):
             raise ValueError(f"unknown arc {arc}")
         return i
 
+    def __contains__(self, arc) -> bool:
+        try:
+            self.index(arc)
+        except ValueError:
+            return False
+        return True
+
+
+class ArcColumn(Mapping):
+    """A read-only Mapping[Arc, value] over one more arc column of ``graph``."""
+
+    def __init__(self, graph: HbGraph, column: Sequence):
+        self.graph, self.column = graph, column
+
     def __getitem__(self, arc):
         try:
-            return self.column[self.index(arc)]
+            return self.column[self.graph.arcs.index(arc)]
         except ValueError:
             raise KeyError(arc) from None
 

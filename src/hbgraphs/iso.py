@@ -4,19 +4,19 @@ Two routes: the graph structure, and the arithmetic closed form (m and n
 are related by repeated x -> 2x + 1).  Graphs with equal arc columns, as
 every isomorphic pair of A-graphs has, get the identity in O(a); any other
 pair goes to a backtracking search, anchored source-to-source and pruned
-by per-label degree and height invariants.  Its setup is linear in the arc
-count a: one pass over each graph's arcs gives every vertex signature, the
-height included, and g2's vertices are bucketed by signature in a dict.
+by per-label degree and height invariants, that yields every isomorphism.
+Its setup is linear in the arc count a: one pass over each graph's arcs
+gives every vertex signature, the height included, g2's vertices are
+bucketed by signature in a dict, and one more pass lists g1's in-arcs.
 Vertex ids are a topological order (``HbGraph`` refuses a graph whose ids
 are not), so the search matches g1's vertices in id order and checks each
-one's in-arcs, read from g1's ``in_rows``.  The graphs are read as arc
-columns, and the arc joining a pair is found by ``HbGraph.find``, a scan
-of the tail's run of ``heads``; no ``Arc`` object is built.
+one's in-arcs, their images found by ``HbGraph.find``; no ``Arc`` is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Iterator
 
 from .graphs import HbGraph, build_graph
 from .structure import Label
@@ -73,37 +73,33 @@ def _signatures(g: HbGraph) -> list[tuple[int, int, int]]:
     return list(zip(height, outs, ins))
 
 
-def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
-    """Find an edge-labeled directed-graph isomorphism g1 -> g2, if any.
+def isomorphisms(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> Iterator[IsoWitness]:
+    """Every edge-labeled directed-graph isomorphism g1 -> g2, in deterministic search order.
 
-    Returns the first witness in deterministic search order, or None.
-    Raises BudgetExceeded if the search expands more than ``budget`` nodes.
-    The g1 vertices are matched in id order, a topological order, so every
-    vertex after the source has all its in-arcs (``g1.in_rows``) from matched
-    vertices, and a search node checks only those.  Each g1 vertex tries the
-    g2 vertices of its signature in ascending id order.  Graphs with equal
-    vertex counts and arc columns, as every isomorphic pair of A-graphs has,
-    get the identity in O(a), before any signature or search node; the search
-    would find it too, so ``budget`` bounds only pairs whose columns differ.
+    Raises BudgetExceeded when the search, over the whole enumeration, expands
+    more than ``budget`` nodes.  The g1 vertices are matched in id order, a
+    topological order, so every vertex after the source has all its in-arcs
+    from matched vertices, and a search node checks only those.  Each g1
+    vertex tries the g2 vertices of its signature in ascending id order, and
+    after each witness the search unmatches the last vertex and goes on.
     The search is its own ``verify_witness``: every g1 arc is checked, by
     ``find`` and its label, when its head is matched; ``used`` makes the map
     injective; and equal signature multisets give equal vertex and arc counts.
     """
-    b = len(g1.vertices)
-    if b == len(g2.vertices) and (g1.tails, g1.heads, g1.labels) == (g2.tails, g2.heads, g2.labels):
-        return IsoWitness(tuple(range(b)))
     buckets: dict[tuple[int, int, int], list[int]] = {}
     for w, sig in enumerate(_signatures(g2)):
         buckets.setdefault(sig, []).append(w)
     sigs1 = _signatures(g1)
     if Counter(sigs1) != {sig: len(ws) for sig, ws in buckets.items()}:
-        return None  # also when the vertex or arc counts differ
+        return  # also when the vertex or arc counts differ
     candidates = [buckets[sig] for sig in sigs1]
+    in_rows1: list[list[int]] = [[] for _ in sigs1]  # each g1 vertex's in-arc indices, ascending
+    for i, head in enumerate(g1.heads):
+        in_rows1[head].append(i)
     mapping: list[int] = []
     used: set[int] = set()
     expansions = 0
-    find2, labels2 = g2.find, g2.labels  # bound once, used on every search node
-    in_rows1, tails1, labels1 = g1.in_rows, g1.tails, g1.labels
+    find2, labels2, tails1, labels1 = g2.find, g2.labels, g1.tails, g1.labels  # bound once
 
     def consistent(v: int, w: int) -> bool:
         for i in in_rows1[v]:
@@ -114,26 +110,37 @@ def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWi
 
     # depth-first in id order; untried[v] holds the candidates left for v = len(mapping)
     untried = []
-    while len(mapping) < len(candidates):
-        v = len(mapping)
-        if len(untried) == v:
-            untried.append(iter(candidates[v]))
-        for w in untried[v]:
-            if w in used:
-                continue
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceeded(f"isomorphism search exceeded budget {budget}")
-            if consistent(v, w):
-                mapping.append(w)
-                used.add(w)
-                break
-        else:
-            untried.pop()
-            if not mapping:
-                return None
-            used.discard(mapping.pop())
-    return IsoWitness(tuple(mapping))
+    while True:
+        while (v := len(mapping)) < len(candidates):
+            if len(untried) == v:
+                untried.append(iter(candidates[v]))
+            for w in untried[v]:
+                if w in used:
+                    continue
+                expansions += 1
+                if expansions > budget:
+                    raise BudgetExceeded(f"isomorphism search exceeded budget {budget}")
+                if consistent(v, w):
+                    mapping.append(w)
+                    used.add(w)
+                    break
+            else:
+                untried.pop()
+                if not mapping:
+                    return
+                used.discard(mapping.pop())
+        yield IsoWitness(tuple(mapping))
+        used.discard(mapping.pop())
+
+
+def labeled_iso(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> IsoWitness | None:
+    """The first witness of ``isomorphisms``, or None.  Graphs with equal vertex counts and arc
+    columns, as every isomorphic pair of A-graphs has, get the identity in O(a), before any
+    signature or search node, so ``budget`` bounds only pairs whose columns differ."""
+    b = len(g1.vertices)
+    if b == len(g2.vertices) and (g1.tails, g1.heads, g1.labels) == (g2.tails, g2.heads, g2.labels):
+        return IsoWitness(tuple(range(b)))
+    return next(isomorphisms(g1, g2, budget), None)
 
 
 def iso_closed_form(m: int, n: int) -> bool:
@@ -146,10 +153,6 @@ def iso_closed_form(m: int, n: int) -> bool:
 
 
 def a10_automorphism() -> IsoWitness:
-    """The nontrivial automorphism of A(10): swaps 210 and 1002, fixes the rest."""
+    """The nontrivial automorphism of A(10), which swaps 210 and 1002, read off the search."""
     g = build_graph(10)
-    idx = g.index
-    mapping = list(range(len(g.vertices)))
-    mapping[idx["210"]] = idx["1002"]
-    mapping[idx["1002"]] = idx["210"]
-    return IsoWitness(tuple(mapping))
+    return next(w for w in isomorphisms(g, g) if w.mapping != tuple(range(len(g.vertices))))

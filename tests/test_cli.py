@@ -371,15 +371,15 @@ def test_verify_counterexample_detection():
 
 def test_plan_verify_bounds_the_pool():
     # the plan alone: no process is forked
-    spans, pool_size = plan_verify(2048, 5000, 2)
-    assert pool_size == 2
+    spans = plan_verify(2048, 5000, 2)
+    assert len(spans) == 2
     assert spans[0][0] == 0 and spans[-1][1] == 2048
     assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
-    assert plan_verify(2048, 4, 64)[1] == 4
-    assert plan_verify(2, 8, 64) == ([(0, 0), (1, 1), (2, 2)], 3)
-    assert plan_verify(64, 1, 8) == ([(0, 64)], 1)
-    assert plan_verify(64, 0, 8) == ([(0, 64)], 1)
-    assert plan_verify(64, 4, 1)[1] == 1
+    assert len(plan_verify(2048, 4, 64)) == 4
+    assert plan_verify(2, 8, 64) == [(0, 0), (1, 1), (2, 2)]
+    assert plan_verify(64, 1, 8) == [(0, 64)]
+    assert plan_verify(64, 0, 8) == [(0, 64)]
+    assert len(plan_verify(64, 4, 1)) == 1
 
 
 #: a fresh interpreter that runs the CLI on its arguments after ``setup``, then exits with the

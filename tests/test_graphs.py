@@ -26,6 +26,7 @@ from hbgraphs import structure
 from hbgraphs.blocks import embed, place_preserving_map
 from hbgraphs.graphs import (
     Arc,
+    HbGraph,
     build_graph,
     counts,
     enumerate_expansions,
@@ -134,7 +135,7 @@ def test_counts():
 
 
 def check_adjacency(g):
-    """Rows against ``g.arcs`` bucketed by tail and by head; ``arc`` against arcs and non-arcs.
+    """Rows against ``g.arcs`` bucketed by tail; ``arc`` against arcs and non-arcs.
 
     Also the id order: every arc has 0 <= tail < head < b, the source is 0 and the sink b - 1.
     On at most 64 vertices, ``find`` on every ordered pair against a scan of the
@@ -147,14 +148,12 @@ def check_adjacency(g):
         pairs = list(product(range(b), repeat=2))
         assert list(starmap(g.find, pairs)) == list(map(scan.get, pairs)), g.n
     arcs = tuple(g.arcs)  # one read of the view
-    outs, ins = [[] for _ in range(b)], [[] for _ in range(b)]  # in arc order, one pass
-    for i, a in enumerate(arcs):
+    outs = [[] for _ in range(b)]  # in arc order, one pass
+    for a in arcs:
         assert 0 <= a.tail < a.head < b, (g.n, a)
         outs[a.tail].append(a)
-        ins[a.head].append(i)
     for v in range(b):
         assert g.out_arcs(v) == tuple(outs[v]), (g.n, v)
-        assert g.in_rows[v] == ins[v], (g.n, v)
         assert g.arc(v, v) is None, (g.n, v)
     for a in arcs:
         assert g.arc(a.tail, a.head) == a, (g.n, a)  # each read makes its own Arc
@@ -201,6 +200,38 @@ def test_library_paths_build_no_arc_objects():
         arcs = pg.graph.arcs
         read = [arcs[0], *arcs[3:9], *pg.graph.out_arcs(1), pg.graph.arc(0, 1), *arcs]
     assert made == list(map(tuple, read))
+
+
+def test_arc_lookup_by_value_makes_at_most_one_arc():
+    # ``in`` and ``index`` find an arc by its ends, not by a scan that makes an Arc per arc
+    g = cached_graph(2708)
+    arcs = g.arcs
+    real = arcs[300]
+    cases = {"arc": (real, True), "tuple": (tuple(real), True),
+             "other label": (real._replace(label=Label.DOUBLE if real.label == Label.SINGLE
+                                           else Label.SINGLE), False),
+             "other position": (real._replace(position=real.position + 1), False),
+             "no such ends": ((real.head, real.tail, real.label, real.position), False),
+             "tail out of range": ((len(g.vertices), 0, Label.SINGLE, 0), False),
+             "three fields": (tuple(real)[:3], False), "a string": ("abcd", False),
+             "None": (None, False)}
+    for name, (arc, present) in cases.items():
+        with arcs_made() as made:
+            assert (arc in arcs) == present, name
+        assert len(made) <= 1, name
+        with arcs_made() as made:
+            if present:
+                assert arcs.index(arc) == 300, name
+            else:
+                with pytest.raises(ValueError, match="unknown arc"):
+                    arcs.index(arc)
+        assert len(made) <= 1, name
+
+
+def test_a_graph_with_no_vertex_is_refused():
+    # its sink would be -1, and the DOT and JSON exports would disagree on its vertices
+    with pytest.raises(ValueError, match="at least one vertex"):
+        HbGraph(0, (), (), (), (), ())
 
 
 def test_arcs_is_a_sequence_view_over_the_columns():

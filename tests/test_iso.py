@@ -12,6 +12,7 @@ from hbgraphs.iso import (
     IsoWitness,
     a10_automorphism,
     iso_closed_form,
+    isomorphisms,
     labeled_iso,
     verify_witness,
 )
@@ -270,6 +271,7 @@ def test_even_core_roundtrip(n):
 def test_a10_automorphism():
     g = cached_graph(10)
     witness = a10_automorphism()
+    assert witness == IsoWitness((0, 1, 3, 2, 4))
     idx = g.index
     assert witness.mapping[idx["210"]] == idx["1002"]
     assert witness.mapping[idx["1002"]] == idx["210"]
@@ -367,6 +369,54 @@ def test_labeled_automorphisms_of_even_n_by_vf2():
 
     label_match = categorical_edge_match("label", None)
     for n in range(0, 2**10, 2):
-        d = vf2_digraph(nx, cached_graph(n))
+        g = cached_graph(n)
+        d = vf2_digraph(nx, g)
         count = sum(1 for _ in DiGraphMatcher(d, d, edge_match=label_match).isomorphisms_iter())
         assert count == (2 if n in (10, 42, 170, 682) else 1), n
+        witnesses = list(isomorphisms(g, g))
+        assert len(witnesses) == count, n
+        assert all(verify_witness(g, g, w) for w in witnesses), n
+
+
+def test_automorphisms_of_binary_10_repeated_are_the_identity_and_an_involution():
+    for k in range(2, 9):
+        g = build_graph(int("10" * k, 2))
+        b = len(g.vertices)
+        identity, other = list(isomorphisms(g, g))
+        assert identity.mapping == tuple(range(b)), k
+        assert other.mapping != identity.mapping and verify_witness(g, g, other), k
+        assert all(other.mapping[other.mapping[v]] == v for v in range(b)), k
+
+
+def least_enumeration_budget(g1, g2):
+    """The least budget under which ``isomorphisms(g1, g2)`` runs to its end."""
+    budget = 0
+    while True:
+        try:
+            for _ in isomorphisms(g1, g2, budget):
+                pass
+            return budget
+        except BudgetExceeded:
+            budget += 1
+
+
+def test_budget_counts_nodes_over_the_whole_enumeration():
+    # A(10) onto itself: the identity, then the swap of 210 and 1002; the search goes on
+    # past the first witness, so one node fewer than the whole enumeration loses the second
+    g = cached_graph(10)
+    nodes = least_enumeration_budget(g, g)
+    assert nodes == 8
+    assert [w.mapping for w in isomorphisms(g, g, nodes)] == [(0, 1, 2, 3, 4), (0, 1, 3, 2, 4)]
+    search = isomorphisms(g, g, nodes - 1)
+    assert next(search).mapping == (0, 1, 2, 3, 4)
+    with pytest.raises(BudgetExceeded):
+        next(search)
+
+
+def test_search_caches_nothing_on_either_graph():
+    # the in-arc lists belong to the search: only ``find``'s out-offsets stay on a graph
+    g = build_graph(2708)
+    h = swapped_copy(g)  # reads g.find
+    witness = labeled_iso(g, h)
+    assert witness is not None and verify_witness(g, h, witness)
+    assert set(vars(g)) | set(vars(h)) == {"out_offsets"}

@@ -44,10 +44,9 @@ CALLERS = {
         "HbGraph": "blocks", "HbGraph.n": "graphs", "HbGraph.vertices": "cli",
         "HbGraph.tails": "iso", "HbGraph.heads": "iso", "HbGraph.labels": "iso",
         "HbGraph.positions": "graphs", "HbGraph.source": "hbbench", "HbGraph.sink": "hbbench",
-        "HbGraph.index": "iso", "HbGraph.arcs": "hbbench", "HbGraph.out_offsets": "blocks",
-        "HbGraph.in_rows": "iso", "HbGraph.find": "iso", "HbGraph.out_arcs": "criterion 5",
-        "HbGraph.arc": "criterion 5", "ArcColumn": "blocks", "ArcColumn.graph": "graphs",
-        "ArcColumn.column": "blocks", "ArcColumn.index": "blocks",
+        "HbGraph.index": "criterion 5", "HbGraph.arcs": "hbbench", "HbGraph.out_offsets": "blocks",
+        "HbGraph.find": "iso", "HbGraph.out_arcs": "criterion 5", "HbGraph.arc": "criterion 5",
+        "ArcColumn": "blocks", "ArcColumn.graph": "graphs", "ArcColumn.column": "blocks",
     },
     "blocks": {
         "PlacedGraph": "blocks", "PlacedGraph.graph": "hbbench", "PlacedGraph.blocks": "blocks",
@@ -60,7 +59,7 @@ CALLERS = {
     "iso": {
         "DEFAULT_BUDGET": "cli", "BudgetExceeded": "cli", "IsoWitness": "iso",
         "IsoWitness.mapping": "cli", "verify_witness": "criterion 10", "labeled_iso": "cli",
-        "iso_closed_form": "cli", "a10_automorphism": "criterion 10",
+        "isomorphisms": "iso", "iso_closed_form": "cli", "a10_automorphism": "criterion 10",
     },
 }
 
