@@ -114,7 +114,13 @@ def maximal_checking_paths_from(pg: PlacedGraph, e1: Arc) -> list[tuple[Arc, ...
     """
     g, e1 = pg.graph, pg.graph.arcs.index(e1)
     x = g.tails[e1]  # tails are sorted and below their heads: x's in-arcs precede its out-arcs
-    if any(e1 not in _square(g, e).values() for e in range(g.out_offsets[x]) if g.heads[e] == x):
+    ins = [-1]  # found by C-level index over the heads of those arcs
+    try:
+        while True:
+            ins.append(g.heads.index(x, ins[-1] + 1, g.out_offsets[x]))
+    except ValueError:
+        pass
+    if any(e1 not in _square(g, e).values() for e in ins[1:]):
         return []
     path: list[int] = []
     results: list[tuple[Arc, ...]] = []

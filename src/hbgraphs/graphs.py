@@ -4,14 +4,14 @@ Vertices are the expansions in H(n) (shortlex-sorted, ids are positions in
 that order); arcs are the single-step reductions among them, labeled
 SINGLE (->) or DOUBLE (->>).  A completed graph is immutable.
 
-``build_graph`` reads A(n) off the pieces of ``structure.walk`` as aligned
-arc columns, kept by ``HbGraph``, which the exports, ``counts`` and ``iso``
-read without making one object per arc; ``arcs`` is a view over the columns
-that makes an ``Arc`` per read and keeps none.  Its ids are a topological order
-of 0..b-1, checked once, when a graph is made.  ``export_dot``,
-``export_json`` and ``export_stream`` write their text with one writer,
-``_text``; ``export_stream`` from the pieces, a slice of at most 256 of a
-prefix's completions at a time.
+``build_graph`` reads A(n) off the pieces of ``structure.walk`` as aligned arc columns,
+each mapped over one list of references to the pieces' steps, made in one read of them and
+dropped once the columns are made.  ``HbGraph`` keeps the columns, which the exports,
+``counts`` and ``iso`` read without making one object per arc; ``arcs`` is a view over the
+columns that makes an ``Arc`` per read and keeps none.  Its ids are a topological order of
+0..b-1, checked once, when a graph is made.  ``export_dot``, ``export_json`` and
+``export_stream`` write their text with one writer, ``_text``; ``export_stream`` from the
+pieces, a slice of at most 256 of a prefix's completions at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from operator import add, eq, getitem, gt, itemgetter, le, lt, sub
 
 from .structure import DEFAULT_LIMIT, TEMPLATE_SIZE, Label, Pieces, column, walk
@@ -182,24 +182,27 @@ def build_graph(n: int, limit: int = DEFAULT_LIMIT) -> HbGraph:
 
 
 def graph_from_pieces(n: int, pieces: Pieces) -> tuple[HbGraph, Iterator[int]]:
-    """The graph on ``walk``'s pieces, one C-level pass per column, and an iterator of places."""
+    """The graph on ``walk``'s pieces, from one read of their steps, and an iterator of places.
+
+    The places iterator holds ``_arcs``' list of steps until it is consumed or dropped."""
     vertices = tuple(column(pieces, 0))
     ids = list(range(len(vertices)))  # the columns share these int objects, not one per arc
-    tails, heads, labels, positions, places = _arcs(ids, vertices, lambda: column(pieces, 1))
+    tails, heads, labels, positions, places = _arcs(ids, vertices, column(pieces, 1))
     return HbGraph(n, vertices, tails, tuple(map(ids.__getitem__, heads)), tuple(labels),
                    tuple(positions)), places
 
 
-def _arcs(ids: Sequence[int], words: Sequence[str], steps) -> tuple:
-    """Tails (a tuple), tail + stride, labels, positions, places of ``ids``' arcs ``steps()``."""
-    per_vertex = list(map(len, steps()))
-
-    def field(k: int):
-        return map(itemgetter(k), chain.from_iterable(steps()))
-
+def _arcs(ids: Sequence[int], words: Iterable[str], rows: Iterable[tuple]) -> tuple:
+    """Tails (a tuple), tail + stride, labels, positions, places of the arcs of vertices ``ids``,
+    0, 1, ..., with ``words`` and rows of steps ``rows``.  One pass over ``rows`` makes one list
+    of references to the steps, which every field maps over: it lives as long as they do."""
+    steps: list[tuple] = []
+    # extend returns None, so filterfalse passes on each row it has added to steps
+    per_vertex = list(map(len, filterfalse(steps.extend, rows)))
     tails = tuple(chain.from_iterable(map(repeat, ids, per_vertex)))
-    lengths = chain.from_iterable(map(repeat, map(len, words), per_vertex))
-    return tails, map(add, tails, field(0)), field(1), map(sub, lengths, field(2)), field(3)
+    lengths = map(list(map(len, words)).__getitem__, tails)
+    stride, label, r, place = (map(itemgetter(k), steps) for k in range(4))
+    return tails, map(add, tails, stride), label, map(sub, lengths, r), place
 
 
 def counts(g: HbGraph) -> tuple[int, int, int]:
@@ -276,10 +279,9 @@ def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT) -> Itera
             for lo in range(0, m, _SLICE):
                 hi = min(lo + _SLICE, m)
                 local = tuple((m - lo + (hi - lo) * q, *step[1:]) for q, step in enumerate(steps))
-                # made once: _arcs reads the share's steps five times
-                rows = list(map(local.__add__, islice(templates[e][1], lo, hi)))
+                rows = map(local.__add__, islice(templates[e][1], lo, hi))
                 tails, heads, labels, positions, _ = _arcs(
-                    range(hi - lo), islice(own, lo, hi), lambda: rows)
+                    range(hi - lo), islice(own, lo, hi), rows)
                 stepped = (map(render, words(q, lo, hi)) if dot else
                            range(firsts[q] + lo, firsts[q] + hi) for q in qs)
                 yield (hi - lo, chain(first[lo:], *stepped), tails, heads, list(labels),

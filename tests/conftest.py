@@ -29,7 +29,9 @@ Each oracle kept here checks the library by a route the benchmark lacks:
 - the export oracles build a dict per arc and encode the document with
   ``json.dumps``, and render both ends of every DOT arc;
 - the descendants oracle walks a built graph's out-arcs and re-indexes
-  the induced subgraph by sorting its words.
+  the induced subgraph by sorting its words;
+- the checking-path oracle tries every path from an arc against the
+  checking rule, read off a list of arcs, without ``blocks``' squares.
 
 The closure and descendants oracles make their arcs as ``Arc`` objects and
 store them in ``HbGraph``'s columns through ``graph_from_arcs``.
@@ -247,6 +249,38 @@ def graph_from_arcs(n: int, vertices, arcs) -> HbGraph:
     """The HbGraph whose arc columns hold ``arcs``, given in (tail, -head) order."""
     columns = [tuple(getattr(a, f) for a in arcs) for f in ("tail", "head", "label", "position")]
     return HbGraph(n, tuple(vertices), *columns)
+
+
+def oracle_maximal_checking_paths(arcs, e1) -> list[tuple]:
+    """Every maximal checking path that starts with ``e1``, by brute force over ``arcs`` alone.
+
+    Arc b follows arc a = (x, y) in a checking path when b leaves y and is no arc (y, y') for
+    which some other arc (x, x') has x' -> y' (the image of a's place-preserving map).  A path
+    is maximal when no arc follows its last and none can be prepended to ``e1``; if one can,
+    there is none.  Paths come depth first, each vertex's out-arcs in ``arcs`` order.
+    """
+    pairs = {(a[0], a[1]) for a in arcs}
+    out: dict[int, list] = {}
+    for a in arcs:
+        out.setdefault(a[0], []).append(a)
+
+    def follows(a, b) -> bool:
+        x, y = a[0], a[1]
+        return b[0] == y and not any(c[1] != y and (c[1], b[1]) in pairs for c in out[x])
+
+    if any(follows(d, e1) for d in arcs):
+        return []
+    paths = []
+
+    def extend(path: tuple) -> None:
+        nexts = [b for b in out.get(path[-1][1], []) if follows(path[-1], b)]
+        if not nexts:
+            paths.append(path)
+        for b in nexts:
+            extend(path + (b,))
+
+    extend((e1,))
+    return paths
 
 
 def oracle_descendants(g, start: int):

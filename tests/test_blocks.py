@@ -8,11 +8,13 @@ import oracles
 from conftest import (
     cached_embed,
     cached_graph,
+    oracle_arcs,
     oracle_closure_graph,
     oracle_decompose,
     oracle_expansions,
     oracle_export_dot,
     oracle_factors,
+    oracle_maximal_checking_paths,
     oracle_places,
 )
 from hbgraphs.blocks import (
@@ -308,6 +310,19 @@ def test_maximal_checking_path_source_run_lengths():
         assert e1.label == Label.SINGLE
         paths = maximal_checking_paths_from(pg, e1)
         assert len(paths) == 1 and len(paths[0]) == t
+
+
+def test_maximal_checking_paths_from_every_arc_match_the_brute_force_oracle():
+    # every arc of A(n) for even n <= 400, the arcs of the oracle read off words alone; about
+    # half the arcs have an arc to prepend, so the in-arc scan decides both ways
+    empty = 0
+    for n in range(0, 401, 2):
+        pg, arcs = cached_embed(n), oracle_arcs(n)
+        for e in pg.graph.arcs:
+            paths = maximal_checking_paths_from(pg, e)
+            assert paths == oracle_maximal_checking_paths(arcs, e), (n, e)
+            empty += not paths
+    assert 4000 < empty < 5000
 
 
 def test_maximal_checking_paths_constraints():

@@ -22,7 +22,7 @@ from conftest import (
     oracle_factors,
     oracle_places,
 )
-from hbgraphs import structure
+from hbgraphs import graphs, structure
 from hbgraphs.blocks import embed, place_preserving_map
 from hbgraphs.graphs import (
     Arc,
@@ -362,6 +362,37 @@ def test_stream_peak_does_not_grow_with_the_template():
         assert tracemalloc.get_traced_memory()[1] < 1.1e6
     finally:
         tracemalloc.stop()
+
+
+def test_build_and_embed_read_the_steps_once_and_the_stream_not_at_all():
+    # A(7378268) has 16 prefixes, so each read of the steps joins every vertex's prefix steps
+    # to its template steps; build_graph and embed did that five times
+    reads = []
+
+    def counted(pieces, k):
+        reads.append(k)
+        return structure.column(pieces, k)
+
+    assert len(walk(7378268, DEFAULT_LIMIT).prefixes) == 16
+    with patch.object(graphs, "column", counted):
+        for make in (build_graph, embed):
+            reads.clear()
+            make(7378268)
+            assert reads.count(1) == 1, make
+        reads.clear()
+        assert sum(map(len, export_stream(7378268, "dot"))) > 0 and reads == []
+
+
+def test_build_peaks_at_most_16_bytes_per_arc_above_the_graph_it_keeps():
+    # A(7378268), a = 81 855: the columns are read off one list of references to walk's steps,
+    # 8 B per arc, dropped before build_graph returns; a second list per arc would pass 16 B
+    tracemalloc.start()
+    try:
+        g = build_graph(7378268)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.tails) == 81855 and peak - kept <= 16 * len(g.tails)
 
 
 @given(st.integers(0, 2048))
