@@ -20,7 +20,7 @@ import json
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from operator import add, eq, getitem, gt, itemgetter, le, lt, sub
 
@@ -29,6 +29,7 @@ from .words import render
 
 # position: zero-based index of the leftmost digit modified in the tail
 Arc = namedtuple("Arc", "tail head label position")
+_arc = partial(tuple.__new__, Arc)  # an Arc of a 4-tuple in C, not through Arc's Python __new__
 #: most vertices of a share of ``export_stream``: a quarter of a template bounds its text
 _SLICE = TEMPLATE_SIZE // 4
 
@@ -126,12 +127,12 @@ class _Arcs(Sequence):
     def __getitem__(self, i):
         g = self.graph
         if isinstance(i, slice):
-            return tuple(map(Arc, g.tails[i], g.heads[i], g.labels[i], g.positions[i]))
-        return Arc(g.tails[i], g.heads[i], g.labels[i], g.positions[i])
+            return tuple(map(_arc, zip(g.tails[i], g.heads[i], g.labels[i], g.positions[i])))
+        return _arc((g.tails[i], g.heads[i], g.labels[i], g.positions[i]))
 
     def __iter__(self) -> Iterator[Arc]:
         g = self.graph
-        return map(Arc, g.tails, g.heads, g.labels, g.positions)
+        return map(_arc, zip(g.tails, g.heads, g.labels, g.positions))
 
     def index(self, arc) -> int:
         """The index of ``arc``, or of a tuple equal to it, by ``find``; ValueError if none."""

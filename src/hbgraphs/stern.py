@@ -21,9 +21,9 @@ packed into one int as lanes of ``_LANE`` bits, keeps its ints as the
 leaf, and multiplies the leaves as a balanced tree that computes only the
 entry the caller reads (``_entry``).  ``b_matrix`` and ``c_matrix``
 share ``_digit_fold``, a byte of n at a time through a table of each
-byte's matrix.  ``b_algorithm1`` also reads a byte at a time, through its
-own table built from its own digit rule (``_ALG1``), and the other two keep
-their own step rules, so each stays a check on the others.
+byte's matrix.  ``b_algorithm1`` and ``b_matrix_blocks`` read bytes through
+their own tables built from digits (``_ALG1`` by Algorithm 1's rule, ``_RUNS``
+of runs), and ``b_block_formula`` keeps its own step rule: each checks the others.
 The leaves cost O(bits) small-int operations, and the tree's top products
 are few and large, where Python's Karatsuba multiplication makes the whole
 subquadratic.  ``b_recursive`` keeps the classical recursion, in one pass
@@ -34,7 +34,7 @@ n >= 0, come from ``words`` (``int.to_bytes`` in the byte kernels).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import islice, product, zip_longest
+from itertools import islice, product
 
 from .structure import block_transfer, dual_transfer
 from .words import binary_expansion, even_core, minimal_expansion
@@ -50,9 +50,9 @@ _LEAF = 256
 # carry into each other.  A byte table entry is a product of 8 digit
 # matrices (|entry| <= Fib(10) = 55), a leaf _LEAF / 8 of them: the <= 7
 # zero digits padding n's top byte fix (1, 0).
-# Algorithm 1 applies each run count as it is counted, so no counter carries
-# into a leaf: a leaf is a product of at most _LEAF of b's digit matrices
-# (pad 0s included), and Fib(_LEAF + 2) < 2^178 bounds its entries.
+# Algorithm 1 applies each run count as it is counted, and b_matrix_blocks cuts
+# runs at bytes, so a leaf, and each step in it, is a product of at most _LEAF
+# of b's digit matrices (pad 0s included), entries <= Fib(_LEAF + 2) < 2^178.
 _LANE = _LEAF + 10
 
 
@@ -109,6 +109,16 @@ def _alg1_byte(t: int, byte: int) -> tuple[int, int, int, int, int, int]:
 _ALG1 = [_alg1_byte(t, byte) for t in range(3) for byte in range(256)]
 
 
+# each byte's (ones, zeros) per 1-run and the 0-run after it, top digit first, built a digit at a
+# time from (0, 0); only the first pair may lack 1s, only the last 0s; each pair is one of _PAIRS
+_PAIRS = [[(ones, zeros) for zeros in range(9 - ones)] for ones in range(9)]
+_RUNS = [((0, 0),)]
+for _ in range(8):
+    _RUNS = [new for runs in _RUNS for ones, zeros in runs[-1:] for new in (
+        runs[:-1] + (_PAIRS[ones][zeros + 1],),  # a 0 lengthens the last 0-run
+        runs + (_PAIRS[1][0],) if zeros else runs[:-1] + (_PAIRS[ones + 1][0],))]  # a 1
+
+
 def _digit_fold(n: int, table: list[tuple[int, int, int, int]], j: int) -> int:
     """Entry j of the row (1, 0) through n's digit matrices, top digit first.
 
@@ -163,21 +173,20 @@ def b_matrix(n: int) -> int:
 def b_matrix_blocks(n: int) -> int:
     """Same product as b_matrix, grouped over maximal runs of equal bits.
 
-    Uses M0^a = (1 a; 0 1) and M1^a = (1 0; a 1) applied run by run, a 1-run and the 0-run after
-    it per step, the run lengths split off in C.  An independent cross-check, not a faster
-    b_matrix: a random n's runs average two digits, but a small-int multiplication per run loses
-    to b_matrix's byte steps: 2.0 to 2.5 times its time from 64k down to 4k bits.  Leaves are
-    laid out as ``_digit_fold``'s, the first from (1, 0) alone; n = 0 is the digit 0."""
-    bits = binary_expansion(n) or "0"
+    Uses M1^a = (1 0; a 1) and M0^a = (1 a; 0 1), a 1-run and the 0-run after it per step, from
+    each byte's runs (``_RUNS``): a run across a byte's edge goes in two parts, M^a M^b = M^(a + b),
+    in leaves laid out as ``_digit_fold``'s.
+    A cross-check, not a faster b_matrix: a small-int multiplication per run (of two digits on
+    average) loses to its byte steps, 1.7 to 1.2 times its time from 4k to 256k bits."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    data = n.to_bytes((n.bit_length() + 7) // 8 or 1, "big")
     leaves, top, bottom = [], 1, 0
-    for i in range(0, len(bits), _LEAF):
-        seg = bits[i : i + _LEAF]
-        runs = map(len, seg.replace("01", "0 1").replace("10", "1 0").split())
-        if seg[0] == "0":
-            top += next(runs) * bottom
-        for ones, zeros in zip_longest(runs, runs, fillvalue=0):
-            bottom += ones * top
-            top += zeros * bottom
+    for i in range(0, len(data), _LEAF // 8):
+        for byte in data[i : i + _LEAF // 8]:
+            for ones, zeros in _RUNS[byte]:
+                bottom += ones * top
+                top += zeros * bottom
         leaves.append((top, bottom))
         top, bottom = 1, 1 << _LANE
     return _entry(leaves, 0)[0]

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -44,9 +45,15 @@ def test_eval_b():
 
 
 def test_eval_algos_agree():
-    for algo in ("rec", "mat", "matblk", "alg1", "blockfold"):
-        status, out, _ = invoke("eval", "--fn", "b", "--n", "42", "--algo", algo)
-        assert status == EXIT_OK and out == "13\n"
+    rng = random.Random(40)
+    expected = {"42": "13\n"}
+    for bits in (7, 8, 9, 255, 256, 257, 4097):  # around a byte's edge and a leaf's
+        n = rng.getrandbits(bits - 1) | 1 << bits - 1
+        expected[bin(n)] = f"{b_matrix(n)}\n"
+    for text, b in expected.items():
+        for algo in ("rec", "mat", "matblk", "alg1", "blockfold"):
+            status, out, _ = invoke("eval", "--fn", "b", "--n", text, "--algo", algo)
+            assert status == EXIT_OK and out == b, (text, algo)
 
 
 def test_eval_binary_input():

@@ -173,14 +173,19 @@ def test_adjacency_rejects_unknown_vertex_ids():
 
 @contextmanager
 def arcs_made():
-    """A list that gains an entry for each ``Arc`` made in the block, by any caller."""
-    made, new = [], Arc.__new__
+    """A list that gains an entry for each ``Arc`` made in the block, by any caller: through
+    ``Arc.__new__``, or through ``graphs._arc``, the C-level ``tuple.__new__`` the view uses."""
+    made, new, make = [], Arc.__new__, graphs._arc
 
     def counted(cls, *fields):
         made.append(fields)
         return new(cls, *fields)
 
-    with patch.object(Arc, "__new__", counted):
+    def counted_make(fields):
+        made.append(tuple(fields))
+        return make(fields)
+
+    with patch.object(Arc, "__new__", counted), patch.object(graphs, "_arc", counted_make):
         yield made
 
 
@@ -239,6 +244,7 @@ def test_arcs_is_a_sequence_view_over_the_columns():
     arcs, columns = g.arcs, (g.tails, g.heads, g.labels, g.positions)
     assert isinstance(arcs, Sequence) and len(arcs) == len(g.tails) == 644
     assert tuple(arcs) == tuple(map(Arc, *columns))
+    assert {type(a) for a in (*arcs, arcs[0], *arcs[5:9], *g.out_arcs(3), g.arc(0, 1))} == {Arc}
     for i in (0, 17, -1, -len(arcs)):
         assert arcs[i] == Arc(*(c[i] for c in columns)), i
     for cut in (slice(5, 9), slice(None, 3), slice(-4, None), slice(1, 30, 7), slice(9, 5)):

@@ -22,6 +22,7 @@ from conftest import (
 from hbgraphs.stern import (
     _LANE,
     _LEAF,
+    _RUNS,
     _block_leaves,
     _entry,
     _mul_duals,
@@ -356,9 +357,17 @@ def test_product_tree_matches_linear_folds(bits):
 
 def test_byte_kernel_matches_linear_folds_below_2_pow_13():
     for n in range(1 << 13):
-        assert b_matrix(n) == oracle_b_matrix(n), n
+        assert b_matrix(n) == b_matrix_blocks(n) == oracle_b_matrix(n), n
         assert n == 0 or c_matrix(n) == oracle_c_matrix(n), n
         assert b_algorithm1(n) == oracle_algorithm1(n), n
+
+
+def test_byte_runs_spell_each_byte():
+    for byte, runs in enumerate(_RUNS):
+        assert "".join("1" * ones + "0" * zeros for ones, zeros in runs) == format(byte, "08b")
+        assert all(ones for ones, _ in runs[1:]) and all(zeros for _, zeros in runs[:-1]), byte
+        assert (0, 0) not in runs, byte
+    assert len({id(pair) for runs in _RUNS for pair in runs}) == 44  # each distinct pair made once
 
 
 def _run_shapes(k: int) -> list[int]:
