@@ -16,7 +16,7 @@ import os
 import sys
 from itertools import islice
 
-from . import graphs, iso, stern
+from . import graphs, iso, stern, structure
 from .iso import DEFAULT_BUDGET, BudgetExceeded
 from .structure import DEFAULT_LIMIT, DIGITS_PER_VERTEX, SizeLimitError, suffix_counts
 from .words import decompose, minimal_expansion, render
@@ -152,17 +152,15 @@ def check_range(lo: int, hi: int) -> str | None:
     for n in range(lo, hi + 1):
         results = {name: fn(n) for name, fn in _B_ALGOS.items()}
         expected = results["rec"]
-        # the enumeration counts the admissible tuples of block states, the product
-        # count of the structure theorem; up to 512 the graph built from them is checked too
-        g = graphs.build_graph(n) if n <= 512 else None
-        results["enumeration"] = len(g.vertices if g else graphs.enumerate_expansions(n))
+        # the structure theorem's product count, off the admissibility table with no word made
+        results["enumeration"] = structure.count_tuples(n)
         bad = sorted(name for name, got in results.items() if got != expected)
         if bad:
             return f"n={n} b disagreement: rec={expected} " + " ".join(
                 f"{name}={results[name]}" for name in bad)
-        if g:
+        if n <= 512:  # the graph of those tuples: its arcs, and through v its vertices
             b, arcs = stern.b_and_a(n)
-            _, a_count, v_count = graphs.counts(g)
+            _, a_count, v_count = graphs.counts(graphs.build_graph(n))
             if (a_count, v_count) != (arcs, arcs - b + 1):
                 return (f"n={n} structural disagreement: graph (a={a_count}, v={v_count})"
                         f" vs recursion (a={arcs}, v={arcs - b + 1})")

@@ -1,14 +1,14 @@
 """The structure theorem: A(n) as an induced subgraph of a product of block paths.
 
-The expansions of each block of n (``words.decompose``) form a path of
-states (``block_states``), and A(n) embeds as an induced subgraph into the
-Cartesian product of these paths: a vertex is a tuple of block states whose
-lexicographic order is the shortlex order of the words, and an arc steps
-one state, its place, to the vertex a fixed stride of ids on.  ``walk``
-generates A(n) so, in id order, as pieces that ``column`` reads, after a
-count pass, ``suffix_counts``, that checks the limits and makes no word;
-``block_transfer`` counts the completions of a state by the paper's block
-matrices, and ``dual_transfer`` their arcs too, which ``stern`` folds.
+The expansions of each block of n (``words.decompose``) form a path of states
+(``block_states``), and A(n) embeds as an induced subgraph into the Cartesian product of
+these paths: a vertex is a tuple of block states admissible by one table, ``block_flags``,
+their lexicographic order the shortlex order of the words, and an arc steps one state, its
+place, to the vertex a fixed stride of ids on.  ``walk`` generates A(n) so, in id order, as
+pieces that ``column`` reads, after a count pass, ``suffix_counts``, that checks the limits
+and makes no word; ``block_transfer`` counts a state's completions by the paper's block
+matrices, and ``dual_transfer`` their arcs too, which ``stern`` folds.  ``count_tuples``
+counts the tuples off the table alone, with no word and no matrix, for ``verify``.
 """
 
 from __future__ import annotations
@@ -69,27 +69,43 @@ def dual_transfer(word: str, h: int, k: int, hp: int, kp: int) -> tuple[int, int
     return h, k, hp, kp
 
 
+def block_flags(block: str, e: int = 1) -> list[tuple[bool, bool]]:
+    """(long, ends in 0) of one block's states admissible after a state that ends in 0 iff e, with
+    no word: a long state only after a final 0.  Long states end the path: these are a prefix."""
+    if block[0] == "1":  # 1^(t-i) 2 0^i for i = 0..t, then the long 1 0^(t+1)
+        return [(False, False)] + [(False, True)] * (len(block) - 1) + [(True, True)] * e
+    return [(False, False)] + ([(True, False)] * (len(block) - 1) + [(True, True)]) * e
+
+
 def block_states(block: str, first: bool) -> list[tuple[str, bool, bool, tuple | None]]:
     """The path of one block's expansions, in closed form, from the block word on.
 
-    Each state is (word, long, ends in 0, step), a state long when its word
-    is longer than the block's, and ``step`` the (label, local position) of
-    the arc to the next state, None for the last.  The leading ``2y -> 10y``
-    step rewrites the 0 before the block: local position -1, or 0 for the
-    first block.
+    Each state is (word, long, ends in 0, step), its flags ``block_flags``'s (long: its word is
+    longer than the block's), and ``step`` the (label, local position) of the arc to the next
+    state, None for the last.  The leading ``2y -> 10y`` step rewrites the 0 before the block:
+    local position -1, or 0 for the first block.
     """
     lead = (Label.SINGLE, 0 if first else -1)
     if block[0] == "1":  # 1^t 2: 1^(t-i) 2 0^i for i = 0..t, then 1 0^(t+1)
         t = len(block) - 1
         words = [block[i:] + "0" * i for i in range(t + 1)] + ["1" + "0" * (t + 1)]
         steps = [(Label.DOUBLE, t - i - 1) for i in range(t)] + [lead, None]
-        flags = [(False, False)] + [(False, True)] * t + [(True, True)]
     else:  # 2^t: 2^t, then 1^i 0 2^(t-i) for i = 1..t
         t = len(block)
         words = [block] + ["1" * i + "0" + block[i:] for i in range(1, t + 1)]
         steps = [lead] + [(Label.SINGLE, i) for i in range(1, t)] + [None]
-        flags = [(False, False)] + [(True, False)] * (t - 1) + [(True, True)]
-    return [(w, *flag, step) for w, flag, step in zip(words, flags, steps)]
+    return [(w, *flag, step) for w, flag, step in zip(words, block_flags(block), steps)]
+
+
+def count_tuples(n: int) -> int:
+    """b(n), the count of admissible tuples of block states, by ``block_flags``: no word made."""
+    c = [0, 1]  # c[e]: the tuples over the blocks so far whose last state ends in 0 iff e
+    for block in decompose(minimal_expansion(n))[0]:
+        c, last = [0, 0], c
+        for e in (0, 1):
+            for _, zero in block_flags(block, e):
+                c[zero] += last[e]
+    return sum(c)
 
 
 def suffix_counts(n: int, limit: int) -> tuple[list[str], int, list[tuple[int, int]], int]:
@@ -121,13 +137,12 @@ def suffix_counts(n: int, limit: int) -> tuple[list[str], int, list[tuple[int, i
 def walk(n: int, limit: int) -> Pieces:
     """A(n) as the admissible prefixes over blocks 1..cut, and templates of their completions.
 
-    A vertex is a tuple x_1 ... x_k of block states, admissible when every
-    long x_p (p >= 2) follows an x_(p-1) that ends in 0; its word joins the
-    state words, each dropping its final 0 before a long state, then n's
-    trailing 1s.  Extending every tuple by the states of the next block,
-    level by level, emits them in id order.  The arc x_p -> x_p + 1 goes C
-    ids on, C the count of completions after x_p (fixed by whether x_p ends
-    in 0); its place is p, and it rewrites the digit r places from the end.
+    A vertex is a tuple x_1 ... x_k of block states, each x_p admissible after x_(p-1) by
+    ``block_flags``; its word joins the state words, each dropping its final 0 before a long
+    state, then n's trailing 1s.  Extending every tuple by the states of the next block, level
+    by level, emits them in id order.  The arc x_p -> x_p + 1 goes C ids on, C the count of
+    completions after x_p (fixed by whether x_p ends in 0); its place is p, and it rewrites
+    the digit r places from the end.
 
     A prefix, over blocks 1..cut, is (head, ends in 0, arc steps): its word
     less a final 0, where template 1 starts.  A template is (words, each
@@ -145,17 +160,14 @@ def walk(n: int, limit: int) -> Pieces:
         width = sum(map(len, blocks[lo:])) + ones  # the digits from block lo on
         for p in range(lo, hi):
             width -= len(blocks[p])  # now the digits after block p
-            states = block_states(blocks[p], p == 0)
-            rows = ([], [])  # rows[e]: the states, and their arcs, after one that ends in 0 iff e
-            for s, (w, long, zero, step) in enumerate(states):
-                for e in (0, 1) if not long else (1,):
-                    arc = ()
-                    if step and (e or not states[s + 1][1]):
-                        # x_p ... x_k take width + len(w) digits: a final 0 that x_p
-                        # drops comes back as the extra digit of the long x_(p+1)
-                        label, local = step
-                        arc = ((counts[p + 1][zero], label, width + len(w) - local, p + 1),)
-                    rows[e].append((w, long and p > 0, zero, arc))
+            # each state, and its arc to the next: x_p ... x_k take width + len(w) digits, and a
+            # final 0 that x_p drops comes back as the extra digit of the long x_(p+1)
+            path = [(w, long and p > 0, zero, ((counts[p + 1][zero], step[0],
+                                                width + len(w) - step[1], p + 1),) if step else ())
+                    for w, long, zero, step in block_states(blocks[p], p == 0)]
+            # rows[e]: the states admissible after one that ends in 0 iff e, a prefix of the path
+            rows = [path[:m - 1] + [(*path[m - 1][:3], ())]  # with no arc out of it
+                    for m in (len(block_flags(blocks[p], e)) for e in (0, 1))]
             level = [(word[:-1] + w if drop else word + w, zero, arcs + arc)
                      for word, e, arcs in level for w, drop, zero, arc in rows[e]]
         return level

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import hbgraphs
 
 from conftest import cached_graph, oracle_decompose
-from hbgraphs import cli
+from hbgraphs import cli, structure
 from hbgraphs.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_DOMAIN,
@@ -242,6 +242,14 @@ def test_streamed_graph_is_refused_before_any_output():
     assert invoke("graph", "--n", n, "--limit", "11869")[0] == EXIT_OK  # 64 * 11869 >= 78 * 9737
 
 
+def test_graph_digit_bound_holds_at_equality():
+    # one expansion of 64 digits is within 64 * limit 1 digits; one of 65 is not
+    status, out, err = invoke("graph", "--n", "0b" + "1" * 64, "--limit", "1")
+    assert (status, err) == (EXIT_OK, "") and out.count("1" * 64) == 1
+    assert invoke("graph", "--n", "0b" + "1" * 65, "--limit", "1") == (
+        EXIT_LIMIT, "", "aborted: 1 words of up to 65 digits may exceed 64 * limit 1 digits\n")
+
+
 def test_graph_limit_exit_code():
     for n, limit in (("42", "3"), ("7", "0")):
         status, out, err = invoke("graph", "--n", n, "--limit", limit)
@@ -374,6 +382,18 @@ def test_verify_counterexample_detection():
         cli._B_ALGOS["mat"] = original
     assert status == EXIT_COUNTEREXAMPLE
     assert "n=37" in out and "mat" in out
+
+
+def test_a_long_state_admitted_after_any_state_is_a_b_disagreement(monkeypatch):
+    # the one admissibility table, made to ignore the state before: the tuple count finds too
+    # many tuples, and so does walk, which reads the same table
+    flags = structure.block_flags
+    monkeypatch.setattr(structure, "block_flags", lambda block, e=1: flags(block))
+    assert len(list(structure.column(walk(10, DEFAULT_LIMIT), 0))) == 6
+    line = "n=10 b disagreement: rec=5 enumeration=6"
+    assert check_range(0, 600) == line
+    assert check_range(513, 600) == "n=514 b disagreement: rec=17 enumeration=18"
+    assert invoke("verify", "--max", "600") == (EXIT_COUNTEREXAMPLE, line + "\n", "")
 
 
 def test_plan_verify_bounds_the_pool():

@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 from collections.abc import Sequence
@@ -36,8 +37,9 @@ from hbgraphs.graphs import (
     graph_from_pieces,
 )
 from hbgraphs.iso import labeled_iso, verify_witness
-from hbgraphs.stern import b_matrix
-from hbgraphs.structure import DEFAULT_LIMIT, Label, SizeLimitError, block_transfer, walk
+from hbgraphs.stern import b_matrix, b_recursive
+from hbgraphs.structure import (DEFAULT_LIMIT, Label, SizeLimitError, block_transfer, count_tuples,
+                                suffix_counts, walk)
 from hbgraphs.words import decompose, minimal_expansion
 
 
@@ -81,6 +83,26 @@ def test_digit_bound_of_the_limit():
     for build in (build_graph, enumerate_expansions):
         with pytest.raises(SizeLimitError, match="digits"):
             build(n, limit=631)  # 64 * 631 = 40384 digits
+
+
+def test_digit_bound_holds_at_equality():
+    # 2^64 - 1 has one expansion, its 64 digits: exactly 64 * limit 1, so it is accepted
+    n = 2**64 - 1
+    assert suffix_counts(n, 1)[2][0] == (1, 1)
+    assert build_graph(n, limit=1).vertices == ("1" * 64,)
+    for build in (suffix_counts, build_graph):
+        with pytest.raises(SizeLimitError, match="1 words of up to 65 digits"):
+            build(2 * n + 1, 1)  # 65 digits
+
+
+def test_tuple_count_is_b():
+    # the DP over the admissibility table against the words it never makes, and the recursion
+    for n in range(1 << 12):
+        assert count_tuples(n) == len(enumerate_expansions(n)) == b_recursive(n), n
+    rng = random.Random("tuples")
+    for bits in (64, 65, 511, 1000, 4096):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert count_tuples(n) == b_matrix(n), bits
 
 
 def test_build_graph_matches_arc_oracle():

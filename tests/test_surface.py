@@ -36,10 +36,11 @@ CALLERS = {
         "DEFAULT_LIMIT": "cli", "DIGITS_PER_VERTEX": "cli", "TEMPLATE_SIZE": "structure",
         "SizeLimitError": "cli", "Label": "iso", "Label.SINGLE": "iso", "Label.DOUBLE": "iso",
         "Pieces": "graphs", "block_transfer": "stern", "dual_transfer": "stern",
-        "block_states": "blocks", "suffix_counts": "cli", "walk": "blocks", "column": "graphs",
+        "block_flags": "structure", "block_states": "blocks", "count_tuples": "cli",
+        "suffix_counts": "cli", "walk": "blocks", "column": "graphs",
     },
     "graphs": {
-        "Arc": "blocks", "enumerate_expansions": "cli", "build_graph": "cli", "counts": "cli",
+        "Arc": "blocks", "enumerate_expansions": "criterion 3", "build_graph": "cli", "counts": "cli",
         "graph_from_pieces": "blocks", "export_stream": "cli", "export_dot": "hbbench", "export_json": "hbbench",
         "HbGraph": "blocks", "HbGraph.n": "graphs", "HbGraph.vertices": "cli",
         "HbGraph.tails": "iso", "HbGraph.heads": "iso", "HbGraph.labels": "iso",
