@@ -16,7 +16,6 @@ pieces, a slice of at most 256 of a prefix's completions at a time.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -215,32 +214,33 @@ def counts(g: HbGraph) -> tuple[int, int, int]:
 def _text(n: int, fmt: str, names: Iterable, shares: Iterable) -> Iterator[str]:
     """The DOT or JSON text of A(n) from shares of its vertices: the one writer of both formats.
 
-    ``names`` gives each share's words, rendered in DOT, and ``shares`` its arcs as (m, pool, tails,
-    heads, labels, values, last): arc i joins pool vertices tails[i] < m and heads[i], rendered
-    words (DOT) or ids (JSON), ``values`` is the positions (JSON), the places or None, and ``last``
-    marks the final share.  A share is made when its chunk is, and dropped after: one at a time.
-    A chunk is a share's words, or its arcs, one join of a list filled from maps over the columns,
-    three strings per arc made up front, by extended-slice assignment: no per-arc Python runs."""
+    ``names`` gives each share's words, ``_names`` in DOT, and ``shares`` its arcs as (m, pool,
+    tails, heads, labels, values, last): arc i joins pool vertices tails[i] < m and heads[i],
+    names (DOT) or ids (JSON); ``values`` is the positions (JSON), the places or None; ``last``
+    marks the final share.  Each share is made with its chunk and dropped after.  A chunk, its
+    words or arcs, joins a list filled from maps over the columns by extended-slice assignment,
+    three strings per arc made up front, ends keyed by the two labels: no per-arc Python runs."""
     dot = fmt == "dot"
     start, sep, middle, stop = ((f"digraph A{n} {{\n", "", "", "}\n") if dot else
                                 (f'{{"n":{n},"vertices":[', ",", '],"arcs":[', "]}"))
-    label = {Label.SINGLE: "s", Label.DOUBLE: "d"}.get if dot else str
+    pair = (Label.SINGLE, Label.DOUBLE)
+    label = dict(zip(pair, "sd")).get if dot else str
     head = None  # the last share's vertices, held back to start the first chunk of arcs
     for i, words in enumerate(names):
         if head is not None:
             yield head
         head = (sep if i else start) + ('  "' + '";\n  "'.join(words) + '";\n' if dot
-                                        else json.dumps(words, separators=(",", ":"))[1:-1])
+                                        else _json(words))
     for m, pool, tails, heads, labels, values, last in shares:
         heads_text = list(pool) if dot else list(map(str, pool))
         tails_text = ([f'  "{x}" -> "' for x in islice(heads_text, m)] if dot else
                       [f',{{"tail":{x},"head":' for x in islice(heads_text, m)])
         if values is None:  # the end depends on the label alone
-            ends = map({x: f'" [label="{label(x)}"];\n' for x in set(labels)}.__getitem__, labels)
+            ends = map({x: f'" [label="{label(x)}"];\n' for x in pair}.__getitem__, labels)
         else:
             end = '" [label="{}" place={}];\n' if dot else ',"label":"{}","position":{}}}'
             distinct = set(values)
-            table = {x: {v: end.format(label(x), v) for v in distinct} for x in set(labels)}
+            table = {x: {v: end.format(label(x), v) for v in distinct} for x in pair}
             ends = map(getitem, map(table.__getitem__, labels), values)
         columns = (map(tails_text.__getitem__, tails), map(heads_text.__getitem__, heads), ends)
         pieces = [""] * (3 * len(tails) + 2)
@@ -252,6 +252,19 @@ def _text(n: int, fmt: str, names: Iterable, shares: Iterable) -> Iterator[str]:
             pieces[-1] = stop
         yield "".join(pieces)
         del pool, tails, heads, labels, values, heads_text, tails_text, ends, columns, pieces
+
+
+def _names(words: Sequence[str]) -> Sequence[str]:
+    """The DOT names of ``words``: ``render`` runs only if the empty word, A(0)'s, is one."""
+    return list(map(render, words)) if "" in words else words
+
+
+def _json(words: Sequence[str]) -> str:
+    """``json.dumps(words)`` less its brackets: no ``json`` call for digit words (A(n)'s, n > 0)."""
+    if "".join(words).encode("ascii", "replace").isdigit():  # C-level; not ASCII becomes "?"
+        return '"' + '","'.join(words) + '"'
+    import json
+    return json.dumps(words, separators=(",", ":"))[1:-1]
 
 
 def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT) -> Iterator[str]:
@@ -275,7 +288,7 @@ def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT) -> Itera
         for i, (_, e, steps) in enumerate(prefixes):
             own = words(i)
             m = len(own)
-            first = list(map(render, own)) if dot else range(firsts[i], firsts[i] + m)
+            first = _names(own) if dot else range(firsts[i], firsts[i] + m)
             qs = [bisect_left(firsts, firsts[i] + step[0]) for step in steps]  # stepped
             for lo in range(0, m, _SLICE):
                 hi = min(lo + _SLICE, m)
@@ -283,13 +296,13 @@ def export_stream(n: int, fmt: str = "dot", limit: int = DEFAULT_LIMIT) -> Itera
                 rows = map(local.__add__, islice(templates[e][1], lo, hi))
                 tails, heads, labels, positions, _ = _arcs(
                     range(hi - lo), islice(own, lo, hi), rows)
-                stepped = (map(render, words(q, lo, hi)) if dot else
+                stepped = (_names(words(q, lo, hi)) if dot else
                            range(firsts[q] + lo, firsts[q] + hi) for q in qs)
                 yield (hi - lo, chain(first[lo:], *stepped), tails, heads, list(labels),
                        None if dot else list(positions), i == len(prefixes) - 1 and hi == m)
 
     names = map(words, range(len(prefixes)))
-    return _text(n, fmt, (map(render, w) for w in names) if dot else names, shares())
+    return _text(n, fmt, map(_names, names) if dot else names, shares())
 
 
 def export_dot(g: HbGraph, place: ArcColumn | None = None) -> str:
@@ -313,6 +326,6 @@ def export_json(g: HbGraph) -> str:
 def _export(g: HbGraph, fmt: str, values: Sequence | None) -> str:
     """The text of a built graph, one share and one chunk; ``values`` as in ``_text``."""
     dot, b = fmt == "dot", len(g.vertices)
-    names = list(map(render, g.vertices)) if dot else g.vertices
+    names = _names(g.vertices) if dot else g.vertices
     share = (b, names if dot else range(b), g.tails, g.heads, g.labels, values, True)
     return next(_text(g.n, fmt, [names], [share]))

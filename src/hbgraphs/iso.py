@@ -2,9 +2,10 @@
 
 Two routes: the graph structure, and the arithmetic closed form (m and n
 are related by repeated x -> 2x + 1).  Graphs with equal arc columns, as
-every isomorphic pair of A-graphs has, get the identity in O(a); any other
-pair goes to a backtracking search, anchored source-to-source and pruned
-by per-label degree and height invariants, that yields every isomorphism.
+every isomorphic pair of A-graphs has, get the identity in O(a); a pair with
+unequal vertex, arc or DOUBLE-arc counts is refused; any other goes to a
+backtracking search, anchored source-to-source and pruned by per-label
+degree and height invariants, that yields every isomorphism.
 Its setup is linear in the arc count a: one pass over each graph's arcs
 gives every vertex signature, the height included, g2's vertices are
 bucketed by signature in a dict, and one more pass lists g1's in-arcs.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 
-from .graphs import HbGraph, build_graph
+from .graphs import HbGraph, build_graph, counts
 from .structure import Label
 from .words import even_core
 
@@ -76,22 +77,24 @@ def _signatures(g: HbGraph) -> list[tuple[int, int, int]]:
 def isomorphisms(g1: HbGraph, g2: HbGraph, budget: int = DEFAULT_BUDGET) -> Iterator[IsoWitness]:
     """Every edge-labeled directed-graph isomorphism g1 -> g2, in deterministic search order.
 
-    Raises BudgetExceeded when the search, over the whole enumeration, expands
-    more than ``budget`` nodes.  The g1 vertices are matched in id order, a
-    topological order, so every vertex after the source has all its in-arcs
-    from matched vertices, and a search node checks only those.  Each g1
-    vertex tries the g2 vertices of its signature in ascending id order, and
-    after each witness the search unmatches the last vertex and goes on.
-    The search is its own ``verify_witness``: every g1 arc is checked, by
-    ``find`` and its label, when its head is matched; ``used`` makes the map
-    injective; and equal signature multisets give equal vertex and arc counts.
+    Raises BudgetExceeded when the search, over the whole enumeration, expands more than
+    ``budget`` nodes.  It refuses unequal vertex, arc or DOUBLE-arc counts (C-level counts that
+    every isomorphism keeps) before any signature, then unequal signature multisets, with no
+    search node.  The g1 vertices are matched in id order, a topological order, so every vertex
+    after the source has all its in-arcs from matched vertices, and a search node checks only
+    those.  Each g1 vertex tries the g2 vertices of its signature in ascending id order, and
+    after each witness the search unmatches the last vertex and goes on.  The search is its own
+    ``verify_witness``: every g1 arc is checked, by ``find`` and its label, when its head is
+    matched, and ``used`` makes the map injective.
     """
+    if (*counts(g1), g1.labels.count(Label.DOUBLE)) != (*counts(g2), g2.labels.count(Label.DOUBLE)):
+        return
     buckets: dict[tuple[int, int, int], list[int]] = {}
     for w, sig in enumerate(_signatures(g2)):
         buckets.setdefault(sig, []).append(w)
     sigs1 = _signatures(g1)
     if Counter(sigs1) != {sig: len(ws) for sig, ws in buckets.items()}:
-        return  # also when the vertex or arc counts differ
+        return
     candidates = [buckets[sig] for sig in sigs1]
     in_rows1: list[list[int]] = [[] for _ in sigs1]  # each g1 vertex's in-arc indices, ascending
     for i, head in enumerate(g1.heads):

@@ -128,8 +128,8 @@ def suffix_counts(n: int, limit: int) -> tuple[list[str], int, list[tuple[int, i
     if counts[0][1] > limit:
         raise SizeLimitError(f"|H(n)| exceeds limit {limit} for n of {bits} bits")
     if counts[0][1] * bits > DIGITS_PER_VERTEX * limit:
-        raise SizeLimitError(f"{counts[0][1]} words of up to {bits} digits may exceed"
-                             f" {DIGITS_PER_VERTEX} * limit {limit} digits")
+        raise SizeLimitError(f"{counts[0][1]} word{'s' * (counts[0][1] != 1)} of up to {bits}"
+                             f" digits may exceed {DIGITS_PER_VERTEX} * limit {limit} digits")
     cut = sum(h > TEMPLATE_SIZE for _, h in counts)  # the suffixes of more than TEMPLATE_SIZE
     return blocks, ones, counts, cut
 
@@ -165,9 +165,8 @@ def walk(n: int, limit: int) -> Pieces:
             path = [(w, long and p > 0, zero, ((counts[p + 1][zero], step[0],
                                                 width + len(w) - step[1], p + 1),) if step else ())
                     for w, long, zero, step in block_states(blocks[p], p == 0)]
-            # rows[e]: the states admissible after one that ends in 0 iff e, a prefix of the path
-            rows = [path[:m - 1] + [(*path[m - 1][:3], ())]  # with no arc out of it
-                    for m in (len(block_flags(blocks[p], e)) for e in (0, 1))]
+            m = len(block_flags(blocks[p], 0))  # rows[e]: the states admissible after one that
+            rows = [path[:m - 1] + [(*path[m - 1][:3], ())], path]  # ends in 0 iff e, last arcless
             level = [(word[:-1] + w if drop else word + w, zero, arcs + arc)
                      for word, e, arcs in level for w, drop, zero, arc in rows[e]]
         return level

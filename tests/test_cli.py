@@ -63,9 +63,10 @@ def test_eval_binary_input():
 
 def test_imports_load_only_the_modules_they_need():
     # the package re-exports nothing, and the CLI never loads blocks, which no command runs;
-    # nor does it load dataclasses (with inspect) or an executor (verify forks its spans itself)
+    # nor does it load dataclasses (with inspect) or an executor (verify forks its spans itself),
+    # or json, which the JSON export imports only for names that are not digits
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hbgraphs.__file__)))
-    heavy = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
+    heavy = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "json")
     loaded = (f"import sys; print(sorted(m for m in sys.modules if m.startswith('hbgraphs')"
               f" or m in {heavy}))")
     for module, expected in (
@@ -247,7 +248,7 @@ def test_graph_digit_bound_holds_at_equality():
     status, out, err = invoke("graph", "--n", "0b" + "1" * 64, "--limit", "1")
     assert (status, err) == (EXIT_OK, "") and out.count("1" * 64) == 1
     assert invoke("graph", "--n", "0b" + "1" * 65, "--limit", "1") == (
-        EXIT_LIMIT, "", "aborted: 1 words of up to 65 digits may exceed 64 * limit 1 digits\n")
+        EXIT_LIMIT, "", "aborted: 1 word of up to 65 digits may exceed 64 * limit 1 digits\n")
 
 
 def test_graph_limit_exit_code():

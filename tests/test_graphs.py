@@ -91,7 +91,7 @@ def test_digit_bound_holds_at_equality():
     assert suffix_counts(n, 1)[2][0] == (1, 1)
     assert build_graph(n, limit=1).vertices == ("1" * 64,)
     for build in (suffix_counts, build_graph):
-        with pytest.raises(SizeLimitError, match="1 words of up to 65 digits"):
+        with pytest.raises(SizeLimitError, match="^1 word of up to 65 digits"):
             build(2 * n + 1, 1)  # 65 digits
 
 
@@ -342,6 +342,19 @@ def test_exports_match_oracles():
         g = cached_graph(n)
         assert export_json(g) == oracle_export_json(g), n
         assert export_dot(g) == oracle_export_dot(g), n
+
+
+@pytest.mark.parametrize("vertices", [
+    ("12", "", "20", "100"),  # an empty word that is not first
+    ("a", 'q"', "é", "\t"),  # not digits, and three that JSON escapes
+])
+def test_exports_of_other_names_match_oracles(vertices):
+    # digit names, every A(n)'s for n >= 1, skip render and json.dumps; these take them, as A(0)'s
+    # empty word does in test_exports_match_oracles
+    s, d = Label.SINGLE, Label.DOUBLE  # the square 0 ->> 2, 0 -> 1, 1 -> 3, 2 ->> 3
+    g = HbGraph(7, vertices, (0, 0, 1, 2), (2, 1, 3, 3), (d, s, s, d), (0, 1, 0, 2))
+    assert export_json(g) == oracle_export_json(g)
+    assert export_dot(g) == oracle_export_dot(g)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

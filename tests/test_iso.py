@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_graph, graph_from_arcs, oracle_descendants, oracle_labeled_iso
+from hbgraphs import iso
 from hbgraphs.graphs import Arc, HbGraph, build_graph, counts
 from hbgraphs.iso import (
     BudgetExceeded,
@@ -42,7 +43,8 @@ def test_a10_vs_a12_is_a_genuine_distinction():
 def test_even_pairs_with_equal_counts_refuted_without_search():
     # the paper's theorem (even m != n never have A(m) = A(n)) on its hard cases, the
     # pairs that (b, a) cannot tell apart; budget 0 admits no search node, so each
-    # refusal comes from the signature filter, independently of iso_closed_form
+    # refusal comes from the DOUBLE count or the signature filter, independently of
+    # iso_closed_form
     by_counts = defaultdict(list)
     for n in range(0, 2**12, 2):
         by_counts[b_and_a(n)].append(n)
@@ -54,6 +56,32 @@ def test_even_pairs_with_equal_counts_refuted_without_search():
                 assert labeled_iso(g1, g2, budget=0) is None, (g1.n, g2.n)
                 pairs += 1
     assert pairs == 3547
+
+
+def test_unequal_double_counts_refused_before_any_signature(monkeypatch):
+    # A(10) and A(12) have equal (b, a) = (5, 5) but 1 and 2 DOUBLE arcs: the counts refuse
+    # the pair, and the signatures are never made
+    g10, g12 = cached_graph(10), cached_graph(12)
+    assert counts(g10) == counts(g12)
+    assert (g10.labels.count(Label.DOUBLE), g12.labels.count(Label.DOUBLE)) == (1, 2)
+
+    def refused(g):
+        raise AssertionError("signatures made for a pair the counts refuse")
+
+    monkeypatch.setattr(iso, "_signatures", refused)
+    assert labeled_iso(g10, g12, budget=0) is None and labeled_iso(g12, g10, budget=0) is None
+
+
+def test_equal_double_counts_reach_the_signatures(monkeypatch):
+    # A(18) and A(28) agree on (b, a, d) = (7, 8, 3): only the signatures refuse them
+    g18, g28 = cached_graph(18), cached_graph(28)
+    assert counts(g18) == counts(g28)
+    assert g18.labels.count(Label.DOUBLE) == g28.labels.count(Label.DOUBLE) == 3
+    made = []
+    signatures = iso._signatures
+    monkeypatch.setattr(iso, "_signatures", lambda g: made.append(g.n) or signatures(g))
+    assert labeled_iso(g18, g28, budget=0) is None
+    assert sorted(made) == [18, 28]
 
 
 def columns(g):
@@ -102,7 +130,8 @@ def test_search_deeper_than_the_recursion_limit():
 
 def test_equal_columns_on_other_vertex_counts_or_labels_are_searched():
     # the identity needs equal vertex counts and equal labels, not just equal tails and
-    # heads: an extra isolated vertex, or one label flipped (the DOUBLE counts differ)
+    # heads: an extra isolated vertex, or one label flipped (the DOUBLE counts differ), is
+    # refused by its counts
     g = cached_graph(42)
     extra = HbGraph(g.n, (*g.vertices, "0"), g.tails, g.heads, g.labels, g.positions)
     flip = {Label.SINGLE: Label.DOUBLE, Label.DOUBLE: Label.SINGLE}
